@@ -234,7 +234,10 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_numeric(args) -> int:
-    M = load_matrix(args.matrix, args.inv)
+    try:
+        M = load_matrix(args.matrix, args.inv)
+    except OSError as exc:
+        raise MalformedSpec(f"cannot read matrix file {args.matrix}: {exc}") from exc
     try:
         verdict, diag = is_spsr_matrix(M, args.tol)
         payload = {

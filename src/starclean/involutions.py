@@ -248,10 +248,6 @@ class StarRing:
         return f"<StarRing {self.label} size={self.ring.size}>"
 
 
-def star_ring(ring: FiniteRing, involution: Involution, label: str | None = None) -> StarRing:
-    return StarRing(ring, involution, label)
-
-
 def induce_quotient_involution(S: StarRing, ideal: Ideal) -> tuple[StarRing, np.ndarray]:
     """Quotient star ring for a star-invariant ideal, plus the surjection."""
     star = S.star_table

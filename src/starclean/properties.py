@@ -21,6 +21,7 @@ from .elements import (
 )
 from .errors import UnknownProperty
 from .involutions import StarRing, is_star_abelian
+from .rings import group_rows
 
 
 @dataclass(frozen=True)
@@ -234,22 +235,44 @@ PROPERTIES = tuple(_ELEMENT_TESTS) + tuple(_SET_TESTS) + STABLE_RANGE_PROPERTIES
 # -- stable range ---------------------------------------------------------------
 
 
-def _stable_success(S: StarRing, pool: np.ndarray) -> np.ndarray:
-    """success[a, b] iff a + b*y is a unit for some y in the pool."""
+def _stable_pool(S: StarRing, prop: str) -> np.ndarray:
+    """The y range of a stable-range flavor: all of R, idempotents, projections."""
+    R = S.ring
+    if prop == "sr1":
+        return np.arange(R.size)
+    if prop == "isr1":
+        return np.flatnonzero(R.idempotent_mask)
+    if prop == "psr1":
+        return np.flatnonzero(S.projection_mask)
+    raise UnknownProperty(prop)
+
+
+def _stable_success(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) -> np.ndarray:
+    """success[a, b] iff ok_mask[a + b*y] for some y in the pool of distinct ids.
+
+    Column b depends only on the set b*pool (bR for the full pool), so one
+    column is computed per distinct set and copied to every b sharing it.
+    """
     R = S.ring
     n = R.size
-    success = np.zeros((n, n), dtype=bool)
-    for b in range(n):
-        cand = np.unique(R.mul_table[b, pool])
-        vals = R.add_table[:, cand]
-        success[:, b] = R.units_mask[vals].any(axis=1)
-    return success
+    if len(pool) == n:
+        products = R.right_ideal_masks
+        cls, reps = R.principal_right_ideal_classes
+    else:
+        products = np.zeros((n, n), dtype=bool)
+        products[np.arange(n)[:, None], R.mul_table[:, pool]] = True
+        cls, reps = group_rows(products)
+    columns = np.empty((n, len(reps)), dtype=bool)
+    for k, b in enumerate(reps):
+        vals = R.add_table[:, np.flatnonzero(products[b])]
+        columns[:, k] = ok_mask[vals].any(axis=1)
+    return columns[:, cls]
 
 
-def _stable_range_verdict(S: StarRing, pool) -> Verdict:
-    R = S.ring
-    pool = np.asarray(pool, dtype=np.int64)
-    viol = R.comaximal_pairs & ~_stable_success(S, pool)
+def _stable_range_verdict(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) -> Verdict:
+    """First comaximal pair (a, b), row-major, with no y in the pool making
+    a + b*y land in ok_mask."""
+    viol = S.ring.comaximal_pairs & ~_stable_success(S, pool, ok_mask)
     idx = np.argwhere(viol)
     if idx.size == 0:
         return Verdict(True)
@@ -261,13 +284,12 @@ def stable_range_checks(S: StarRing) -> dict[str, Verdict]:
     """Verdicts for stable range one over R, over idempotents, over projections."""
     cache = S._prop_cache
     if not all(name in cache for name in STABLE_RANGE_PROPERTIES):
-        R = S.ring
+        units = S.ring.units_mask
         # compute all three before publishing so concurrent readers never see
         # a partially filled cache
         computed = {
-            "sr1": _stable_range_verdict(S, np.arange(R.size)),
-            "isr1": _stable_range_verdict(S, np.flatnonzero(R.idempotent_mask)),
-            "psr1": _stable_range_verdict(S, np.flatnonzero(S.projection_mask)),
+            name: _stable_range_verdict(S, _stable_pool(S, name), units)
+            for name in STABLE_RANGE_PROPERTIES
         }
         cache.update(computed)
     return {name: cache[name] for name in STABLE_RANGE_PROPERTIES}
@@ -278,15 +300,7 @@ def check_stable_range_pair(S: StarRing, prop: str, a: int, b: int) -> bool:
     R = S.ring
     if not R.comaximal_pairs[a, b]:
         return False
-    if prop == "sr1":
-        pool = np.arange(R.size)
-    elif prop == "isr1":
-        pool = np.flatnonzero(R.idempotent_mask)
-    elif prop == "psr1":
-        pool = np.flatnonzero(S.projection_mask)
-    else:
-        raise UnknownProperty(prop)
-    for y in pool.tolist():
+    for y in _stable_pool(S, prop).tolist():
         if R.units_mask[R.add(a, R.mul(b, y))]:
             return False
     return True
@@ -368,30 +382,14 @@ def psr_onesided_equiv(S: StarRing) -> OneSidedResult:
     """Compare two-sided, right-invertible, and left-invertible variants of
     the projection stable-range condition; in a finite ring all three agree."""
     R = S.ring
-    n = R.size
     rinv_mask = (R.mul_table == R.one).any(axis=1)
     linv_mask = (R.mul_table == R.one).any(axis=0)
-    pool = np.flatnonzero(S.projection_mask)
-    comax = R.comaximal_pairs
-
-    def run(ok_mask) -> Verdict:
-        success = np.zeros((n, n), dtype=bool)
-        for b in range(n):
-            cand = np.unique(R.mul_table[b, pool])
-            vals = R.add_table[:, cand]
-            success[:, b] = ok_mask[vals].any(axis=1)
-        viol = comax & ~success
-        idx = np.argwhere(viol)
-        if idx.size == 0:
-            return Verdict(True)
-        a, b = map(int, idx[0])
-        return Verdict(False, _pair_witness(S, a, b))
-
+    pool = _stable_pool(S, "psr1")
     collapse = bool((rinv_mask == R.units_mask).all() and (linv_mask == R.units_mask).all())
     return OneSidedResult(
-        two_sided=run(R.units_mask),
-        right=run(rinv_mask),
-        left=run(linv_mask),
+        two_sided=_stable_range_verdict(S, pool, R.units_mask),
+        right=_stable_range_verdict(S, pool, rinv_mask),
+        left=_stable_range_verdict(S, pool, linv_mask),
         collapse_ok=collapse,
     )
 

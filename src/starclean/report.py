@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,27 +43,18 @@ class PropertyReport:
     label: str
     size: int
     verdicts: dict[str, Verdict]
-    timings_ms: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "label": self.label,
             "size": self.size,
             "properties": {name: v.to_dict() for name, v in self.verdicts.items()},
         }
-        if include_timings:
-            payload["timings_ms"] = {k: round(v, 3) for k, v in self.timings_ms.items()}
-        return payload
 
 
 def evaluate_properties(S: StarRing, props: tuple[str, ...] = PROPERTIES) -> PropertyReport:
-    verdicts: dict[str, Verdict] = {}
-    timings: dict[str, float] = {}
-    for prop in props:
-        start = time.perf_counter()
-        verdicts[prop] = ring_property(S, prop)
-        timings[prop] = (time.perf_counter() - start) * 1000.0
-    return PropertyReport(S.label, S.ring.size, verdicts, timings)
+    verdicts = {prop: ring_property(S, prop) for prop in props}
+    return PropertyReport(S.label, S.ring.size, verdicts)
 
 
 def corpus_matrix(

@@ -471,23 +471,26 @@ class FiniteRing:
     def right_ideal(self, a: int) -> np.ndarray:
         return self.right_ideal_masks[a]
 
-    def left_ideal(self, a: int) -> np.ndarray:
-        mask = np.zeros(self.size, dtype=bool)
-        if self.has_tables:
-            mask[self.mul_table[:, a]] = True
-        else:
-            for r in range(self.size):
-                mask[self._scalar_mul(r, a)] = True
-        return mask
+    @cached_property
+    def principal_right_ideal_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(class id of each element, first element of each class), where a and
+        b share a class iff aR = bR."""
+        return group_rows(self.right_ideal_masks)
 
     @cached_property
     def comaximal_pairs(self) -> np.ndarray:
-        """Boolean matrix: entry (a, b) iff aR + bR = R."""
-        ar = self.right_ideal_masks
+        """Boolean matrix: entry (a, b) iff aR + bR = R.
+
+        The entry depends only on (aR, bR), so it is decided once per pair of
+        distinct principal right ideals and copied to every pair of elements.
+        """
+        cls, reps = self.principal_right_ideal_classes
+        ar = self.right_ideal_masks[reps]
         flipped = np.zeros_like(ar)
         flipped[:, self.one_minus_table] = ar  # row b marks {1 - v : v in bR}
-        counts = ar.astype(np.int32) @ flipped.T.astype(np.int32)
-        return counts > 0
+        # counts of 0/1 terms: float32 is exact for deciding > 0 and uses BLAS
+        counts = ar.astype(np.float32) @ flipped.T.astype(np.float32)
+        return (counts > 0)[np.ix_(cls, cls)]
 
     def directly_finite_witness(self) -> tuple[int, int] | None:
         """Pair (a, b) with ab = 1 but ba != 1, or None."""
@@ -503,6 +506,25 @@ class FiniteRing:
                 if self._scalar_mul(a, b) == self.one and self._scalar_mul(b, a) != self.one:
                     return a, b
         return None
+
+
+def group_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(class id of each row, first row of each class) for a boolean matrix.
+
+    Rows share a class iff they are equal; classes are numbered in order of
+    their first row. Rows are keyed by their packed bytes.
+    """
+    index: dict[bytes, int] = {}
+    cls = np.empty(len(masks), dtype=np.intp)
+    reps: list[int] = []
+    for a, row in enumerate(np.packbits(masks, axis=1)):
+        key = row.tobytes()
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(reps)
+            reps.append(a)
+        cls[a] = k
+    return cls, np.array(reps, dtype=np.intp)
 
 
 # -- concrete constructions --------------------------------------------------

@@ -94,6 +94,15 @@ def test_numeric_verdicts(capsys, tmp_path):
     assert code == 2
 
 
+def test_numeric_missing_file_exit(capsys, tmp_path):
+    code = main(["numeric", str(tmp_path / "missing.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read matrix file")
+    assert captured.err.count("\n") == 1
+
+
 def test_numeric_conjugate_mode(capsys, tmp_path):
     herm = tmp_path / "herm.csv"
     herm.write_text("2,1i\n-1i,1\n")

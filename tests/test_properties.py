@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from starclean.corpus import default_corpus
 from starclean.elements import is_clean_elem
 from starclean.errors import UnknownProperty
 from starclean.involutions import (
@@ -10,6 +12,7 @@ from starclean.involutions import (
 )
 from starclean.properties import (
     PROPERTIES,
+    _stable_success,
     check_stable_range_pair,
     check_witness,
     lifting_checks,
@@ -129,6 +132,49 @@ def test_implication_chain_psr_isr_sr():
             assert checks["isr1"].value
         if checks["isr1"].value:
             assert checks["sr1"].value
+
+
+def _reference_comaximal(R):
+    """aR + bR = R, pair by pair: some u in aR has 1 - u in bR."""
+    masks = R.right_ideal_masks
+    flipped = masks[:, R.one_minus_table]  # row b marks {u : 1 - u in bR}
+    return np.array(
+        [[(masks[a] & flipped[b]).any() for b in R.elements()] for a in R.elements()]
+    )
+
+
+def _reference_success(R, pool):
+    """a + b*y is a unit for some y in the pool, pair by pair."""
+    out = np.zeros((R.size, R.size), dtype=bool)
+    for b in R.elements():
+        products = R.mul_table[b, pool]
+        for a in R.elements():
+            out[a, b] = R.units_mask[R.add_table[a, products]].any()
+    return out
+
+
+def test_stable_range_matches_pairwise_reference():
+    pools = {
+        "sr1": lambda S: np.arange(S.ring.size),
+        "isr1": lambda S: np.flatnonzero(S.ring.idempotent_mask),
+        "psr1": lambda S: np.flatnonzero(S.projection_mask),
+    }
+    for S in default_corpus() + [m2(4)]:
+        R = S.ring
+        comax = _reference_comaximal(R)
+        assert (R.comaximal_pairs == comax).all(), S.label
+        checks = stable_range_checks(S)
+        for prop, pool in pools.items():
+            success = _reference_success(R, pool(S))
+            assert (_stable_success(S, pool(S), R.units_mask) == success).all(), (S.label, prop)
+            violations = [
+                (a, b) for a in R.elements() for b in R.elements()
+                if comax[a, b] and not success[a, b]
+            ]
+            verdict = checks[prop]
+            assert verdict.value == (not violations), (S.label, prop)
+            if violations:
+                assert verdict.witness.ids == violations[0], (S.label, prop)
 
 
 def test_psr_onesided():
