@@ -105,6 +105,8 @@ def _load_corpus(path: str, cap: int | None) -> list[StarRing]:
             ispec = parse_involution_spec(entry["inv"])
             validate_spec(rspec, resolved_cap)
             label = entry.get("label")
+            if label is not None and not isinstance(label, str):
+                raise MalformedSpec(f"label must be a string, got {label!r}")
         except SpecTooLarge:
             raise
         except (TypeError, KeyError, ParseError, MalformedSpec) as exc:
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument(
         "--suites", default="all", help=f'"all" or comma-separated tags from: {", ".join(SUITE_TAGS)}'
     )
-    suite.add_argument("--jobs", type=int, default=1)
+    suite.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     _add_common(suite)
     suite.set_defaults(func=_cmd_suite)
 
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cm = subs.add_parser("corpus-matrix", help="full property matrix over a corpus")
     cm.add_argument("--corpus", default="default")
-    cm.add_argument("--jobs", type=int, default=1)
+    cm.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     _add_common(cm, fmt_choices=("json", "text", "csv"))
     cm.set_defaults(func=_cmd_corpus_matrix)
 

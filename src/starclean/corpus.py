@@ -60,7 +60,7 @@ def default_corpus() -> list[StarRing]:
 
 
 def warmup(corpus: list[StarRing]) -> None:
-    """Populate every shared cache serially so later reads can run concurrently."""
+    """Populate every shared cache of each ring in the corpus."""
     for S in corpus:
         R = S.ring
         R.units_mask

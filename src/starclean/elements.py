@@ -99,21 +99,13 @@ def strongly_pi_regular_witness(
     for n in range(1, len(powers) + 1):
         w = powers[n - 1]
         wnext = powers[n] if n < len(powers) else nxt
-        if R.has_tables:
-            right = np.flatnonzero(R.mul_table[wnext] == w)
-            if right.size == 0:
-                continue
-            left = np.flatnonzero(R.mul_table[:, wnext] == w)
-            if left.size == 0:
-                continue
-            return n, int(right[0]), int(left[0])
-        x = next((x for x in R.elements() if R.mul(wnext, x) == w), None)
-        if x is None:
+        right = np.flatnonzero(R.mul_table[wnext] == w)
+        if right.size == 0:
             continue
-        y = next((y for y in R.elements() if R.mul(y, wnext) == w), None)
-        if y is None:
+        left = np.flatnonzero(R.mul_table[:, wnext] == w)
+        if left.size == 0:
             continue
-        return n, x, y
+        return n, int(right[0]), int(left[0])
     return None
 
 
@@ -121,16 +113,9 @@ def strongly_star_regular_witness(S: StarRing, a: int) -> Optional[tuple[int, in
     """First (p, u) with a = p u = u p, p a projection and u a unit."""
     R = S.ring
     for p in S.projections():
-        if R.has_tables:
-            cand = np.flatnonzero(
-                R.units_mask & (R.mul_table[p] == a) & (R.mul_table[:, p] == a)
-            )
-            if cand.size:
-                return p, int(cand[0])
-        else:
-            for u in R.units():
-                if R.mul(p, u) == a and R.mul(u, p) == a:
-                    return p, u
+        cand = np.flatnonzero(R.units_mask & (R.mul_table[p] == a) & (R.mul_table[:, p] == a))
+        if cand.size:
+            return p, int(cand[0])
     return None
 
 
@@ -207,17 +192,12 @@ def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     powers, _ = R.distinct_powers(a)
     for m, w in enumerate(powers, start=1):
         for e in proj_comm:
-            eu = R.mul_table[e, unit_comm] if R.has_tables else None
-            if eu is not None:
-                ue = R.mul_table[unit_comm, e]
-                hits = np.flatnonzero((eu == w) & (ue == w))
-                if hits.size:
-                    u = int(unit_comm[hits[0]])
-                    return PiStarCertificate(a, "C1", {"m": m, "e": e, "u": u})
-            else:
-                for u in unit_comm.tolist():
-                    if R.mul(e, u) == w and R.mul(u, e) == w:
-                        return PiStarCertificate(a, "C1", {"m": m, "e": e, "u": u})
+            eu = R.mul_table[e, unit_comm]
+            ue = R.mul_table[unit_comm, e]
+            hits = np.flatnonzero((eu == w) & (ue == w))
+            if hits.size:
+                u = int(unit_comm[hits[0]])
+                return PiStarCertificate(a, "C1", {"m": m, "e": e, "u": u})
     return None
 
 
@@ -245,19 +225,13 @@ def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
             continue
         ap = R.mul(a, p)
         # invertibility inside the corner: the unity there is p
-        if R.has_tables:
-            corner_elems = np.unique(R.mul_table[R.mul_table[p, :], p])
-            hits = np.flatnonzero(
-                (R.mul_table[ap, corner_elems] == p) & (R.mul_table[corner_elems, ap] == p)
-            )
-            if hits.size:
-                w = int(corner_elems[hits[0]])
-                return PiStarCertificate(a, "C3", {"p": p, "w": w})
-        else:
-            corner_elems = sorted({R.mul(R.mul(p, x), p) for x in R.elements()})
-            for w in corner_elems:
-                if R.mul(ap, w) == p and R.mul(w, ap) == p:
-                    return PiStarCertificate(a, "C3", {"p": p, "w": w})
+        corner_elems = np.unique(R.mul_table[R.mul_table[p, :], p])
+        hits = np.flatnonzero(
+            (R.mul_table[ap, corner_elems] == p) & (R.mul_table[corner_elems, ap] == p)
+        )
+        if hits.size:
+            w = int(corner_elems[hits[0]])
+            return PiStarCertificate(a, "C3", {"p": p, "w": w})
     return None
 
 
@@ -265,28 +239,18 @@ def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting b with (ab)* = ab, b = bab, and a - a^2 b nilpotent."""
     R = S.ring
     cand = R.commutant(a)
-    if R.has_tables:
-        ab = R.mul_table[a, cand]
-        cond_star = S.star_table[ab] == ab
-        ba = R.mul_table[cand, a]
-        bab = R.mul_table[ba, cand]
-        cond_inner = bab == cand
-        asq = R.mul(a, a)
-        asq_b = R.mul_table[asq, cand]
-        diff = R.add_table[a, R.neg_table[asq_b]]
-        cond_nil = R.nilpotent_mask[diff]
-        hits = np.flatnonzero(cond_star & cond_inner & cond_nil)
-        if hits.size:
-            return PiStarCertificate(a, "C4", {"b": int(cand[hits[0]])})
-        return None
-    for b in cand.tolist():
-        ab = R.mul(a, b)
-        if S.star(ab) != ab:
-            continue
-        if R.mul(R.mul(b, a), b) != b:
-            continue
-        if R.is_nilpotent(R.sub(a, R.mul(R.mul(a, a), b))):
-            return PiStarCertificate(a, "C4", {"b": b})
+    ab = R.mul_table[a, cand]
+    cond_star = S.star_table[ab] == ab
+    ba = R.mul_table[cand, a]
+    bab = R.mul_table[ba, cand]
+    cond_inner = bab == cand
+    asq = R.mul(a, a)
+    asq_b = R.mul_table[asq, cand]
+    diff = R.add_table[a, R.neg_table[asq_b]]
+    cond_nil = R.nilpotent_mask[diff]
+    hits = np.flatnonzero(cond_star & cond_inner & cond_nil)
+    if hits.size:
+        return PiStarCertificate(a, "C4", {"b": int(cand[hits[0]])})
     return None
 
 

@@ -10,12 +10,23 @@ class MalformedSpec(StarCleanError):
 
 
 class SpecTooLarge(StarCleanError):
-    """The requested ring would exceed the configured size cap."""
+    """The requested ring would exceed the size cap, or its Cayley tables
+    would not fit in physical memory (then ``table_bytes`` is the estimate)."""
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"ring would have {size} elements, exceeding the cap of {cap}")
+    def __init__(
+        self, size: int, cap: int, table_bytes: int | None = None, memory: int | None = None
+    ):
+        if table_bytes is None:
+            msg = f"ring would have {size} elements, exceeding the cap of {cap}"
+        else:
+            msg = (
+                f"ring would have {size} elements, whose tables need about {table_bytes} "
+                f"bytes to build, more than the {memory} bytes of physical memory"
+            )
+        super().__init__(msg)
         self.size = size
         self.cap = cap
+        self.table_bytes = table_bytes
 
 
 class ParseError(StarCleanError):

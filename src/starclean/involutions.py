@@ -51,35 +51,20 @@ def verify_involution(R: FiniteRing, star: np.ndarray) -> None:
     star = np.asarray(star)
     if star.shape != (n,) or not (np.sort(star) == np.arange(n)).all():
         raise AxiomViolation("bijectivity", (), "star is not a permutation of the elements")
-    if R.has_tables:
-        add, mul = R.add_table, R.mul_table
-        lhs = star[add]
-        rhs = add[np.ix_(star, star)]
-        if not (lhs == rhs).all():
-            x, y = map(int, np.argwhere(lhs != rhs)[0])
-            raise AxiomViolation("additivity", (x, y), f"x={R.render(x)}, y={R.render(y)}")
-        lhs = star[mul]
-        rhs = mul[np.ix_(star, star)].T
-        if not (lhs == rhs).all():
-            x, y = map(int, np.argwhere(lhs != rhs)[0])
-            raise AxiomViolation(
-                "anti-multiplicativity", (x, y), f"x={R.render(x)}, y={R.render(y)}"
-            )
-        if not (star[star] == np.arange(n)).all():
-            x = int(np.flatnonzero(star[star] != np.arange(n))[0])
-            raise AxiomViolation("involutivity", (x,), f"x={R.render(x)}")
-    else:
-        st = [int(v) for v in star]
-        for x in range(n):
-            if st[st[x]] != x:
-                raise AxiomViolation("involutivity", (x,), f"x={R.render(x)}")
-            for y in range(n):
-                if st[R.add(x, y)] != R.add(st[x], st[y]):
-                    raise AxiomViolation("additivity", (x, y), f"x={R.render(x)}, y={R.render(y)}")
-                if st[R.mul(x, y)] != R.mul(st[y], st[x]):
-                    raise AxiomViolation(
-                        "anti-multiplicativity", (x, y), f"x={R.render(x)}, y={R.render(y)}"
-                    )
+    add, mul = R.add_table, R.mul_table
+    lhs = star[add]
+    rhs = add[np.ix_(star, star)]
+    if not (lhs == rhs).all():
+        x, y = map(int, np.argwhere(lhs != rhs)[0])
+        raise AxiomViolation("additivity", (x, y), f"x={R.render(x)}, y={R.render(y)}")
+    lhs = star[mul]
+    rhs = mul[np.ix_(star, star)].T
+    if not (lhs == rhs).all():
+        x, y = map(int, np.argwhere(lhs != rhs)[0])
+        raise AxiomViolation("anti-multiplicativity", (x, y), f"x={R.render(x)}, y={R.render(y)}")
+    if not (star[star] == np.arange(n)).all():
+        x = int(np.flatnonzero(star[star] != np.arange(n))[0])
+        raise AxiomViolation("involutivity", (x,), f"x={R.render(x)}")
     if int(star[R.zero]) != R.zero:
         raise AxiomViolation("fixes-zero", (R.zero,), "0* != 0")
     if int(star[R.one]) != R.one:
@@ -111,10 +96,7 @@ class Involution:
 def identity_involution(R: FiniteRing) -> Involution:
     if not R.is_commutative:
         a = int(np.flatnonzero(~R.center_mask)[0])
-        row = R.mul_table[a] != R.mul_table[:, a] if R.has_tables else None
-        b = int(np.flatnonzero(row)[0]) if row is not None else next(
-            x for x in R.elements() if R.mul(a, x) != R.mul(x, a)
-        )
+        b = int(np.flatnonzero(R.mul_table[a] != R.mul_table[:, a])[0])
         raise IdentityOnNoncommutative((a, b), f"x={R.render(a)}, y={R.render(b)}")
     return Involution(R, np.arange(R.size), "identity", "id")
 
@@ -284,27 +266,17 @@ def corner_star_ring(S: StarRing, e: int) -> StarRing:
 def is_proper(S: StarRing) -> tuple[bool, int | None]:
     """True iff x*x = 0 forces x = 0; witness element on failure."""
     R = S.ring
-    if R.has_tables:
-        idx = np.arange(R.size)
-        vals = R.mul_table[S.star_table[idx], idx]
-        bad = np.flatnonzero((vals == R.zero) & (idx != R.zero))
-        return (True, None) if bad.size == 0 else (False, int(bad[0]))
-    for x in R.elements():
-        if x != R.zero and R.mul(S.star(x), x) == R.zero:
-            return False, x
-    return True, None
+    idx = np.arange(R.size)
+    vals = R.mul_table[S.star_table[idx], idx]
+    bad = np.flatnonzero((vals == R.zero) & (idx != R.zero))
+    return (True, None) if bad.size == 0 else (False, int(bad[0]))
 
 
 def is_star_abelian(S: StarRing) -> tuple[bool, tuple[int, int] | None]:
     """True iff every projection is central; witness (p, x) on failure."""
     R = S.ring
     for p in S.projections():
-        if R.has_tables:
-            diff = np.flatnonzero(R.mul_table[p] != R.mul_table[:, p])
-            if diff.size:
-                return False, (p, int(diff[0]))
-        else:
-            for x in R.elements():
-                if R.mul(p, x) != R.mul(x, p):
-                    return False, (p, x)
+        diff = np.flatnonzero(R.mul_table[p] != R.mul_table[:, p])
+        if diff.size:
+            return False, (p, int(diff[0]))
     return True, None

@@ -89,12 +89,8 @@ def elem_pi_regular(S, a):
     R = S.ring
     powers, _ = R.distinct_powers(a)
     for w in powers:
-        if R.has_tables:
-            if (R.mul_table[R.mul_table[w], w] == w).any():
-                return True
-        else:
-            if any(R.mul(R.mul(w, b), w) == w for b in R.elements()):
-                return True
+        if (R.mul_table[R.mul_table[w], w] == w).any():
+            return True
     return False
 
 
@@ -108,9 +104,7 @@ def elem_spsr(S, a):
 
 def elem_regular(S, a):
     R = S.ring
-    if R.has_tables:
-        return bool((R.mul_table[R.mul_table[a], a] == a).any())
-    return any(R.mul(R.mul(a, b), a) == a for b in R.elements())
+    return bool((R.mul_table[R.mul_table[a], a] == a).any())
 
 
 def elem_strongly_regular(S, a):
@@ -182,10 +176,8 @@ def _forall_elements(S: StarRing, pred) -> Verdict:
 def _prop_abelian(S: StarRing) -> Verdict:
     R = S.ring
     for e in R.idempotents():
-        bad = np.flatnonzero(R.mul_table[e] != R.mul_table[:, e]) if R.has_tables else [
-            x for x in R.elements() if R.mul(e, x) != R.mul(x, e)
-        ]
-        if len(bad):
+        bad = np.flatnonzero(R.mul_table[e] != R.mul_table[:, e])
+        if bad.size:
             return Verdict(False, _pair_witness(S, e, int(bad[0])))
     return Verdict(True)
 
@@ -285,13 +277,8 @@ def stable_range_checks(S: StarRing) -> dict[str, Verdict]:
     cache = S._prop_cache
     if not all(name in cache for name in STABLE_RANGE_PROPERTIES):
         units = S.ring.units_mask
-        # compute all three before publishing so concurrent readers never see
-        # a partially filled cache
-        computed = {
-            name: _stable_range_verdict(S, _stable_pool(S, name), units)
-            for name in STABLE_RANGE_PROPERTIES
-        }
-        cache.update(computed)
+        for name in STABLE_RANGE_PROPERTIES:
+            cache[name] = _stable_range_verdict(S, _stable_pool(S, name), units)
     return {name: cache[name] for name in STABLE_RANGE_PROPERTIES}
 
 

@@ -60,11 +60,7 @@ def evaluate_properties(S: StarRing, props: tuple[str, ...] = PROPERTIES) -> Pro
 def corpus_matrix(
     corpus: list[StarRing], props: tuple[str, ...] = PROPERTIES, jobs: int = 1
 ):
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda S: evaluate_properties(S, props), corpus))
+    """One report per ring, in corpus order; ``jobs`` is accepted and ignored."""
     return [evaluate_properties(S, props) for S in corpus]
 
 

@@ -4,9 +4,11 @@ Every ring exposes its elements as integer ids ``0..size-1`` in a fixed
 mixed-radix enumeration over the construction tree: matrix entries are read
 row-major, group-ring coefficients in group element order, product components
 left to right, and the first component is the most significant digit.  Id 0
-is always the additive zero.  Arithmetic is backed by memoized Cayley tables
-for rings up to ``DEFAULT_TABLE_CAP`` elements and computed structurally
-above that.
+is always the additive zero.  All arithmetic reads memoized Cayley tables,
+built once per ring.  Each construction defines its product once, in
+``_scalar_mul``; digit rings (matrices, group rings, truncated polynomials)
+call it only on pairs of single-digit elements and extend the table to every
+pair by additivity (see ``_DigitRing._tables``).
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import numpy as np
 from .errors import MalformedSpec, NotAnIdeal, NotIdempotent, SpecTooLarge
 
 DEFAULT_SIZE_CAP = 4096
-DEFAULT_TABLE_CAP = 4096
 SIZE_CAP_ENV = "STARCLEAN_CAP"
 
-# chunk budget (entries) for blocked table construction
-_CHUNK_ENTRIES = 1 << 22
+# peak bytes per pair of elements while a ring is built and its involution
+# checked: the int32 add and mul tables hold 8, and the gathers of the build
+# and of the involution check take up to three times that again
+TABLE_BYTES_PER_PAIR = 32
 
 
 def current_size_cap(override: int | None = None) -> int:
@@ -216,6 +219,10 @@ def validate_spec(spec: RingSpec, cap: int) -> None:
     size = spec_size_bound(spec)
     if size > cap:
         raise SpecTooLarge(size, cap)
+    table_bytes = TABLE_BYTES_PER_PAIR * size * size
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if table_bytes > memory:
+        raise SpecTooLarge(size, cap, table_bytes, memory)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +232,17 @@ def validate_spec(spec: RingSpec, cap: int) -> None:
 class FiniteRing:
     """A finite unital ring on element ids 0..size-1.
 
-    Subclasses provide structural scalar arithmetic and a vectorized table
-    builder; everything else (units, idempotents, nilpotents, center, the
-    Jacobson radical, right-ideal masks) is derived here and cached.
+    Subclasses provide structural scalar arithmetic and a table builder;
+    everything else (units, idempotents, nilpotents, center, the Jacobson
+    radical, right-ideal masks) is derived here from the tables and cached.
     """
 
     spec: RingSpec | None = None
     size: int
     one: int
     zero: int = 0
-    table_cap: int = DEFAULT_TABLE_CAP
 
-    # -- structural scalar arithmetic -------------------------------------
+    # -- structural scalar arithmetic: the reference the tables must match --
 
     def _scalar_add(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -253,16 +259,8 @@ class FiniteRing:
 
     # -- public arithmetic --------------------------------------------------
 
-    @property
-    def has_tables(self) -> bool:
-        return self.size <= self.table_cap
-
     @cached_property
     def _table_cache(self):
-        if not self.has_tables:
-            # refuse to materialize quadratic tables past the cap; callers on
-            # the structural path never get here
-            raise SpecTooLarge(self.size, self.table_cap)
         add, mul, neg = self._tables()
         return (
             np.ascontiguousarray(add, dtype=np.int32),
@@ -283,19 +281,13 @@ class FiniteRing:
         return self._table_cache[2]
 
     def add(self, a: int, b: int) -> int:
-        if self.has_tables:
-            return int(self.add_table[a, b])
-        return self._scalar_add(a, b)
+        return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
-        if self.has_tables:
-            return int(self.mul_table[a, b])
-        return self._scalar_mul(a, b)
+        return int(self.mul_table[a, b])
 
     def neg(self, a: int) -> int:
-        if self.has_tables:
-            return int(self.neg_table[a])
-        return self._scalar_neg(a)
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -350,21 +342,13 @@ class FiniteRing:
     def _unit_data(self) -> tuple[tuple[int, ...], np.ndarray]:
         inv = np.full(self.size, -1, dtype=np.int64)
         units: list[int] = []
-        if self.has_tables:
-            eq = self.mul_table == self.one
-            for a in range(self.size):
-                for b in np.flatnonzero(eq[a]):
-                    if eq[b, a]:
-                        units.append(a)
-                        inv[a] = b
-                        break
-        else:
-            for a in range(self.size):
-                for b in range(self.size):
-                    if self._scalar_mul(a, b) == self.one and self._scalar_mul(b, a) == self.one:
-                        units.append(a)
-                        inv[a] = b
-                        break
+        eq = self.mul_table == self.one
+        for a in range(self.size):
+            for b in np.flatnonzero(eq[a]):
+                if eq[b, a]:
+                    units.append(a)
+                    inv[a] = b
+                    break
         return tuple(units), inv
 
     def units(self) -> tuple[int, ...]:
@@ -376,9 +360,6 @@ class FiniteRing:
         mask[list(self._unit_data[0])] = True
         return mask
 
-    def is_unit(self, a: int) -> bool:
-        return bool(self.units_mask[a])
-
     def inverse(self, a: int) -> int:
         b = int(self._unit_data[1][a])
         if b < 0:
@@ -387,12 +368,7 @@ class FiniteRing:
 
     @cached_property
     def idempotent_mask(self) -> np.ndarray:
-        if self.has_tables:
-            return self.mul_table.diagonal() == np.arange(self.size)
-        mask = np.zeros(self.size, dtype=bool)
-        for a in range(self.size):
-            mask[a] = self._scalar_mul(a, a) == a
-        return mask
+        return self.mul_table.diagonal() == np.arange(self.size)
 
     def idempotents(self) -> tuple[int, ...]:
         return tuple(int(x) for x in np.flatnonzero(self.idempotent_mask))
@@ -409,14 +385,7 @@ class FiniteRing:
 
     @cached_property
     def center_mask(self) -> np.ndarray:
-        if self.has_tables:
-            return (self.mul_table == self.mul_table.T).all(axis=1)
-        mask = np.ones(self.size, dtype=bool)
-        for a in range(self.size):
-            mask[a] = all(
-                self._scalar_mul(a, b) == self._scalar_mul(b, a) for b in range(self.size)
-            )
-        return mask
+        return (self.mul_table == self.mul_table.T).all(axis=1)
 
     def center(self) -> tuple[int, ...]:
         return tuple(int(x) for x in np.flatnonzero(self.center_mask))
@@ -427,12 +396,7 @@ class FiniteRing:
 
     def commutant(self, a: int) -> np.ndarray:
         """Element ids commuting with a."""
-        if self.has_tables:
-            return np.flatnonzero(self.mul_table[a] == self.mul_table[:, a])
-        return np.array(
-            [b for b in range(self.size) if self._scalar_mul(a, b) == self._scalar_mul(b, a)],
-            dtype=np.int64,
-        )
+        return np.flatnonzero(self.mul_table[a] == self.mul_table[:, a])
 
     def jacobson_radical(self) -> "Ideal":
         return self._jacobson
@@ -442,16 +406,8 @@ class FiniteRing:
         # quasi-regularity: a is in the radical iff 1 - r*a is a unit for all r.
         # One-sided suffices here: left invertible implies invertible in a
         # finite ring (direct finiteness).
-        if self.has_tables:
-            one_minus_ra = self.one_minus_table[self.mul_table]
-            mask = self.units_mask[one_minus_ra].all(axis=0)
-        else:
-            mask = np.zeros(self.size, dtype=bool)
-            for a in range(self.size):
-                mask[a] = all(
-                    self.is_unit(self.one_minus(self._scalar_mul(r, a)))
-                    for r in range(self.size)
-                )
+        one_minus_ra = self.one_minus_table[self.mul_table]
+        mask = self.units_mask[one_minus_ra].all(axis=0)
         ideal = Ideal(self, mask, check=False)
         ideal.validate()
         return ideal
@@ -460,12 +416,7 @@ class FiniteRing:
     def right_ideal_masks(self) -> np.ndarray:
         """Boolean matrix with row a marking the principal right ideal aR."""
         masks = np.zeros((self.size, self.size), dtype=bool)
-        if self.has_tables:
-            masks[np.arange(self.size)[:, None], self.mul_table] = True
-        else:
-            for a in range(self.size):
-                for r in range(self.size):
-                    masks[a, self._scalar_mul(a, r)] = True
+        masks[np.arange(self.size)[:, None], self.mul_table] = True
         return masks
 
     def right_ideal(self, a: int) -> np.ndarray:
@@ -494,17 +445,11 @@ class FiniteRing:
 
     def directly_finite_witness(self) -> tuple[int, int] | None:
         """Pair (a, b) with ab = 1 but ba != 1, or None."""
-        if self.has_tables:
-            pos = np.argwhere(self.mul_table == self.one)
-            bad = self.mul_table[pos[:, 1], pos[:, 0]] != self.one
-            if bad.any():
-                a, b = pos[np.flatnonzero(bad)[0]]
-                return int(a), int(b)
-            return None
-        for a in range(self.size):
-            for b in range(self.size):
-                if self._scalar_mul(a, b) == self.one and self._scalar_mul(b, a) != self.one:
-                    return a, b
+        pos = np.argwhere(self.mul_table == self.one)
+        bad = self.mul_table[pos[:, 1], pos[:, 0]] != self.one
+        if bad.any():
+            a, b = pos[np.flatnonzero(bad)[0]]
+            return int(a), int(b)
         return None
 
 
@@ -646,33 +591,44 @@ class _DigitRing(FiniteRing):
     def _scalar_neg(self, a):
         return self.encode([self.base.neg(x) for x in self.digits_of(a)])
 
-    def _digitwise_table(self, op_table: np.ndarray) -> np.ndarray:
-        d = self.digits
-        n = self.size
-        out = np.empty((n, n), dtype=np.int32)
-        chunk = max(1, _CHUNK_ENTRIES // max(1, n * self.width))
-        for s in range(0, n, chunk):
-            block = op_table[d[s : s + chunk, None, :], d[None, :, :]]
-            out[s : s + chunk] = block.astype(np.int64) @ self._weights
-        return out
-
-    def _neg_table_impl(self) -> np.ndarray:
-        return (self.base.neg_table[self.digits].astype(np.int64) @ self._weights).astype(np.int32)
-
-    def _mul_digit_block(self, rows: np.ndarray) -> np.ndarray:
-        """Digit vectors of rows[i] * b for all b; shape (len(rows), n, width)."""
-        raise NotImplementedError
-
     def _tables(self):
-        add = self._digitwise_table(self.base.add_table)
-        neg = self._neg_table_impl()
-        n = self.size
-        mul = np.empty((n, n), dtype=np.int32)
-        chunk = max(1, _CHUNK_ENTRIES // max(1, n * self.width))
-        rows = np.arange(n)
-        for s in range(0, n, chunk):
-            block = self._mul_digit_block(rows[s : s + chunk])
-            mul[s : s + chunk] = block.astype(np.int64) @ self._weights
+        """Tables from ``_scalar_mul`` on pairs of single-digit ids, by additivity.
+
+        A single-digit id s = d*w has one nonzero digit d, at weight w.  Ids
+        are mixed-radix, so the block [s, s + w) holds s + r for every r < w,
+        and walking the weights upwards each block reads only rows already
+        built: add[s + r] = add[s][add[r]] and (s + r)*b = s*b + r*b.  The
+        rows of the single-digit ids are filled first, column block by column
+        block: s*(t + r) = s*t + s*r.  The add table is complete before the
+        mul pass starts, because the mul gathers read arbitrary add entries.
+        """
+        n, m = self.size, self.base.size
+        d = self.digits
+        idx = np.arange(n, dtype=np.int64)
+        # (weight, digit position), least significant first
+        levels = [(int(self._weights[l]), l) for l in reversed(range(self.width))]
+        singles = np.array([dg * w for w, _ in levels for dg in range(1, m)], dtype=np.int64)
+
+        add = np.empty((n, n), dtype=np.int32)
+        add[0] = idx
+        for w, l in levels:
+            col = d[:, l].astype(np.int64)
+            for s in range(w, m * w, w):
+                add[s] = idx + (self.base.add_table[s // w, col] - col) * w
+                add[s + 1 : s + w] = add[s][add[1:w]]
+
+        mul = np.zeros((n, n), dtype=np.int32)
+        mul[np.ix_(singles, singles)] = [
+            [self._scalar_mul(a, b) for b in singles.tolist()] for a in singles.tolist()
+        ]
+        for w, _ in levels:
+            for t in range(w, m * w, w):
+                mul[singles, t + 1 : t + w] = add[mul[singles, 1:w], mul[singles, t][:, None]]
+        for w, _ in levels:
+            for s in range(w, m * w, w):
+                mul[s + 1 : s + w] = add[mul[1:w], mul[s]]
+
+        neg = (self.base.neg_table[d].astype(np.int64) @ self._weights).astype(np.int32)
         return add, mul, neg
 
 
@@ -699,21 +655,6 @@ class MatrixRing(_DigitRing):
                     s = B.add(s, B.mul(da[i * k + l], db[l * k + j]))
                 out.append(s)
         return self.encode(out)
-
-    def _mul_digit_block(self, rows):
-        k = self.k
-        d = self.digits
-        bm, ba = self.base.mul_table, self.base.add_table
-        dc = d[rows]
-        block = np.empty((len(rows), self.size, self.width), dtype=np.int32)
-        for i in range(k):
-            for j in range(k):
-                acc = None
-                for l in range(k):
-                    term = bm[dc[:, i * k + l][:, None], d[:, l * k + j][None, :]]
-                    acc = term if acc is None else ba[acc, term]
-                block[:, :, i * k + j] = acc
-        return block
 
     def render(self, a):
         digs = self.digits_of(a)
@@ -750,19 +691,6 @@ class GroupRing(_DigitRing):
                 t = int(G.mul_table[g, h])
                 out[t] = B.add(out[t], B.mul(da[g], db[h]))
         return self.encode(out)
-
-    def _mul_digit_block(self, rows):
-        d = self.digits
-        bm, ba = self.base.mul_table, self.base.add_table
-        dc = d[rows]
-        block = np.zeros((len(rows), self.size, self.width), dtype=np.int32)
-        for g in range(self.width):
-            col_g = dc[:, g][:, None]
-            for h in range(self.width):
-                t = int(self.group.mul_table[g, h])
-                term = bm[col_g, d[:, h][None, :]]
-                block[:, :, t] = ba[block[:, :, t], term]
-        return block
 
     def render(self, a):
         digs = self.digits_of(a)
@@ -806,18 +734,6 @@ class TruncatedPolyRing(_DigitRing):
                 out[i + j] = B.add(out[i + j], B.mul(da[i], db[j]))
         return self.encode(out)
 
-    def _mul_digit_block(self, rows):
-        d = self.digits
-        bm, ba = self.base.mul_table, self.base.add_table
-        dc = d[rows]
-        block = np.zeros((len(rows), self.size, self.width), dtype=np.int32)
-        for i in range(self.width):
-            col_i = dc[:, i][:, None]
-            for j in range(self.width - i):
-                term = bm[col_i, d[:, j][None, :]]
-                block[:, :, i + j] = ba[block[:, :, i + j], term]
-        return block
-
     def render(self, a):
         digs = self.digits_of(a)
         terms = []
@@ -849,13 +765,7 @@ class QuotientRing(FiniteRing):
         self.base = base
         self.ideal = ideal
         members = ideal.elements_array
-        if base.has_tables:
-            rep_of = base.add_table[:, members].min(axis=1)
-        else:
-            rep_of = np.array(
-                [min(base.add(x, i) for i in members.tolist()) for x in range(base.size)],
-                dtype=np.int64,
-            )
+        rep_of = base.add_table[:, members].min(axis=1)
         reps = np.unique(rep_of)
         self.reps = reps.astype(np.int64)
         self.surjection = np.searchsorted(reps, rep_of).astype(np.int64)
@@ -874,21 +784,10 @@ class QuotientRing(FiniteRing):
         return int(self.surjection[self.base.neg(int(self.reps[a]))])
 
     def _tables(self):
-        if self.base.has_tables:
-            ix = np.ix_(self.reps, self.reps)
-            add = self.surjection[self.base.add_table[ix]]
-            mul = self.surjection[self.base.mul_table[ix]]
-            neg = self.surjection[self.base.neg_table[self.reps]]
-        else:
-            n = self.size
-            add = np.empty((n, n), dtype=np.int64)
-            mul = np.empty((n, n), dtype=np.int64)
-            neg = np.empty(n, dtype=np.int64)
-            for a in range(n):
-                neg[a] = self._scalar_neg(a)
-                for b in range(n):
-                    add[a, b] = self._scalar_add(a, b)
-                    mul[a, b] = self._scalar_mul(a, b)
+        ix = np.ix_(self.reps, self.reps)
+        add = self.surjection[self.base.add_table[ix]]
+        mul = self.surjection[self.base.mul_table[ix]]
+        neg = self.surjection[self.base.neg_table[self.reps]]
         return add, mul, neg
 
     def render(self, a):
@@ -913,13 +812,7 @@ class CornerRing(FiniteRing):
         self.spec = None
         self.parent = parent
         self.e = e
-        if parent.has_tables:
-            elems = np.unique(parent.mul_table[parent.mul_table[e, :], e])
-        else:
-            elems = np.array(
-                sorted({parent.mul(parent.mul(e, x), e) for x in parent.elements()}),
-                dtype=np.int64,
-            )
+        elems = np.unique(parent.mul_table[parent.mul_table[e, :], e])
         self.parent_elements = elems.astype(np.int64)
         self.size = len(elems)
         pos = np.full(parent.size, -1, dtype=np.int64)
@@ -996,21 +889,12 @@ class Ideal:
         if not self.mask[R.zero]:
             raise NotAnIdeal("0 is missing")
         idx = self.elements_array
-        if R.has_tables:
-            if not self.mask[R.add_table[np.ix_(idx, idx)]].all():
-                raise NotAnIdeal("not closed under addition")
-            if not self.mask[R.mul_table[:, idx]].all():
-                raise NotAnIdeal("not closed under left multiplication")
-            if not self.mask[R.mul_table[idx, :]].all():
-                raise NotAnIdeal("not closed under right multiplication")
-        else:
-            for x in idx.tolist():
-                for y in idx.tolist():
-                    if not self.mask[R.add(x, y)]:
-                        raise NotAnIdeal("not closed under addition")
-                for r in range(R.size):
-                    if not self.mask[R.mul(r, x)] or not self.mask[R.mul(x, r)]:
-                        raise NotAnIdeal("not closed under multiplication by the ring")
+        if not self.mask[R.add_table[np.ix_(idx, idx)]].all():
+            raise NotAnIdeal("not closed under addition")
+        if not self.mask[R.mul_table[:, idx]].all():
+            raise NotAnIdeal("not closed under left multiplication")
+        if not self.mask[R.mul_table[idx, :]].all():
+            raise NotAnIdeal("not closed under right multiplication")
 
     def __eq__(self, other):
         return (
@@ -1031,32 +915,16 @@ def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> Ideal:
     mask = np.zeros(R.size, dtype=bool)
     mask[R.zero] = True
     mask[list(generators)] = True
-    if R.has_tables:
-        while True:
-            idx = np.flatnonzero(mask)
-            new = mask.copy()
-            new[R.mul_table[:, idx].ravel()] = True
-            new[R.mul_table[idx, :].ravel()] = True
-            idx2 = np.flatnonzero(new)
-            new[R.add_table[np.ix_(idx2, idx2)].ravel()] = True
-            if (new == mask).all():
-                break
-            mask = new
-    else:
-        while True:
-            current = set(np.flatnonzero(mask).tolist())
-            new = set(current)
-            for x in current:
-                for r in range(R.size):
-                    new.add(R.mul(r, x))
-                    new.add(R.mul(x, r))
-            for x in list(new):
-                for y in list(new):
-                    new.add(R.add(x, y))
-            if new == current:
-                break
-            mask[:] = False
-            mask[list(new)] = True
+    while True:
+        idx = np.flatnonzero(mask)
+        new = mask.copy()
+        new[R.mul_table[:, idx].ravel()] = True
+        new[R.mul_table[idx, :].ravel()] = True
+        idx2 = np.flatnonzero(new)
+        new[R.add_table[np.ix_(idx2, idx2)].ravel()] = True
+        if (new == mask).all():
+            break
+        mask = new
     return Ideal(R, mask, check=False)
 
 
@@ -1118,14 +986,9 @@ def corner(R: FiniteRing, e: int) -> CornerRing:
 
 def is_local(R: FiniteRing) -> tuple[bool, int | None]:
     """True iff every a has a or 1-a invertible; witness element otherwise."""
-    if R.has_tables:
-        ok = R.units_mask | R.units_mask[R.one_minus_table]
-        bad = np.flatnonzero(~ok)
-        return (True, None) if bad.size == 0 else (False, int(bad[0]))
-    for a in range(R.size):
-        if not (R.is_unit(a) or R.is_unit(R.one_minus(a))):
-            return False, a
-    return True, None
+    ok = R.units_mask | R.units_mask[R.one_minus_table]
+    bad = np.flatnonzero(~ok)
+    return (True, None) if bad.size == 0 else (False, int(bad[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1156,7 +1019,7 @@ def check_ring_axioms(
     """
     n = R.size
     violations: list[tuple[str, tuple[int, ...]]] = []
-    if R.has_tables and n <= exhaustive_limit:
+    if n <= exhaustive_limit:
         add, mul, neg = R.add_table, R.mul_table, R.neg_table
         idx = np.arange(n)
         if not (add == add.T).all():

@@ -310,11 +310,16 @@ def make_involution(R: FiniteRing, spec: InvSpec, base_dir: Path | None = None) 
             raise ValidationError(f"cannot read involution table {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"involution table {path} is not valid JSON") from exc
-        if not isinstance(mapping, list) or len(mapping) != R.size:
+        if (
+            not isinstance(mapping, list)
+            or len(mapping) != R.size
+            or not all(type(v) is int and 0 <= v < R.size for v in mapping)
+        ):
             raise ValidationError(
-                f"involution table must be a list of {R.size} element ids"
+                f"involution table must be a list of {R.size} integer element ids "
+                f"in 0..{R.size - 1}"
             )
-        return table_involution(R, [int(v) for v in mapping], label=f"table:{spec.path}")
+        return table_involution(R, mapping, label=f"table:{spec.path}")
     raise ValidationError(f"not an involution spec: {spec!r}")
 
 

@@ -8,7 +8,6 @@ do not meet a suite's hypothesis are reported as consistent with a note.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -596,15 +595,13 @@ def run_suite(corpus: list[StarRing], tag: str) -> SuiteResult:
 def run_suites(
     corpus: list[StarRing], tags: list[str] | None = None, jobs: int = 1
 ) -> list[SuiteResult]:
-    """Run suites in canonical tag order; results are order-deterministic."""
+    """Run suites in canonical tag order; results are order-deterministic.
+
+    ``jobs`` is accepted and ignored: suites run one after another.
+    """
     selected = list(SUITE_TAGS) if not tags else list(tags)
     for tag in selected:
         if tag not in SUITES:
             raise KeyError(f"unknown suite tag {tag!r}; known: {', '.join(SUITE_TAGS)}")
     warmup(corpus)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: run_suite(corpus, t), selected))
-    else:
-        results = [run_suite(corpus, tag) for tag in selected]
-    return results
+    return [run_suite(corpus, tag) for tag in selected]

@@ -1,4 +1,5 @@
 import json
+import time
 
 from starclean.cli import main
 from starclean.suites import SuiteRow
@@ -164,6 +165,35 @@ def test_corpus_file_table_involution(capsys, tmp_path):
     corpus.write_text(json.dumps([{"ring": "Z4", "inv": "table:inv.json"}]))
     code, _ = run_cli(capsys, "suite", "--corpus", str(corpus), "--suites", "ELEM-EQUIV")
     assert code == 0
+
+
+def test_table_involution_rejects_non_integer_entries(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"ring": "Z4", "inv": "table:inv.json"}]))
+    for entries in (["a", 1, 2, 3], [0, 1.7, 2, 3], [0, True, 2, 3], [0, 1, 2, 2**70]):
+        (tmp_path / "inv.json").write_text(json.dumps(entries))
+        code, out = run_cli(capsys, "suite", "--corpus", str(corpus), "--suites", "ELEM-EQUIV")
+        assert code == 2, entries
+        assert out == ""
+
+
+def test_corpus_label_must_be_a_string(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"ring": "Z4", "inv": "id", "label": 5}]))
+    code, out = run_cli(capsys, "suite", "--corpus", str(corpus), "--format", "text")
+    assert code == 2
+    assert out == ""
+
+
+def test_cap_beyond_physical_memory_is_refused_fast(capsys):
+    start = time.perf_counter()
+    code = main(["check", "--cap", "2000000", "--ring", "TP(Z2,20)", "--inv", "tp(id)",
+                 "--prop", "boolean"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 0.5
+    assert str(32 * (2**20) ** 2) in err
 
 
 def test_cap_flag_and_env(capsys, monkeypatch):

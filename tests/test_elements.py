@@ -145,26 +145,6 @@ def test_unit_sasr_z4_exhaustive():
     assert unit_sasr_decomposition(S, 0) is not None  # 0 = 1 + 3
 
 
-def test_tableless_classification_matches_table_path():
-    # the structural fallback must reach the same verdicts as table lookups
-    from starclean.involutions import identity_involution as make_id
-    from starclean.rings import build_ring as build
-
-    fast_ring = build(Zmod(9))
-    slow_ring = build(Zmod(9))
-    slow_ring.table_cap = 0
-    fast = StarRing(fast_ring, make_id(fast_ring))
-    slow = StarRing(slow_ring, make_id(slow_ring))
-    for a in range(9):
-        assert spsr_conditions(slow, a).flags == spsr_conditions(fast, a).flags
-        assert (strongly_star_regular_witness(slow, a) is None) == (
-            strongly_star_regular_witness(fast, a) is None
-        )
-        assert (strongly_pi_regular_witness(slow_ring, a) is None) == (
-            strongly_pi_regular_witness(fast_ring, a) is None
-        )
-
-
 def test_units_radical_nilpotents_are_star_clean():
     for S in (ident(Zmod(8)), m2(2), m2(3), swap_ring()):
         R = S.ring
