@@ -5,14 +5,15 @@ single element with all certificates), ``suite`` (consistency suites over a
 corpus), ``numeric`` (matrix criterion), ``corpus-matrix`` (property matrix),
 ``fixture`` (bundled example reproductions).
 
-Exit codes: 0 success, 1 suite violation or failed fixture, 2 input error,
-3 size cap exceeded.
+Exit codes: 0 success, 1 suite violation or failed fixture, 2 input error
+(including an ``--out`` file that cannot be written), 3 size cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -36,6 +37,7 @@ from .errors import (
     NotAProjection,
     NotIdempotent,
     NotStarInvariant,
+    OutputError,
     ParseError,
     SpecTooLarge,
     SwapShapeMismatch,
@@ -71,15 +73,20 @@ _INPUT_ERRORS = (
     NotIdempotent,
     NotAProjection,
     UnknownProperty,
+    OutputError,
 )
 
 
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    sys.stdout.write(text)
     if out:
-        Path(out).write_text(text)
+        # the file comes first, so that a failed write leaves stdout empty
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out}: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def _elem_dict(S: StarRing, a: int) -> dict:
@@ -242,6 +249,14 @@ def _cmd_numeric(args) -> int:
         raise MalformedSpec(f"cannot read matrix file {args.matrix}: {exc}") from exc
     try:
         verdict, diag = is_spsr_matrix(M, args.tol)
+        residuals = {
+            **diag["residuals"],
+            "symmetry": diag["symmetry_residual"],
+            "cross_gram_max": diag["cross_gram_max"],
+        }
+        overflowed = sorted(k for k, v in residuals.items() if not math.isfinite(v))
+        if overflowed:
+            raise IllConditioned(f"non-finite residuals: {', '.join(overflowed)}")
         payload = {
             "command": "numeric",
             "matrix": str(args.matrix),
@@ -250,11 +265,7 @@ def _cmd_numeric(args) -> int:
             "verdict": "true" if verdict else "false",
             "index": diag["index"],
             "rank": diag["rank"],
-            "residuals": {
-                **diag["residuals"],
-                "symmetry": diag["symmetry_residual"],
-                "cross_gram_max": diag["cross_gram_max"],
-            },
+            "residuals": residuals,
             "gram_verdict": diag["gram_verdict"],
         }
     except IllConditioned as exc:

@@ -19,6 +19,8 @@ from .involutions import StarRing
 from .rings import FiniteRing
 
 CLEAN_MODES = ("clean", "strongly-clean", "star-clean", "strongly-star-clean")
+_PROJECTION_MODES = ("star-clean", "strongly-star-clean")
+_COMMUTING_MODES = ("strongly-clean", "strongly-star-clean")
 
 
 @dataclass(frozen=True)
@@ -46,46 +48,36 @@ class CleanCertificate:
         return True
 
 
-def clean_certificates(S: StarRing, a: int, mode: str) -> list[CleanCertificate]:
-    """All decompositions of a in the given mode, ordered by the idempotent id."""
+def _clean_decompositions(S: StarRing, a: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(parts e, units a - e) of every decomposition of a in the mode, by e."""
     if mode not in CLEAN_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {CLEAN_MODES}")
     R = S.ring
-    needs_projection = mode in ("star-clean", "strongly-star-clean")
-    needs_commuting = mode in ("strongly-clean", "strongly-star-clean")
-    pool = S.projections() if needs_projection else R.idempotents()
-    out = []
-    for e in pool:
-        u = R.sub(a, e)
-        if not R.units_mask[u]:
-            continue
-        if needs_commuting and R.mul(e, u) != R.mul(u, e):
-            continue
-        out.append(
-            CleanCertificate(
-                subject=a,
-                part=e,
-                unit=u,
-                projection=needs_projection,
-                commuting=needs_commuting,
-            )
+    pool = S.projection_ids if mode in _PROJECTION_MODES else R.idempotent_ids
+    units = R.add_table[a, R.neg_table[pool]]
+    ok = R.units_mask[units]
+    if mode in _COMMUTING_MODES:
+        ok &= R.mul_table[pool, units] == R.mul_table[units, pool]
+    return pool[ok], units[ok]
+
+
+def clean_certificates(S: StarRing, a: int, mode: str) -> list[CleanCertificate]:
+    """All decompositions of a in the given mode, ordered by the idempotent id."""
+    parts, units = _clean_decompositions(S, a, mode)
+    return [
+        CleanCertificate(
+            subject=a,
+            part=e,
+            unit=u,
+            projection=mode in _PROJECTION_MODES,
+            commuting=mode in _COMMUTING_MODES,
         )
-    return out
+        for e, u in zip(parts.tolist(), units.tolist())
+    ]
 
 
 def is_clean_elem(S: StarRing, a: int, mode: str) -> bool:
-    R = S.ring
-    needs_projection = mode in ("star-clean", "strongly-star-clean")
-    needs_commuting = mode in ("strongly-clean", "strongly-star-clean")
-    pool = S.projections() if needs_projection else R.idempotents()
-    for e in pool:
-        u = R.sub(a, e)
-        if not R.units_mask[u]:
-            continue
-        if needs_commuting and R.mul(e, u) != R.mul(u, e):
-            continue
-        return True
-    return False
+    return bool(_clean_decompositions(S, a, mode)[0].size)
 
 
 # -- strong pi-regularity -------------------------------------------------------
@@ -112,11 +104,14 @@ def strongly_pi_regular_witness(
 def strongly_star_regular_witness(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (p, u) with a = p u = u p, p a projection and u a unit."""
     R = S.ring
-    for p in S.projections():
-        cand = np.flatnonzero(R.units_mask & (R.mul_table[p] == a) & (R.mul_table[:, p] == a))
-        if cand.size:
-            return p, int(cand[0])
-    return None
+    units = R.unit_ids
+    # a = pu forces p = a u^-1, so each unit u has one candidate p
+    proj = R.mul_table[a][R.unit_inverse_ids]
+    hits = np.flatnonzero(S.projection_mask[proj] & (R.mul_table[units, proj] == a))
+    if hits.size == 0:
+        return None
+    k = hits[proj[hits].argmin()]  # the least p, then the least u
+    return int(proj[k]), int(units[k])
 
 
 # -- the four equivalent conditions ---------------------------------------------
@@ -182,56 +177,56 @@ class PiStarCertificate:
 def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Some power of a equals e*u with a, e, u pairwise commuting, e a projection."""
     R = S.ring
-    comm = R.commutant(a)
-    comm_mask = np.zeros(R.size, dtype=bool)
-    comm_mask[comm] = True
-    proj_comm = [p for p in S.projections() if comm_mask[p]]
-    unit_comm = np.flatnonzero(R.units_mask & comm_mask)
-    if unit_comm.size == 0 or not proj_comm:
+    mul = R.mul_table
+    comm_mask = mul[a] == mul[:, a]
+    proj_comm = S.projection_ids[comm_mask[S.projection_ids]]
+    unit_comm = R.unit_ids[comm_mask[R.unit_ids]]
+    if unit_comm.size == 0 or proj_comm.size == 0:
         return None
     powers, _ = R.distinct_powers(a)
-    for m, w in enumerate(powers, start=1):
-        for e in proj_comm:
-            eu = R.mul_table[e, unit_comm]
-            ue = R.mul_table[unit_comm, e]
-            hits = np.flatnonzero((eu == w) & (ue == w))
-            if hits.size:
-                u = int(unit_comm[hits[0]])
-                return PiStarCertificate(a, "C1", {"m": m, "e": e, "u": u})
-    return None
+    miss = len(powers)
+    rank = np.full(R.size, miss)  # position of x among the powers of a, or miss
+    rank[powers] = np.arange(miss)
+    eu = mul[proj_comm[:, None], unit_comm]
+    ue = mul[unit_comm[:, None], proj_comm].T
+    ranks = np.where(eu == ue, rank[eu], miss)
+    first = int(ranks.argmin())  # row-major: lowest power, then by e, then by u
+    m = int(ranks.flat[first])
+    if m == miss:
+        return None
+    i, j = divmod(first, unit_comm.size)
+    return PiStarCertificate(
+        a, "C1", {"m": m + 1, "e": int(proj_comm[i]), "u": int(unit_comm[j])}
+    )
 
 
 def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """a = f + v with f a projection, v a unit, fv = vf, and a*f nilpotent."""
     R = S.ring
-    for f in S.projections():
-        v = R.sub(a, f)
-        if not R.units_mask[v]:
-            continue
-        if R.mul(f, v) != R.mul(v, f):
-            continue
-        if R.is_nilpotent(R.mul(a, f)):
-            return PiStarCertificate(a, "C2", {"f": f, "v": v})
-    return None
+    mul = R.mul_table
+    f = S.projection_ids
+    v = R.add_table[a, R.neg_table[f]]
+    ok = R.units_mask[v] & (mul[f, v] == mul[v, f]) & R.nilpotent_mask[mul[a, f]]
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        return None
+    k = hits[0]
+    return PiStarCertificate(a, "C2", {"f": int(f[k]), "v": int(v[k])})
 
 
 def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting projection p with a*p invertible in pRp and a(1-p) nilpotent."""
     R = S.ring
-    for p in S.projections():
-        if R.mul(a, p) != R.mul(p, a):
-            continue
-        if not R.is_nilpotent(R.mul(a, R.one_minus(p))):
-            continue
-        ap = R.mul(a, p)
-        # invertibility inside the corner: the unity there is p
-        corner_elems = np.unique(R.mul_table[R.mul_table[p, :], p])
-        hits = np.flatnonzero(
-            (R.mul_table[ap, corner_elems] == p) & (R.mul_table[corner_elems, ap] == p)
-        )
+    mul = R.mul_table
+    proj = S.projection_ids
+    ap = mul[a, proj]
+    ok = (ap == mul[proj, a]) & R.nilpotent_mask[mul[a, R.one_minus_table[proj]]]
+    for p, x in zip(proj[ok].tolist(), ap[ok].tolist()):
+        # x = ap must be invertible inside the corner, whose unity is p
+        corner = R.corner_ids(p)
+        hits = np.flatnonzero((mul[x, corner] == p) & (mul[corner, x] == p))
         if hits.size:
-            w = int(corner_elems[hits[0]])
-            return PiStarCertificate(a, "C3", {"p": p, "w": w})
+            return PiStarCertificate(a, "C3", {"p": p, "w": int(corner[hits[0]])})
     return None
 
 
@@ -239,16 +234,12 @@ def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting b with (ab)* = ab, b = bab, and a - a^2 b nilpotent."""
     R = S.ring
     cand = R.commutant(a)
+    cand = cand[R.mul_table[R.mul_table[cand, a], cand] == cand]  # b = bab
     ab = R.mul_table[a, cand]
     cond_star = S.star_table[ab] == ab
-    ba = R.mul_table[cand, a]
-    bab = R.mul_table[ba, cand]
-    cond_inner = bab == cand
-    asq = R.mul(a, a)
-    asq_b = R.mul_table[asq, cand]
-    diff = R.add_table[a, R.neg_table[asq_b]]
-    cond_nil = R.nilpotent_mask[diff]
-    hits = np.flatnonzero(cond_star & cond_inner & cond_nil)
+    asq_b = R.mul_table[R.mul(a, a), cand]
+    cond_nil = R.nilpotent_mask[R.add_table[a, R.neg_table[asq_b]]]
+    hits = np.flatnonzero(cond_star & cond_nil)
     if hits.size:
         return PiStarCertificate(a, "C4", {"b": int(cand[hits[0]])})
     return None
@@ -284,8 +275,10 @@ def spsr_conditions(S: StarRing, a: int) -> SpsrVerdict:
 def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (t, u) with a = t + u, t a self-adjoint square root of 1, u a unit."""
     R = S.ring
-    for t in S.sasr_units:
-        u = R.sub(a, t)
-        if R.units_mask[u]:
-            return t, u
-    return None
+    roots = S.sasr_unit_ids
+    units = R.add_table[a, R.neg_table[roots]]
+    hits = np.flatnonzero(R.units_mask[units])
+    if hits.size == 0:
+        return None
+    k = hits[0]
+    return int(roots[k]), int(units[k])

@@ -94,6 +94,10 @@ class IllConditioned(StarCleanError):
     """A numerical rank decision fell inside the ambiguity band."""
 
 
+class OutputError(StarCleanError):
+    """The report could not be written to the requested file."""
+
+
 class CorpusError(StarCleanError):
     """A corpus file entry failed to parse or validate; carries its index."""
 

@@ -45,6 +45,18 @@ INVOLUTION_KINDS = (
 )
 
 
+# rows of the n x n axiom checks gathered at once in ``verify_involution``
+_VERIFY_ROWS = 256
+
+
+def _raise_first(R: FiniteRing, axiom: str, bad: np.ndarray, row0: int) -> None:
+    """Raise AxiomViolation at the first True of bad, whose row 0 is element row0."""
+    if bad.any():
+        x, y = map(int, np.argwhere(bad)[0])
+        x += row0
+        raise AxiomViolation(axiom, (x, y), f"x={R.render(x)}, y={R.render(y)}")
+
+
 def verify_involution(R: FiniteRing, star: np.ndarray) -> None:
     """Raise AxiomViolation unless star is an involution on R."""
     n = R.size
@@ -52,16 +64,14 @@ def verify_involution(R: FiniteRing, star: np.ndarray) -> None:
     if star.shape != (n,) or not (np.sort(star) == np.arange(n)).all():
         raise AxiomViolation("bijectivity", (), "star is not a permutation of the elements")
     add, mul = R.add_table, R.mul_table
-    lhs = star[add]
-    rhs = add[np.ix_(star, star)]
-    if not (lhs == rhs).all():
-        x, y = map(int, np.argwhere(lhs != rhs)[0])
-        raise AxiomViolation("additivity", (x, y), f"x={R.render(x)}, y={R.render(y)}")
-    lhs = star[mul]
-    rhs = mul[np.ix_(star, star)].T
-    if not (lhs == rhs).all():
-        x, y = map(int, np.argwhere(lhs != rhs)[0])
-        raise AxiomViolation("anti-multiplicativity", (x, y), f"x={R.render(x)}, y={R.render(y)}")
+    # each axiom is checked over blocks of rows x in order, so the first
+    # violation found is the row-major first and memory stays O(block * n)
+    blocks = [slice(start, start + _VERIFY_ROWS) for start in range(0, n, _VERIFY_ROWS)]
+    for x in blocks:
+        _raise_first(R, "additivity", star[add[x]] != add[np.ix_(star[x], star)], x.start)
+    for x in blocks:
+        bad = star[mul[x]] != mul[np.ix_(star, star[x])].T
+        _raise_first(R, "anti-multiplicativity", bad, x.start)
     if not (star[star] == np.arange(n)).all():
         x = int(np.flatnonzero(star[star] != np.arange(n))[0])
         raise AxiomViolation("involutivity", (x,), f"x={R.render(x)}")
@@ -201,18 +211,29 @@ class StarRing:
     def projection_mask(self) -> np.ndarray:
         return self.ring.idempotent_mask & self.self_adjoint_mask
 
+    @cached_property
+    def projection_ids(self) -> np.ndarray:
+        """Ids of the projections, ascending."""
+        return np.flatnonzero(self.projection_mask)
+
+    @cached_property
+    def _projections(self) -> tuple[int, ...]:
+        return tuple(self.projection_ids.tolist())
+
     def projections(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.flatnonzero(self.projection_mask))
+        return self._projections
+
+    @cached_property
+    def sasr_unit_ids(self) -> np.ndarray:
+        """Ids of the self-adjoint square roots of 1, ascending."""
+        R = self.ring
+        sa = np.flatnonzero(self.self_adjoint_mask)
+        return sa[R.mul_table[sa, sa] == R.one]
 
     @cached_property
     def sasr_units(self) -> tuple[int, ...]:
         """Self-adjoint square roots of 1."""
-        R = self.ring
-        out = []
-        for t in np.flatnonzero(self.self_adjoint_mask).tolist():
-            if R.mul(t, t) == R.one:
-                out.append(t)
-        return tuple(out)
+        return tuple(self.sasr_unit_ids.tolist())
 
     def is_identity_involution(self) -> bool:
         return bool(self.self_adjoint_mask.all())

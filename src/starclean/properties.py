@@ -115,10 +115,7 @@ def elem_strongly_regular(S, a):
 
 def elem_unit_regular(S, a):
     R = S.ring
-    for u in R.units():
-        if R.mul(R.mul(a, u), a) == a:
-            return True
-    return False
+    return bool((R.mul_table[R.mul_table[a, R.unit_ids], a] == a).any())
 
 
 def elem_star_regular(S, a):
@@ -274,12 +271,7 @@ def _stable_range_verdict(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) ->
 
 def stable_range_checks(S: StarRing) -> dict[str, Verdict]:
     """Verdicts for stable range one over R, over idempotents, over projections."""
-    cache = S._prop_cache
-    if not all(name in cache for name in STABLE_RANGE_PROPERTIES):
-        units = S.ring.units_mask
-        for name in STABLE_RANGE_PROPERTIES:
-            cache[name] = _stable_range_verdict(S, _stable_pool(S, name), units)
-    return {name: cache[name] for name in STABLE_RANGE_PROPERTIES}
+    return {name: ring_property(S, name) for name in STABLE_RANGE_PROPERTIES}
 
 
 def check_stable_range_pair(S: StarRing, prop: str, a: int, b: int) -> bool:
@@ -306,7 +298,7 @@ def ring_property(S: StarRing, prop: str) -> Verdict:
     elif prop in _SET_TESTS:
         verdict = _SET_TESTS[prop](S)
     elif prop in STABLE_RANGE_PROPERTIES:
-        return stable_range_checks(S)[prop]
+        verdict = _stable_range_verdict(S, _stable_pool(S, prop), S.ring.units_mask)
     else:
         raise UnknownProperty(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
     cache[prop] = verdict

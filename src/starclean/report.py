@@ -35,7 +35,7 @@ def jsonable(obj):
 
 
 def json_dumps(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2)
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 @dataclass

@@ -360,6 +360,16 @@ class FiniteRing:
         mask[list(self._unit_data[0])] = True
         return mask
 
+    @cached_property
+    def unit_ids(self) -> np.ndarray:
+        """Ids of the units, ascending."""
+        return np.flatnonzero(self.units_mask)
+
+    @cached_property
+    def unit_inverse_ids(self) -> np.ndarray:
+        """The inverse of each unit, aligned with ``unit_ids``."""
+        return self._unit_data[1][self.unit_ids]
+
     def inverse(self, a: int) -> int:
         b = int(self._unit_data[1][a])
         if b < 0:
@@ -370,8 +380,17 @@ class FiniteRing:
     def idempotent_mask(self) -> np.ndarray:
         return self.mul_table.diagonal() == np.arange(self.size)
 
+    @cached_property
+    def idempotent_ids(self) -> np.ndarray:
+        """Ids of the idempotents, ascending."""
+        return np.flatnonzero(self.idempotent_mask)
+
+    @cached_property
+    def _idempotents(self) -> tuple[int, ...]:
+        return tuple(self.idempotent_ids.tolist())
+
     def idempotents(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.flatnonzero(self.idempotent_mask))
+        return self._idempotents
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
@@ -393,6 +412,17 @@ class FiniteRing:
     @cached_property
     def is_commutative(self) -> bool:
         return bool(self.center_mask.all())
+
+    @cached_property
+    def _corners(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def corner_ids(self, e: int) -> np.ndarray:
+        """Ids of the corner eRe, ascending; cached per e."""
+        ids = self._corners.get(e)
+        if ids is None:
+            ids = self._corners[e] = np.unique(self.mul_table[self.mul_table[e], e])
+        return ids
 
     def commutant(self, a: int) -> np.ndarray:
         """Element ids commuting with a."""
@@ -812,7 +842,7 @@ class CornerRing(FiniteRing):
         self.spec = None
         self.parent = parent
         self.e = e
-        elems = np.unique(parent.mul_table[parent.mul_table[e, :], e])
+        elems = parent.corner_ids(e)
         self.parent_elements = elems.astype(np.int64)
         self.size = len(elems)
         pos = np.full(parent.size, -1, dtype=np.int64)

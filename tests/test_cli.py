@@ -233,3 +233,28 @@ def test_out_file(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text() == out
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "report.json"
+    code = main(["check", "--ring", "Z4", "--inv", "id", "--prop", "boolean", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert captured.err.count("\n") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in JSON output")
+
+
+def test_numeric_overflow_is_ill_conditioned_not_nan(capsys, tmp_path):
+    for rows in ("[[1e300,1e300],[0,0]]", "[[1e200,0],[0,1]]"):
+        path = tmp_path / "big.json"
+        path.write_text(rows)
+        code, out = run_cli(capsys, "numeric", str(path))
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["verdict"] == "ill-conditioned", rows
+        assert "non-finite" in payload["reason"]

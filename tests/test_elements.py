@@ -1,3 +1,6 @@
+import numpy as np
+
+from starclean.corpus import default_corpus
 from starclean.elements import (
     CLEAN_MODES,
     clean_certificates,
@@ -13,7 +16,9 @@ from starclean.involutions import (
     swap_involution,
     transpose_involution,
 )
+from starclean.properties import elem_unit_regular
 from starclean.rings import MatrixSpec, ProductSpec, Zmod, build_ring
+from starclean.specparse import build_star_ring
 
 
 def ident(spec):
@@ -153,3 +158,152 @@ def test_units_radical_nilpotents_are_star_clean():
         )
         for a in special:
             assert is_clean_elem(S, a, "star-clean"), (S.label, R.render(a))
+
+
+# -- the element layer against its loop reference -----------------------------
+#
+# The loops below are the per-candidate searches the mask-based deciders
+# replaced, kept as the reference: every answer, including which witness
+# comes first, must be the same on every element.
+
+
+def ref_projections(S):
+    return tuple(int(x) for x in np.flatnonzero(S.projection_mask))
+
+
+def ref_clean(S, a, mode):
+    R = S.ring
+    needs_projection = mode in ("star-clean", "strongly-star-clean")
+    needs_commuting = mode in ("strongly-clean", "strongly-star-clean")
+    if needs_projection:
+        pool = ref_projections(S)
+    else:
+        pool = tuple(int(x) for x in np.flatnonzero(R.idempotent_mask))
+    out = []
+    for e in pool:
+        u = R.sub(a, e)
+        if not R.units_mask[u]:
+            continue
+        if needs_commuting and R.mul(e, u) != R.mul(u, e):
+            continue
+        out.append((e, u))
+    return out
+
+
+def ref_ssr(S, a):
+    R = S.ring
+    for p in ref_projections(S):
+        cand = np.flatnonzero(R.units_mask & (R.mul_table[p] == a) & (R.mul_table[:, p] == a))
+        if cand.size:
+            return p, int(cand[0])
+    return None
+
+
+def ref_c1(S, a):
+    R = S.ring
+    comm = R.commutant(a)
+    comm_mask = np.zeros(R.size, dtype=bool)
+    comm_mask[comm] = True
+    proj_comm = [p for p in ref_projections(S) if comm_mask[p]]
+    unit_comm = np.flatnonzero(R.units_mask & comm_mask)
+    if unit_comm.size == 0 or not proj_comm:
+        return None
+    powers, _ = R.distinct_powers(a)
+    for m, w in enumerate(powers, start=1):
+        for e in proj_comm:
+            eu = R.mul_table[e, unit_comm]
+            ue = R.mul_table[unit_comm, e]
+            hits = np.flatnonzero((eu == w) & (ue == w))
+            if hits.size:
+                return {"m": m, "e": e, "u": int(unit_comm[hits[0]])}
+    return None
+
+
+def ref_c2(S, a):
+    R = S.ring
+    for f in ref_projections(S):
+        v = R.sub(a, f)
+        if not R.units_mask[v]:
+            continue
+        if R.mul(f, v) != R.mul(v, f):
+            continue
+        if R.is_nilpotent(R.mul(a, f)):
+            return {"f": f, "v": v}
+    return None
+
+
+def ref_c3(S, a):
+    R = S.ring
+    for p in ref_projections(S):
+        if R.mul(a, p) != R.mul(p, a):
+            continue
+        if not R.is_nilpotent(R.mul(a, R.one_minus(p))):
+            continue
+        ap = R.mul(a, p)
+        corner_elems = np.unique(R.mul_table[R.mul_table[p, :], p])
+        hits = np.flatnonzero(
+            (R.mul_table[ap, corner_elems] == p) & (R.mul_table[corner_elems, ap] == p)
+        )
+        if hits.size:
+            return {"p": p, "w": int(corner_elems[hits[0]])}
+    return None
+
+
+def ref_c4(S, a):
+    R = S.ring
+    cand = R.commutant(a)
+    ab = R.mul_table[a, cand]
+    cond_star = S.star_table[ab] == ab
+    bab = R.mul_table[R.mul_table[cand, a], cand]
+    asq_b = R.mul_table[R.mul(a, a), cand]
+    cond_nil = R.nilpotent_mask[R.add_table[a, R.neg_table[asq_b]]]
+    hits = np.flatnonzero(cond_star & (bab == cand) & cond_nil)
+    return {"b": int(cand[hits[0]])} if hits.size else None
+
+
+def ref_sasr(S, a):
+    R = S.ring
+    for t in np.flatnonzero(S.self_adjoint_mask).tolist():
+        if R.mul(t, t) != R.one:
+            continue
+        u = R.sub(a, t)
+        if R.units_mask[u]:
+            return t, u
+    return None
+
+
+def ref_unit_regular(S, a):
+    R = S.ring
+    return any(R.mul(R.mul(a, u), a) == a for u in R.units())
+
+
+def cert_record(cert):
+    return None if cert is None else (cert.tag, cert.data)
+
+
+def test_element_layer_matches_loop_reference():
+    rings = default_corpus() + [
+        build_star_ring("M2(Z4)", "tr(id)"),
+        build_star_ring("GR(Z3,C6)", "grp(id)"),
+    ]
+    for S in rings:
+        for a in S.ring.elements():
+            where = (S.label, a)
+            for mode in CLEAN_MODES:
+                ref = ref_clean(S, a, mode)
+                certs = clean_certificates(S, a, mode)
+                assert [(c.part, c.unit) for c in certs] == ref, (where, mode)
+                assert all(type(c.part) is int and type(c.unit) is int for c in certs)
+                assert is_clean_elem(S, a, mode) == bool(ref), (where, mode)
+            assert strongly_star_regular_witness(S, a) == ref_ssr(S, a), where
+            v = spsr_conditions(S, a)
+            for tag, cert, ref in (
+                ("C1", v.c1, ref_c1(S, a)),
+                ("C2", v.c2, ref_c2(S, a)),
+                ("C3", v.c3, ref_c3(S, a)),
+                ("C4", v.c4, ref_c4(S, a)),
+            ):
+                expected = None if ref is None else (tag, ref)
+                assert cert_record(cert) == expected, (where, tag)
+            assert unit_sasr_decomposition(S, a) == ref_sasr(S, a), where
+            assert elem_unit_regular(S, a) == ref_unit_regular(S, a), where

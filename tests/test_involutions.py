@@ -278,3 +278,39 @@ def test_two_unit_lemma_on_corpus_members():
     lhs = all(S.star(u) == u for u in sqrt1)
     rhs = set(R.idempotents()) == set(S.projections())
     assert lhs != rhs
+
+
+def _first_violation(R, star):
+    """The (axiom, witness) that checking whole n x n arrays finds first."""
+    add, mul = R.add_table, R.mul_table
+    for axiom, bad in (
+        ("additivity", star[add] != add[np.ix_(star, star)]),
+        ("anti-multiplicativity", star[mul] != mul[np.ix_(star, star)].T),
+    ):
+        if bad.any():
+            return axiom, tuple(int(i) for i in np.argwhere(bad)[0])
+    return None
+
+
+@pytest.mark.parametrize("rows", [1, 3, 256])
+def test_blocked_axiom_check_finds_the_row_major_first_violation(monkeypatch, rows):
+    import starclean.involutions as inv
+
+    monkeypatch.setattr(inv, "_VERIFY_ROWS", rows)
+    rng = np.random.default_rng(0)
+    cases = []
+    for spec in (Zmod(9), MatrixSpec(2, Zmod(2))):
+        R = build_ring(spec)
+        cases.append((R, np.arange(R.size)))  # the identity: not anti-multiplicative on M2
+        for _ in range(3):
+            star = np.arange(R.size)
+            star[2:] = rng.permutation(star[2:])
+            cases.append((R, star))
+    for R, star in cases:
+        expected = _first_violation(R, star)
+        if expected is None:
+            inv.verify_involution(R, star)
+            continue
+        with pytest.raises(AxiomViolation) as err:
+            inv.verify_involution(R, star)
+        assert (err.value.axiom, err.value.witness) == expected
