@@ -6,7 +6,8 @@ corpus), ``numeric`` (matrix criterion), ``corpus-matrix`` (property matrix),
 ``fixture`` (bundled example reproductions).
 
 Exit codes: 0 success, 1 suite violation or failed fixture, 2 input error
-(including an ``--out`` file that cannot be written), 3 size cap exceeded.
+(including an input file that cannot be read or is not UTF-8, and an
+``--out`` file that cannot be written), 3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _load_corpus(path: str, cap: int | None) -> list[StarRing]:
         return default_corpus()
     try:
         payload = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedSpec(f"cannot read corpus file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedSpec(f"corpus file {path} is not valid JSON") from exc
@@ -245,7 +246,7 @@ def _cmd_suite(args) -> int:
 def _cmd_numeric(args) -> int:
     try:
         M = load_matrix(args.matrix, args.inv)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedSpec(f"cannot read matrix file {args.matrix}: {exc}") from exc
     try:
         verdict, diag = is_spsr_matrix(M, args.tol)

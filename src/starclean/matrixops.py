@@ -12,6 +12,7 @@ guessing.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,19 +71,23 @@ def numerical_rank(A: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 def matrix_index(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(A^k) = rank(A^(k+1))."""
     M = A.data if isinstance(A, DenseMatrix) else np.asarray(A, dtype=complex)
+    return _index_and_power(M, tol)[0]
+
+
+def _index_and_power(M: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """The index k of M, and M^k scaled to unit norm (the identity for k = 0)."""
     n = M.shape[0]
-    prev = n  # rank of A^0
-    power = np.eye(n, dtype=complex)
-    for k in range(1, n + 2):
-        power = power @ M
+    prev, prev_power = n, np.eye(n, dtype=complex)  # rank of M^0, and M^0
+    for k in range(1, n + 1):
+        power = prev_power @ M
         norm = np.linalg.norm(power)
         if norm > 0:
             power = power / norm  # rank is scale-invariant; keep powers finite
         rank = numerical_rank(power, tol)
         if rank == prev:
-            return k - 1
-        prev = rank
-    return n  # unreachable in exact arithmetic: ranks strictly decrease
+            return k - 1, prev_power
+        prev, prev_power = rank, power
+    return n, prev_power  # in exact arithmetic the index is at most n
 
 
 @dataclass(frozen=True)
@@ -99,13 +104,7 @@ def drazin_inverse(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> Dra
     """The unique B with AB = BA, BAB = B, and A - A^2 B nilpotent."""
     M = A.data if isinstance(A, DenseMatrix) else np.asarray(A, dtype=complex)
     n = M.shape[0]
-    k = matrix_index(M, tol)
-    power = np.eye(n, dtype=complex)
-    for _ in range(k):
-        power = power @ M
-        norm = np.linalg.norm(power)
-        if norm > 0:
-            power = power / norm
+    k, power = _index_and_power(M, tol)
     U, s, Vh = np.linalg.svd(power)
     r = _rank_from_singular_values(s, n, tol)
     core = U[:, :r]
@@ -135,6 +134,21 @@ def drazin_inverse(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> Dra
     return DrazinResult(B, k, r, residuals, core, null)
 
 
+def _unit_scaled(M: np.ndarray) -> np.ndarray:
+    """M times the power of two that brings its largest |entry| into [1/2, 1).
+
+    A·A^D is the same for cA as for A (c != 0), and scaling by a power of two
+    is exact, so deciding on the scaled matrix makes the verdict independent
+    of the input's scale and keeps squares and powers of entries finite.
+    """
+    e = math.frexp(np.maximum.reduce(np.abs(M), axis=None))[1]
+    while e:
+        step = max(-1000, min(1000, e))  # 2.0**-step stays a normal float
+        M = M * 2.0**-step
+        e -= step
+    return M
+
+
 def is_spsr_matrix(
     A: DenseMatrix, tol: float = DEFAULT_TOL
 ) -> tuple[bool, dict]:
@@ -144,8 +158,8 @@ def is_spsr_matrix(
     vectors under the chosen involution; it must agree with the main verdict
     whenever no rank decision was ill-conditioned.
     """
-    res = drazin_inverse(A, tol)
-    M = A.data
+    M = _unit_scaled(A.data)
+    res = drazin_inverse(M, tol)
     AB = M @ res.drazin
     sym_residual = float(np.linalg.norm(AB - A.star(AB))) / max(1.0, float(np.linalg.norm(AB)))
     verdict = sym_residual <= tol

@@ -941,18 +941,23 @@ class Ideal:
 
 
 def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> Ideal:
-    """Two-sided ideal generated by the given elements (closure to fixpoint)."""
+    """Two-sided ideal generated by the given elements.
+
+    The ideal is the additive closure of R·G·R, which holds G because 1 is
+    in R. R·G·R is closed under left and right multiplication, and sums of
+    such a set stay closed under both, so after the one multiplication
+    gather only the additive closure remains; it runs by doubling.
+    """
+    mul = R.mul_table
+    gens = np.asarray(list(generators), dtype=np.int64)
     mask = np.zeros(R.size, dtype=bool)
     mask[R.zero] = True
-    mask[list(generators)] = True
+    mask[mul[np.unique(mul[:, gens]), :]] = True
     while True:
         idx = np.flatnonzero(mask)
         new = mask.copy()
-        new[R.mul_table[:, idx].ravel()] = True
-        new[R.mul_table[idx, :].ravel()] = True
-        idx2 = np.flatnonzero(new)
-        new[R.add_table[np.ix_(idx2, idx2)].ravel()] = True
-        if (new == mask).all():
+        new[R.add_table[np.ix_(idx, idx)]] = True
+        if np.count_nonzero(new) == idx.size:
             break
         mask = new
     return Ideal(R, mask, check=False)

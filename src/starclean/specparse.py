@@ -306,7 +306,7 @@ def make_involution(R: FiniteRing, spec: InvSpec, base_dir: Path | None = None) 
             path = base_dir / path
         try:
             mapping = json.loads(path.read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read involution table {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"involution table {path} is not valid JSON") from exc

@@ -452,23 +452,38 @@ def _suite_bool(corpus):
 # -- quotients of star-clean rings --------------------------------------------------------------
 
 
+def _quotient_ideals(R) -> list:
+    """The distinct principal ideals of R, then J(R) if it is new.
+
+    Each ideal comes once, in the order of its least generator.  (u·g·v) =
+    (g) for units u, v, so one closure per two-sided unit orbit finds them
+    all; walking g in id order, the least generator of an ideal is the
+    least id of its orbit, so the order is that of one closure per element.
+    """
+    mul, unit_ids = R.mul_table, R.unit_ids
+    covered = np.zeros(R.size, dtype=bool)
+    seen = {}
+    for g in R.elements():
+        if covered[g]:
+            continue
+        covered[mul[np.ix_(mul[unit_ids, g], unit_ids)]] = True
+        ideal = generated_ideal(R, [g])
+        seen.setdefault(ideal.mask.tobytes(), ideal)
+    J = R.jacobson_radical()
+    seen.setdefault(J.mask.tobytes(), J)
+    return list(seen.values())
+
+
 def _suite_quot(corpus):
     rows = []
     for S in corpus:
         if not ring_property(S, "star-clean").value:
             rows.append(SuiteRow(S.label, True, "not star-clean; skipped"))
             continue
-        R = S.ring
-        seen: dict[tuple, object] = {}
-        for g in R.elements():
-            ideal = generated_ideal(R, [g])
-            seen.setdefault(ideal.elements(), ideal)
-        J = R.jacobson_radical()
-        seen.setdefault(J.elements(), J)
         star = S.star_table
         tested = 0
         bad = None
-        for ideal in seen.values():
+        for ideal in _quotient_ideals(S.ring):
             if not ideal.mask[star[ideal.elements_array]].all():
                 continue  # not star-invariant; the induced involution does not exist
             QS, _ = induce_quotient_involution(S, ideal)

@@ -1,5 +1,7 @@
 import json
+import math
 import time
+import warnings
 
 from starclean.cli import main
 from starclean.suites import SuiteRow
@@ -250,11 +252,46 @@ def _reject_constant(name):
 
 
 def test_numeric_overflow_is_ill_conditioned_not_nan(capsys, tmp_path):
-    for rows in ("[[1e300,1e300],[0,0]]", "[[1e200,0],[0,1]]"):
+    for rows in ([[1e300, 1e300], [0, 0]], [[1e200, 0], [0, 1]]):
         path = tmp_path / "big.json"
-        path.write_text(rows)
-        code, out = run_cli(capsys, "numeric", str(path))
+        path.write_text(json.dumps(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, "numeric", str(path))
         assert code == 0
         payload = json.loads(out, parse_constant=_reject_constant)
-        assert payload["verdict"] == "ill-conditioned", rows
-        assert "non-finite" in payload["reason"]
+        # the same matrix scaled by a power of two to unit size
+        e = math.frexp(max(abs(x) for row in rows for x in row))[1]
+        path.write_text(json.dumps([[math.ldexp(x, -e) for x in row] for row in rows]))
+        _, unit = run_cli(capsys, "numeric", str(path))
+        assert payload["verdict"] == json.loads(unit)["verdict"], rows
+
+
+def _undecodable(tmp_path):
+    path = tmp_path / "undecodable.bin"
+    path.write_bytes(b"\xff\xfe")
+    return path
+
+
+def _assert_cannot_read(capsys, argv, what):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {what}")
+    assert captured.err.count("\n") == 1
+
+
+def test_numeric_undecodable_file_exits_2(capsys, tmp_path):
+    _assert_cannot_read(capsys, ["numeric", str(_undecodable(tmp_path))], "matrix file")
+
+
+def test_suite_undecodable_corpus_exits_2(capsys, tmp_path):
+    argv = ["suite", "--corpus", str(_undecodable(tmp_path))]
+    _assert_cannot_read(capsys, argv, "corpus file")
+
+
+def test_check_undecodable_involution_table_exits_2(capsys, tmp_path):
+    argv = ["check", "--ring", "Z4", "--inv", f"table:{_undecodable(tmp_path)}",
+            "--prop", "clean"]
+    _assert_cannot_read(capsys, argv, "involution table")

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from matrixgen import random_split_nonorthogonal, random_symmetric
 from starclean.errors import IllConditioned, MalformedSpec
@@ -164,6 +168,31 @@ def test_ill_conditioned_raises():
         numerical_rank(np.diag([1.0, 1e-8]))
     with pytest.raises(IllConditioned):
         matrix_index(dm([[1, 0], [0, 1e-8]]))
+
+
+def _outcome(A):
+    try:
+        verdict, diag = is_spsr_matrix(DenseMatrix(A))
+    except IllConditioned:
+        return "ill-conditioned"
+    return [verdict, diag["gram_verdict"], diag["index"], diag["rank"]]
+
+
+SCALE_CASES = [
+    np.array([[1.0, 1.0], [0.0, 0.0]]),
+    np.array([[1.0, 1.0], [1.0, 1.0]]),
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+    np.array([[2.0, 1.0], [1.0, 2.0]]),
+]
+
+
+@given(st.integers(min_value=-1000, max_value=1000))
+def test_verdict_does_not_depend_on_scale(k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for A in SCALE_CASES:
+            assert _outcome(A * 2.0**k) == _outcome(A), (k, A.tolist())
+    assert _outcome(SCALE_CASES[0]) == [False, False, 1, 1]
 
 
 def test_parse_complex():

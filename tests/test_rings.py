@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from idealref import fixpoint_ideal_mask
+from starclean.corpus import default_corpus
 from starclean.errors import MalformedSpec, NotAnIdeal, NotIdempotent, SpecTooLarge
 from starclean.rings import (
     Cyclic,
@@ -350,3 +352,16 @@ def test_quotient_mod_radical_is_semisimple():
         J = jacobson_radical(R)
         Q = quotient(R, J)
         assert jacobson_radical(Q).elements() == (Q.zero,)
+
+
+def test_generated_ideal_matches_fixpoint_reference():
+    for S in default_corpus():
+        R = S.ring
+        for g in R.elements():
+            ideal = generated_ideal(R, [g])
+            assert (ideal.mask == fixpoint_ideal_mask(R, [g])).all(), (S.label, g)
+    R = build_ring(MatrixSpec(2, Zmod(2)))
+    for pair in itertools.product(R.elements(), repeat=2):
+        ideal = generated_ideal(R, pair)
+        assert (ideal.mask == fixpoint_ideal_mask(R, pair)).all(), pair
+        ideal.validate()

@@ -1,9 +1,14 @@
 import time
 
+import numpy as np
 import pytest
 
+from idealref import fixpoint_ideal_mask
+from starclean import suites
 from starclean.corpus import default_corpus
 from starclean.properties import ring_property, stable_range_checks
+from starclean.rings import Ideal
+from starclean.specparse import build_star_ring
 from starclean.suites import run_suite, run_suites
 
 
@@ -58,3 +63,58 @@ def test_swap_member_separates_star_cleanness(corpus):
     swap = _by_label(corpus, "Z2xZ2/swap")
     assert ring_property(swap, "clean").value
     assert not ring_property(swap, "star-clean").value
+
+
+# -- QUOT: one ideal closure per two-sided unit orbit ------------------------------------
+
+
+def _reference_quotient_ideals(R):
+    """QUOT's ideals by one closure per element: principal ideals, then J(R)."""
+    seen = {}
+    for g in R.elements():
+        mask = fixpoint_ideal_mask(R, [g])
+        seen.setdefault(tuple(np.flatnonzero(mask)), mask)
+    J = R.jacobson_radical()
+    seen.setdefault(J.elements(), J.mask)
+    return list(seen.values())
+
+
+@pytest.fixture(scope="module")
+def quot_corpus(corpus):
+    return [*corpus, build_star_ring("M2(Z4)", "tr(id)")]
+
+
+def test_quot_ideals_match_per_element_reference(quot_corpus, monkeypatch):
+    for S in quot_corpus:
+        got = [ideal.mask for ideal in suites._quotient_ideals(S.ring)]
+        want = _reference_quotient_ideals(S.ring)
+        assert len(got) == len(want), S.label
+        for a, b in zip(got, want):
+            assert (a == b).all(), S.label
+    rows = suites._suite_quot(quot_corpus)
+    monkeypatch.setattr(
+        suites,
+        "_quotient_ideals",
+        lambda R: [Ideal(R, m, check=False) for m in _reference_quotient_ideals(R)],
+    )
+    reference = suites._suite_quot(quot_corpus)
+    assert reference == rows
+    assert [r.to_dict() for r in reference] == [r.to_dict() for r in rows]
+
+
+@pytest.mark.parametrize(
+    "label, closures",
+    [("M2(Z3)/tr(id)", 3), ("Z16/id", 5), ("GR(Z4,C4)/grp(id)", 16)],
+)
+def test_quot_computes_one_closure_per_unit_orbit(corpus, monkeypatch, label, closures):
+    calls = []
+    real = suites.generated_ideal
+
+    def counting(R, generators):
+        calls.append(tuple(generators))
+        return real(R, generators)
+
+    monkeypatch.setattr(suites, "generated_ideal", counting)
+    [row] = suites._suite_quot([_by_label(corpus, label)])
+    assert row.ok
+    assert len(calls) == closures
