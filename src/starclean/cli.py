@@ -6,8 +6,11 @@ corpus), ``numeric`` (matrix criterion), ``corpus-matrix`` (property matrix),
 ``fixture`` (bundled example reproductions).
 
 Exit codes: 0 success, 1 suite violation or failed fixture, 2 input error
-(including an input file that cannot be read or is not UTF-8, and an
-``--out`` file that cannot be written), 3 size cap exceeded.
+(including an input file that cannot be read or is not UTF-8, an ``--out``
+file that cannot be written, and a ``--tol`` that is negative or not
+finite), 3 size cap exceeded, 4 internal error (a bug in starclean, reported
+on one ``error: internal:`` line that names the exception and where it was
+raised).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .corpus import default_corpus, warmup
@@ -335,6 +339,18 @@ def _cmd_fixture(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number >= 0, checked while the arguments are parsed."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        # not a ValueError, which argparse would turn into a usage message
+        raise MalformedSpec(f"--tol must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _add_common(sub, fmt_choices=("json", "text")):
     sub.add_argument("--format", choices=fmt_choices, default="json")
     sub.add_argument("--out", help="also write the report to this file")
@@ -374,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     numeric = subs.add_parser("numeric", help="matrix criterion via the Drazin inverse")
     numeric.add_argument("matrix", help="CSV or JSON matrix file")
     numeric.add_argument("--inv", choices=INVOLUTION_MODES, default="transpose")
-    numeric.add_argument("--tol", type=float, default=1e-8)
+    numeric.add_argument("--tol", type=_tolerance, default=1e-8)
     _add_common(numeric)
     numeric.set_defaults(func=_cmd_numeric)
 
@@ -395,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except SpecTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -404,6 +420,15 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: keep it apart from exit 1
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        message = " ".join(str(exc).split())
+        print(
+            f"error: internal: {type(exc).__name__}: {message} "
+            f"(at {Path(where.filename).name}:{where.lineno} in {where.name})",
+            file=sys.stderr,
+        )
+        return 4
 
 
 if __name__ == "__main__":

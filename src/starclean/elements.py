@@ -11,7 +11,7 @@ square root of 1 decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,9 +23,12 @@ _PROJECTION_MODES = ("star-clean", "strongly-star-clean")
 _COMMUTING_MODES = ("strongly-clean", "strongly-star-clean")
 
 
-@dataclass(frozen=True)
-class CleanCertificate:
-    """A decomposition a = e + u with e idempotent and u a unit."""
+class CleanCertificate(NamedTuple):
+    """A decomposition a = e + u with e idempotent and u a unit.
+
+    A named tuple: an element query builds one per decomposition, and a
+    tuple is about three times cheaper to build than a frozen dataclass.
+    """
 
     subject: int
     part: int
@@ -64,14 +67,9 @@ def _clean_decompositions(S: StarRing, a: int, mode: str) -> tuple[np.ndarray, n
 def clean_certificates(S: StarRing, a: int, mode: str) -> list[CleanCertificate]:
     """All decompositions of a in the given mode, ordered by the idempotent id."""
     parts, units = _clean_decompositions(S, a, mode)
+    projection, commuting = mode in _PROJECTION_MODES, mode in _COMMUTING_MODES
     return [
-        CleanCertificate(
-            subject=a,
-            part=e,
-            unit=u,
-            projection=mode in _PROJECTION_MODES,
-            commuting=mode in _COMMUTING_MODES,
-        )
+        CleanCertificate(a, e, u, projection, commuting)
         for e, u in zip(parts.tolist(), units.tolist())
     ]
 

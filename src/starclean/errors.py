@@ -10,13 +10,25 @@ class MalformedSpec(StarCleanError):
 
 
 class SpecTooLarge(StarCleanError):
-    """The requested ring would exceed the size cap, or its Cayley tables
-    would not fit in physical memory (then ``table_bytes`` is the estimate)."""
+    """The requested ring would exceed the size cap, have more elements than
+    an element id can name (then ``id_limit`` is that number), or need more
+    than physical memory for its Cayley tables (then ``table_bytes`` is the
+    estimate)."""
 
     def __init__(
-        self, size: int, cap: int, table_bytes: int | None = None, memory: int | None = None
+        self,
+        size: int,
+        cap: int,
+        table_bytes: int | None = None,
+        memory: int | None = None,
+        id_limit: int | None = None,
     ):
-        if table_bytes is None:
+        if id_limit is not None:
+            msg = (
+                f"ring would have {size} elements, more than the {id_limit} "
+                f"that 16-bit element ids can name"
+            )
+        elif table_bytes is None:
             msg = f"ring would have {size} elements, exceeding the cap of {cap}"
         else:
             msg = (

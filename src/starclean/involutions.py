@@ -27,6 +27,7 @@ from .rings import (
     Ideal,
     MatrixRing,
     ProductRing,
+    QuotientRing,
     TruncatedPolyRing,
     corner,
     quotient,
@@ -251,21 +252,26 @@ class StarRing:
         return f"<StarRing {self.label} size={self.ring.size}>"
 
 
-def induce_quotient_involution(S: StarRing, ideal: Ideal) -> tuple[StarRing, np.ndarray]:
-    """Quotient star ring for a star-invariant ideal, plus the surjection."""
-    star = S.star_table
+def quotient_involution(Q: QuotientRing, base_inv: Involution, label: str) -> Involution:
+    """The involution that base_inv, on Q.base, induces on Q; the ideal must
+    be star-invariant."""
+    star, ideal = base_inv.table, Q.ideal
     members = ideal.elements_array
     bad = ~ideal.mask[star[members]]
     if bad.any():
         x = int(members[np.flatnonzero(bad)[0]])
         raise NotStarInvariant(
-            f"ideal is not star-invariant: {S.ring.render(x)} is inside, "
-            f"{S.ring.render(S.star(x))} is not",
+            f"ideal is not star-invariant: {Q.base.render(x)} is inside, "
+            f"{Q.base.render(int(star[x]))} is not",
             x,
         )
+    return Involution(Q, Q.surjection[star[Q.reps]], "induced-quotient", label)
+
+
+def induce_quotient_involution(S: StarRing, ideal: Ideal) -> tuple[StarRing, np.ndarray]:
+    """Quotient star ring for a star-invariant ideal, plus the surjection."""
     Q = quotient(S.ring, ideal)
-    qstar = Q.surjection[star[Q.reps]]
-    inv = Involution(Q, qstar, "induced-quotient", f"{S.involution.label}~mod-ideal")
+    inv = quotient_involution(Q, S.involution, f"{S.involution.label}~mod-ideal")
     return StarRing(Q, inv, label=f"{S.label} mod ideal({ideal.size})"), Q.surjection
 
 

@@ -25,10 +25,19 @@ from .errors import MalformedSpec, NotAnIdeal, NotIdempotent, SpecTooLarge
 DEFAULT_SIZE_CAP = 4096
 SIZE_CAP_ENV = "STARCLEAN_CAP"
 
+# every element id, in every table, is one uint16, so no ring is larger
+ID_DTYPE = np.uint16
+MAX_RING_SIZE = int(np.iinfo(ID_DTYPE).max) + 1
+
 # peak bytes per pair of elements while a ring is built and its involution
-# checked: the int32 add and mul tables hold 8, and the gathers of the build
-# and of the involution check take up to three times that again
-TABLE_BYTES_PER_PAIR = 32
+# checked, measured at n = 8192 as 4.4-5.5 above the interpreter's own RSS:
+# the uint16 add and mul tables hold 4, the tables of a product's factors or
+# of a quotient, or the n x n mask that checks an identity involution's ring
+# is commutative, up to 1.5 more; every other gather runs in row blocks
+TABLE_BYTES_PER_PAIR = 6
+
+# entries of one row block of a widened gather in the table builders
+_BLOCK_ENTRIES = 1 << 20
 
 
 def current_size_cap(override: int | None = None) -> int:
@@ -80,23 +89,51 @@ def _validate_group_spec(spec: GroupSpec) -> int:
     raise MalformedSpec(f"not a group spec: {spec!r}")
 
 
+def _row_blocks(start: int, stop: int, row_len: int) -> list[slice]:
+    """Slices covering rows [start, stop), each of at most _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
+    return [slice(s, min(s + step, stop)) for s in range(start, stop, step)]
+
+
+def _pair_ids(left: np.ndarray, right: np.ndarray, nr: int) -> np.ndarray:
+    """Table of a product from the tables of its factors: the pair of ids
+    (l, r) has id l*nr + r, with nr the size of the right factor.
+
+    It is computed in the id dtype, in place for a square table: l*nr + r <=
+    (nl - 1)*nr + nr - 1, one less than the product's size, so no partial
+    sum overflows.
+    """
+    if left.ndim == 1:
+        return (left[:, None] * nr + right[None, :]).reshape(-1)
+    nl = left.shape[0]
+    out = np.empty((nl * nr, nl * nr), dtype=ID_DTYPE)
+    view = out.reshape(nl, nr, nl, nr)
+    np.multiply(left[:, None, :, None], nr, out=view)
+    view += right[None, :, None, :]
+    return out
+
+
+def _induced_table(lookup: np.ndarray, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """lookup[table[a, b]] for a, b in ids, gathered in row blocks."""
+    m = len(ids)
+    out = np.empty((m, m), dtype=ID_DTYPE)
+    for rows in _row_blocks(0, m, m):
+        out[rows] = lookup[table[np.ix_(ids[rows], ids)]]
+    return out
+
+
 def _group_tables(spec: GroupSpec):
     if isinstance(spec, Cyclic):
         n = spec.n
         i = np.arange(n)
-        mul = ((i[:, None] + i[None, :]) % n).astype(np.int32)
-        inv = ((-i) % n).astype(np.int32)
+        mul = ((i[:, None] + i[None, :]) % n).astype(ID_DTYPE)
+        inv = ((-i) % n).astype(ID_DTYPE)
         names = ["1"] + [("g" if e == 1 else f"g^{e}") for e in range(1, n)]
         return mul, inv, names
     lm, li, ln = _group_tables(spec.left)
     rm, ri, rn = _group_tables(spec.right)
-    nl, nr = len(ln), len(rn)
-    mul = (lm[:, None, :, None].astype(np.int64) * nr + rm[None, :, None, :]).reshape(
-        nl * nr, nl * nr
-    )
-    inv = (li[:, None].astype(np.int64) * nr + ri[None, :]).reshape(nl * nr)
     names = [f"({a},{b})" for a in ln for b in rn]
-    return mul.astype(np.int32), inv.astype(np.int32), names
+    return _pair_ids(lm, rm, len(rn)), _pair_ids(li, ri, len(rn)), names
 
 
 class FiniteGroup:
@@ -219,6 +256,8 @@ def validate_spec(spec: RingSpec, cap: int) -> None:
     size = spec_size_bound(spec)
     if size > cap:
         raise SpecTooLarge(size, cap)
+    if size > MAX_RING_SIZE:
+        raise SpecTooLarge(size, cap, id_limit=MAX_RING_SIZE)
     table_bytes = TABLE_BYTES_PER_PAIR * size * size
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if table_bytes > memory:
@@ -254,19 +293,16 @@ class FiniteRing:
         raise NotImplementedError
 
     def _tables(self):
-        """Return (add, mul, neg) tables; subclasses vectorize this."""
+        """Return the (add, mul, neg) tables as ID_DTYPE arrays."""
         raise NotImplementedError
 
     # -- public arithmetic --------------------------------------------------
 
     @cached_property
     def _table_cache(self):
-        add, mul, neg = self._tables()
-        return (
-            np.ascontiguousarray(add, dtype=np.int32),
-            np.ascontiguousarray(mul, dtype=np.int32),
-            np.ascontiguousarray(neg, dtype=np.int32),
-        )
+        # each builder writes ID_DTYPE itself: a cast here would hold two
+        # copies of every table at once
+        return self._tables()
 
     @property
     def add_table(self) -> np.ndarray:
@@ -521,11 +557,14 @@ class ZmodRing(FiniteRing):
         return (-a) % self.size
 
     def _tables(self):
-        i = np.arange(self.size)
-        add = (i[:, None] + i[None, :]) % self.size
-        mul = (i[:, None] * i[None, :]) % self.size
-        neg = (-i) % self.size
-        return add, mul, neg
+        n = self.size
+        i = np.arange(n, dtype=np.int64)
+        add = np.empty((n, n), dtype=ID_DTYPE)
+        mul = np.empty((n, n), dtype=ID_DTYPE)
+        for rows in _row_blocks(0, n, n):
+            add[rows] = (i[rows, None] + i) % n
+            mul[rows] = (i[rows, None] * i) % n
+        return add, mul, ((-i) % n).astype(ID_DTYPE)
 
     def render(self, a):
         return str(a)
@@ -563,14 +602,12 @@ class ProductRing(FiniteRing):
         return self.join(self.left.neg(al), self.right.neg(ar))
 
     def _tables(self):
-        nl, nr = self.left.size, self.right.size
-        la, lm, ln = self.left.add_table, self.left.mul_table, self.left.neg_table
-        ra, rm, rn = self.right.add_table, self.right.mul_table, self.right.neg_table
-        n = self.size
-        add = (la[:, None, :, None].astype(np.int64) * nr + ra[None, :, None, :]).reshape(n, n)
-        mul = (lm[:, None, :, None].astype(np.int64) * nr + rm[None, :, None, :]).reshape(n, n)
-        neg = (ln[:, None].astype(np.int64) * nr + rn[None, :]).reshape(n)
-        return add, mul, neg
+        L, R, nr = self.left, self.right, self.right.size
+        return (
+            _pair_ids(L.add_table, R.add_table, nr),
+            _pair_ids(L.mul_table, R.mul_table, nr),
+            _pair_ids(L.neg_table, R.neg_table, nr),
+        )
 
     def render(self, a):
         l, r = self.split(a)
@@ -596,7 +633,7 @@ class _DigitRing(FiniteRing):
     def digits(self) -> np.ndarray:
         idx = np.arange(self.size, dtype=np.int64)
         m = self.base.size
-        cols = [((idx // int(w)) % m).astype(np.int32) for w in self._weights]
+        cols = [((idx // int(w)) % m).astype(ID_DTYPE) for w in self._weights]
         return np.stack(cols, axis=1)
 
     def digits_of(self, a: int) -> list[int]:
@@ -631,6 +668,7 @@ class _DigitRing(FiniteRing):
         rows of the single-digit ids are filled first, column block by column
         block: s*(t + r) = s*t + s*r.  The add table is complete before the
         mul pass starts, because the mul gathers read arbitrary add entries.
+        Row blocks keep each gather's temporary to _BLOCK_ENTRIES entries.
         """
         n, m = self.size, self.base.size
         d = self.digits
@@ -639,15 +677,16 @@ class _DigitRing(FiniteRing):
         levels = [(int(self._weights[l]), l) for l in reversed(range(self.width))]
         singles = np.array([dg * w for w, _ in levels for dg in range(1, m)], dtype=np.int64)
 
-        add = np.empty((n, n), dtype=np.int32)
+        add = np.empty((n, n), dtype=ID_DTYPE)
         add[0] = idx
         for w, l in levels:
             col = d[:, l].astype(np.int64)
             for s in range(w, m * w, w):
                 add[s] = idx + (self.base.add_table[s // w, col] - col) * w
-                add[s + 1 : s + w] = add[s][add[1:w]]
+                for rows in _row_blocks(1, w, n):
+                    add[s + rows.start : s + rows.stop] = add[s][add[rows]]
 
-        mul = np.zeros((n, n), dtype=np.int32)
+        mul = np.zeros((n, n), dtype=ID_DTYPE)
         mul[np.ix_(singles, singles)] = [
             [self._scalar_mul(a, b) for b in singles.tolist()] for a in singles.tolist()
         ]
@@ -656,9 +695,10 @@ class _DigitRing(FiniteRing):
                 mul[singles, t + 1 : t + w] = add[mul[singles, 1:w], mul[singles, t][:, None]]
         for w, _ in levels:
             for s in range(w, m * w, w):
-                mul[s + 1 : s + w] = add[mul[1:w], mul[s]]
+                for rows in _row_blocks(1, w, n):
+                    mul[s + rows.start : s + rows.stop] = add[mul[rows], mul[s]]
 
-        neg = (self.base.neg_table[d].astype(np.int64) @ self._weights).astype(np.int32)
+        neg = (self.base.neg_table[d].astype(np.int64) @ self._weights).astype(ID_DTYPE)
         return add, mul, neg
 
 
@@ -795,7 +835,12 @@ class QuotientRing(FiniteRing):
         self.base = base
         self.ideal = ideal
         members = ideal.elements_array
-        rep_of = base.add_table[:, members].min(axis=1)
+        rep_of = np.concatenate(
+            [
+                base.add_table[rows][:, members].min(axis=1)
+                for rows in _row_blocks(0, base.size, members.size)
+            ]
+        )
         reps = np.unique(rep_of)
         self.reps = reps.astype(np.int64)
         self.surjection = np.searchsorted(reps, rep_of).astype(np.int64)
@@ -814,11 +859,12 @@ class QuotientRing(FiniteRing):
         return int(self.surjection[self.base.neg(int(self.reps[a]))])
 
     def _tables(self):
-        ix = np.ix_(self.reps, self.reps)
-        add = self.surjection[self.base.add_table[ix]]
-        mul = self.surjection[self.base.mul_table[ix]]
-        neg = self.surjection[self.base.neg_table[self.reps]]
-        return add, mul, neg
+        B, reps, onto = self.base, self.reps, self.surjection
+        return (
+            _induced_table(onto, B.add_table, reps),
+            _induced_table(onto, B.mul_table, reps),
+            onto[B.neg_table[reps]].astype(ID_DTYPE),
+        )
 
     def render(self, a):
         return f"{self.base.render(int(self.reps[a]))}+I"
@@ -869,11 +915,12 @@ class CornerRing(FiniteRing):
         return self.position(self.parent.neg(self.embed(a)))
 
     def _tables(self):
-        ix = np.ix_(self.parent_elements, self.parent_elements)
-        add = self._pos[self.parent.add_table[ix]]
-        mul = self._pos[self.parent.mul_table[ix]]
-        neg = self._pos[self.parent.neg_table[self.parent_elements]]
-        return add, mul, neg
+        P, elems, pos = self.parent, self.parent_elements, self._pos
+        return (
+            _induced_table(pos, P.add_table, elems),
+            _induced_table(pos, P.mul_table, elems),
+            pos[P.neg_table[elems]].astype(ID_DTYPE),
+        )
 
     def render(self, a):
         return self.parent.render(self.embed(a))

@@ -30,8 +30,8 @@ from .involutions import (
     StarRing,
     group_ring_involution,
     identity_involution,
-    induce_quotient_involution,
     product_involution,
+    quotient_involution,
     swap_involution,
     table_involution,
     transpose_involution,
@@ -272,10 +272,7 @@ def make_involution(R: FiniteRing, spec: InvSpec, base_dir: Path | None = None) 
     """Realize an involution recipe on a concrete ring, validating shape."""
     if isinstance(R, QuotientRing):
         base_inv = make_involution(R.base, spec, base_dir)
-        probe = StarRing(R.base, base_inv)
-        QS, _ = induce_quotient_involution(probe, R.ideal)
-        inv = QS.involution
-        return Involution(R, inv.table, "induced-quotient", involution_spec_string(spec))
+        return quotient_involution(R, base_inv, involution_spec_string(spec))
     if isinstance(spec, IdInv):
         return identity_involution(R)
     if isinstance(spec, SwapInv):
@@ -334,6 +331,9 @@ def build_star_ring(
     rspec = parse_ring_spec(ring_text)
     ispec = parse_involution_spec(inv_text)
     ring = build_ring(rspec, cap)
+    if ring.one == ring.zero:
+        # a quotient by an ideal holding 1; QUOT still builds R/R internally
+        raise ValidationError(f"{spec_string(rspec)} is the zero ring, where 1 = 0")
     inv = make_involution(ring, ispec, base_dir)
     canonical = f"{spec_string(rspec)}/{involution_spec_string(ispec)}"
     return StarRing(ring, inv, label=label or canonical)

@@ -235,6 +235,11 @@ def _suite_matrix_neg(corpus):
 # -- corners inherit the property ------------------------------------------------------
 
 
+def _corner(S: StarRing, e: int) -> StarRing:
+    """The corner star ring at the projection e; 1·R·1 = R, so at 1 it is S."""
+    return S if e == S.ring.one else corner_star_ring(S, e)
+
+
 def _suite_corner(corpus):
     rows = []
     for S in corpus:
@@ -250,7 +255,7 @@ def _suite_corner(corpus):
                 ok = False
                 note = f"idempotent {R.render(e)} is not a projection"
                 break
-            CS = corner_star_ring(S, e)
+            CS = _corner(S, e)
             tested += 1
             bad = next(
                 (x for x in CS.ring.elements() if spsr_c2(CS, x) is None), None
@@ -474,6 +479,11 @@ def _quotient_ideals(R) -> list:
     return list(seen.values())
 
 
+def _quotient(S: StarRing, ideal) -> StarRing:
+    """R/I with the induced involution; R/0 = R, so for I = {0} it is S."""
+    return S if ideal.size == 1 else induce_quotient_involution(S, ideal)[0]
+
+
 def _suite_quot(corpus):
     rows = []
     for S in corpus:
@@ -486,7 +496,7 @@ def _suite_quot(corpus):
         for ideal in _quotient_ideals(S.ring):
             if not ideal.mask[star[ideal.elements_array]].all():
                 continue  # not star-invariant; the induced involution does not exist
-            QS, _ = induce_quotient_involution(S, ideal)
+            QS = _quotient(S, ideal)
             tested += 1
             if not ring_property(QS, "star-clean").value:
                 bad = ideal

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import time
+import tracemalloc
 import warnings
 
+from starclean import cli
 from starclean.cli import main
+from starclean.rings import TABLE_BYTES_PER_PAIR
 from starclean.suites import SuiteRow
 
 
@@ -195,7 +199,35 @@ def test_cap_beyond_physical_memory_is_refused_fast(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert elapsed < 0.5
-    assert str(32 * (2**20) ** 2) in err
+    assert "more than the 65536 that 16-bit element ids can name" in err
+
+
+def test_ring_beyond_16_bit_ids_is_refused_without_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["check", "--cap", "70000", "--ring", "Z65537", "--inv", "id",
+                     "--prop", "boolean"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (
+        "error: ring would have 65537 elements, more than the 65536 that 16-bit "
+        "element ids can name\n"
+    )
+    assert peak < 1 << 20  # the add and mul tables alone would take 16 GiB
+
+
+def test_tables_beyond_physical_memory_are_refused(capsys, monkeypatch):
+    real = os.sysconf
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}  # 1 MiB of memory
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
+    code = main(["check", "--ring", "Z1000", "--inv", "id", "--prop", "boolean"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert str(TABLE_BYTES_PER_PAIR * 1000**2) in err
+    assert str(1 << 20) in err
 
 
 def test_cap_flag_and_env(capsys, monkeypatch):
@@ -295,3 +327,44 @@ def test_check_undecodable_involution_table_exits_2(capsys, tmp_path):
     argv = ["check", "--ring", "Z4", "--inv", f"table:{_undecodable(tmp_path)}",
             "--prop", "clean"]
     _assert_cannot_read(capsys, argv, "involution table")
+
+
+def test_numeric_bad_tol_exits_2(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[[1,1],[0,0]]")
+    for tol in ("-1", "nan", "inf", "-inf", "abc"):
+        code = main(["numeric", str(path), f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 2, tol
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must be a finite number >= 0, got {tol!r}\n"
+    code, out = run_cli(capsys, "numeric", str(path), "--tol", "0")
+    assert code == 0 and json.loads(out)["tol"] == 0.0
+
+
+def test_zero_ring_recipe_exits_2(capsys):
+    for ring in ("Q(Z4,[1])", "Q(Z6,[2,3])", "M2(Q(Z4,[3]))"):
+        code = main(["check", "--ring", ring, "--inv", "id", "--prop", "clean"])
+        captured = capsys.readouterr()
+        assert code == 2, ring
+        assert captured.out == ""
+        assert captured.err.endswith("is the zero ring, where 1 = 0\n"), ring
+    # a product with the zero ring is a ring where 1 != 0
+    code, out = run_cli(capsys, "check", "--ring", "Q(Z4,[1])xZ2", "--inv", "prod(id,id)",
+                        "--prop", "clean")
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def broken(S, prop):
+        raise RuntimeError("table lookup\nwent wrong")
+
+    monkeypatch.setattr(cli, "ring_property", broken)
+    code = main(["check", "--ring", "Z4", "--inv", "id", "--prop", "clean"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: RuntimeError: table lookup went wrong (at test_cli.py:"
+        f"{broken.__code__.co_firstlineno + 1} in broken)\n"
+    )

@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from idealref import fixpoint_ideal_mask
 from starclean.corpus import default_corpus
 from starclean.errors import MalformedSpec, NotAnIdeal, NotIdempotent, SpecTooLarge
 from starclean.rings import (
+    ID_DTYPE,
     Cyclic,
     GroupProduct,
     GroupRingSpec,
@@ -291,6 +293,7 @@ def test_scalar_matches_tables():
             TruncatedPolySpec(Zmod(3), 2),
             TruncatedPolySpec(Zmod(4), 3),
             QuotientSpec(MatrixSpec(2, Zmod(2)), (5,)),
+            QuotientSpec(MatrixSpec(2, Zmod(4)), (130,)),  # M2(Z4) mod 2*I
         )
     ]
     rings.append(corner(M2, M2.from_value([[1, 0], [0, 0]])))
@@ -301,6 +304,22 @@ def test_scalar_matches_tables():
             for b in range(R.size):
                 assert R._scalar_add(a, b) == int(R.add_table[a, b]), (R, a, b)
                 assert R._scalar_mul(a, b) == int(R.mul_table[a, b]), (R, a, b)
+
+
+def _tables(R):
+    return R.add_table, R.mul_table, R.neg_table
+
+
+def test_every_table_is_uint16():
+    assert ID_DTYPE == np.uint16
+    for S in default_corpus():
+        R = S.ring
+        e = R.idempotents()[len(R.idempotents()) // 2]
+        J = jacobson_radical(R)
+        g = J.elements()[-1] if J.size > 1 else R.zero
+        for ring in (R, corner(R, e), quotient(R, generated_ideal(R, [g]))):
+            assert [t.dtype for t in _tables(ring)] == [np.uint16] * 3, (S.label, ring)
+            assert all(t.flags.c_contiguous for t in _tables(ring)), (S.label, ring)
 
 
 def test_axioms_on_small_corpus():

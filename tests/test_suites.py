@@ -118,3 +118,23 @@ def test_quot_computes_one_closure_per_unit_orbit(corpus, monkeypatch, label, cl
     [row] = suites._suite_quot([_by_label(corpus, label)])
     assert row.ok
     assert len(calls) == closures
+
+
+# -- CORNER at e = 1 and QUOT at I = {0} use S itself ------------------------------------
+
+
+def test_corner_and_quot_rows_match_full_copies(quot_corpus, monkeypatch):
+    S = quot_corpus[0]
+    assert suites._corner(S, S.ring.one) is S
+    assert suites._quotient(S, Ideal.from_elements(S.ring, [S.ring.zero])) is S
+    rows = {"CORNER": suites._suite_corner(quot_corpus), "QUOT": suites._suite_quot(quot_corpus)}
+    monkeypatch.setattr(suites, "_corner", suites.corner_star_ring)
+    monkeypatch.setattr(
+        suites, "_quotient", lambda S, ideal: suites.induce_quotient_involution(S, ideal)[0]
+    )
+    copies = {"CORNER": suites._suite_corner(quot_corpus), "QUOT": suites._suite_quot(quot_corpus)}
+    for tag in rows:
+        assert [r.to_dict() for r in rows[tag]] == [r.to_dict() for r in copies[tag]], tag
+    # both suites reach e = 1 and I = {0} on some member
+    assert any(r.note.endswith("corners verified") for r in rows["CORNER"])
+    assert any(r.note.endswith("quotients verified") for r in rows["QUOT"])
