@@ -242,10 +242,13 @@ class StarRing:
     @cached_property
     def _mod_jacobson(self) -> tuple["StarRing", np.ndarray]:
         J = self.ring.jacobson_radical()
+        if J.size == 1:
+            return self, np.arange(self.ring.size)
         return induce_quotient_involution(self, J)
 
     def mod_jacobson(self) -> tuple["StarRing", np.ndarray]:
-        """Quotient by the Jacobson radical with the induced involution."""
+        """Quotient by the Jacobson radical with the induced involution, plus
+        the surjection; R/0 = R, so when J(R) = 0 it is this ring itself."""
         return self._mod_jacobson
 
     def __repr__(self):

@@ -21,7 +21,7 @@ from .elements import (
 )
 from .errors import UnknownProperty
 from .involutions import StarRing, is_star_abelian
-from .rings import group_rows
+from .rings import _row_blocks
 
 
 @dataclass(frozen=True)
@@ -230,43 +230,57 @@ def _stable_pool(S: StarRing, prop: str) -> np.ndarray:
     if prop == "sr1":
         return np.arange(R.size)
     if prop == "isr1":
-        return np.flatnonzero(R.idempotent_mask)
+        return R.idempotent_ids
     if prop == "psr1":
-        return np.flatnonzero(S.projection_mask)
+        return S.projection_ids
     raise UnknownProperty(prop)
 
 
 def _stable_success(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) -> np.ndarray:
     """success[a, b] iff ok_mask[a + b*y] for some y in the pool of distinct ids.
 
-    Column b depends only on the set b*pool (bR for the full pool), so one
-    column is computed per distinct set and copied to every b sharing it.
+    Both paths read shifted[v, a] = ok_mask[v + a]. Addition commutes, so
+    shifted is symmetric and its row v marks, for every a, whether
+    ok_mask[a + v]: column b of success is the OR of the rows b*y over the
+    pool. For the full pool (sr1) those rows are bR, so one column is
+    computed per principal right ideal and copied to every b sharing it.
+    A subpool (isr1, psr1) takes one row gather per pool element y, the
+    rows mul_table[:, y], and ORs them into the transpose of success.
+    Every gather runs in row blocks, so no temporary exceeds one block.
     """
     R = S.ring
     n = R.size
+    blocks = _row_blocks(0, n, n)
+    shifted = np.empty((n, n), dtype=bool)
+    for rows in blocks:
+        shifted[rows] = ok_mask[R.add_table[rows]]
     if len(pool) == n:
-        products = R.right_ideal_masks
         cls, reps = R.principal_right_ideal_classes
-    else:
-        products = np.zeros((n, n), dtype=bool)
-        products[np.arange(n)[:, None], R.mul_table[:, pool]] = True
-        cls, reps = group_rows(products)
-    columns = np.empty((n, len(reps)), dtype=bool)
-    for k, b in enumerate(reps):
-        vals = R.add_table[:, np.flatnonzero(products[b])]
-        columns[:, k] = ok_mask[vals].any(axis=1)
-    return columns[:, cls]
+        success_t = np.zeros((len(reps), n), dtype=bool)
+        for k, b in enumerate(reps):
+            bR = np.flatnonzero(R.right_ideal_masks[b])
+            for part in _row_blocks(0, len(bR), n):
+                success_t[k] |= shifted[bR[part]].any(axis=0)
+        return success_t[cls].T
+    success_t = np.zeros((n, n), dtype=bool)
+    for y in pool.tolist():
+        by = R.mul_table[:, y]
+        for rows in blocks:
+            success_t[rows] |= shifted[by[rows]]
+    return success_t.T
 
 
 def _stable_range_verdict(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) -> Verdict:
     """First comaximal pair (a, b), row-major, with no y in the pool making
     a + b*y land in ok_mask."""
-    viol = S.ring.comaximal_pairs & ~_stable_success(S, pool, ok_mask)
-    idx = np.argwhere(viol)
-    if idx.size == 0:
+    viol = _stable_success(S, pool, ok_mask)  # a fresh array, reused in place
+    np.logical_not(viol, out=viol)
+    viol &= S.ring.comaximal_pairs
+    hit = viol.any(axis=1)
+    if not hit.any():
         return Verdict(True)
-    a, b = map(int, idx[0])
-    return Verdict(False, _pair_witness(S, a, b))
+    a = int(hit.argmax())
+    return Verdict(False, _pair_witness(S, a, int(viol[a].argmax())))
 
 
 def stable_range_checks(S: StarRing) -> dict[str, Verdict]:
@@ -403,10 +417,9 @@ def lifting_checks(S: StarRing) -> LiftingResult:
         for t in targets:
             fiber = np.flatnonzero(pi == t)
             if not mask[fiber].any():
-                return Verdict(
-                    False,
-                    Witness("element", (int(t),), f"coset of {QS.ring.render(int(t))}"),
-                )
+                # fiber[0] is the coset's least element, the id R/J renders it by
+                text = f"coset of {R.render(int(fiber[0]))}+I"
+                return Verdict(False, Witness("element", (int(t),), text))
         return Verdict(True)
 
     return LiftingResult(

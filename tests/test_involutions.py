@@ -161,6 +161,11 @@ def test_mod_jacobson_always_succeeds():
     ):
         Q, _ = S.mod_jacobson()
         assert Q.ring.size * S.ring.jacobson_radical().size == S.ring.size
+    # J(M2(Z2)) = 0, and R/0 = R: no copy is built
+    S = m2(2)
+    Q, pi = S.mod_jacobson()
+    assert Q is S
+    assert (pi == np.arange(S.ring.size)).all()
 
 
 def test_induced_quotient_rejects_non_invariant_ideal():

@@ -177,6 +177,20 @@ def test_stable_range_matches_pairwise_reference():
                 assert verdict.witness.ids == violations[0], (S.label, prop)
 
 
+def test_blocked_stable_success_matches_pairwise_reference(monkeypatch):
+    import starclean.rings as rings
+
+    for S in (m2(2), m2(3), m2(4)):
+        R = S.ring
+        for pool in (np.arange(R.size), R.idempotent_ids, S.projection_ids):
+            want = _reference_success(R, pool)
+            for rows in (1, 3):
+                monkeypatch.setattr(rings, "_BLOCK_ENTRIES", rows * R.size)
+                assert len(rings._row_blocks(0, R.size, R.size)) == -(-R.size // rows)
+                got = _stable_success(S, pool, R.units_mask)
+                assert (got == want).all(), (S.label, rows, len(pool))
+
+
 def test_psr_onesided():
     res = psr_onesided_equiv(m2(2))
     assert res.consistent

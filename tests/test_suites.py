@@ -6,7 +6,7 @@ import pytest
 from idealref import fixpoint_ideal_mask
 from starclean import suites
 from starclean.corpus import default_corpus
-from starclean.properties import ring_property, stable_range_checks
+from starclean.properties import lifting_checks, ring_property, stable_range_checks
 from starclean.rings import Ideal
 from starclean.specparse import build_star_ring
 from starclean.suites import run_suite, run_suites
@@ -123,18 +123,33 @@ def test_quot_computes_one_closure_per_unit_orbit(corpus, monkeypatch, label, cl
 # -- CORNER at e = 1 and QUOT at I = {0} use S itself ------------------------------------
 
 
+def _corner_quot_jac(corpus):
+    rows = {
+        "CORNER": suites._suite_corner(corpus),
+        "QUOT": suites._suite_quot(corpus),
+        "JAC-EQUIV": suites._suite_jac_equiv(corpus),
+    }
+    rows["lifting"] = [lifting_checks(S) for S in corpus]
+    return {tag: [r.to_dict() for r in found] for tag, found in rows.items()}
+
+
 def test_corner_and_quot_rows_match_full_copies(quot_corpus, monkeypatch):
     S = quot_corpus[0]
     assert suites._corner(S, S.ring.one) is S
     assert suites._quotient(S, Ideal.from_elements(S.ring, [S.ring.zero])) is S
-    rows = {"CORNER": suites._suite_corner(quot_corpus), "QUOT": suites._suite_quot(quot_corpus)}
+    # R/J(R) is R itself on the members with J(R) = 0
+    assert any(S.mod_jacobson()[0] is S for S in quot_corpus)
+    rows = _corner_quot_jac(quot_corpus)
     monkeypatch.setattr(suites, "_corner", suites.corner_star_ring)
     monkeypatch.setattr(
         suites, "_quotient", lambda S, ideal: suites.induce_quotient_involution(S, ideal)[0]
     )
-    copies = {"CORNER": suites._suite_corner(quot_corpus), "QUOT": suites._suite_quot(quot_corpus)}
+    for S in quot_corpus:
+        full = suites.induce_quotient_involution(S, S.ring.jacobson_radical())
+        monkeypatch.setitem(S.__dict__, "_mod_jacobson", full)
+    copies = _corner_quot_jac(quot_corpus)
     for tag in rows:
-        assert [r.to_dict() for r in rows[tag]] == [r.to_dict() for r in copies[tag]], tag
+        assert rows[tag] == copies[tag], tag
     # both suites reach e = 1 and I = {0} on some member
-    assert any(r.note.endswith("corners verified") for r in rows["CORNER"])
-    assert any(r.note.endswith("quotients verified") for r in rows["QUOT"])
+    assert any(r["note"].endswith("corners verified") for r in rows["CORNER"])
+    assert any(r["note"].endswith("quotients verified") for r in rows["QUOT"])

@@ -1,0 +1,125 @@
+"""Wall time, peak memory and stdout digest of starclean commands at the size cap.
+
+Usage:
+    python3 tools/cap_bench.py [--src DIR] [--only TEXT]
+
+Each command of the cap table runs as ``python -m starclean ...`` in its own
+child process, from the source tree DIR (default: the ``src`` directory next
+to this script), so two checkouts can be compared command by command. One
+JSON line per command goes to stdout:
+
+    {"name": ..., "command": ..., "exit": 0, "wall_s": 1.234,
+     "peak_rss_mb": 123.4, "stdout_sha256_12": "0123456789ab"}
+
+The peak is ``getrusage(RUSAGE_CHILDREN).ru_maxrss``. That figure is the
+largest of all children a process has waited for, so every command is run
+by a fresh measuring process (this script with ``--measure``) whose only
+child is that command. The digest leaves out the one line of stdout that
+differs from run to run, the ``elapsed_ms`` of ``check``, so equal digests
+mean equal output. A command that exits non-zero also reports the last
+line of its stderr. Corpus files for the ``suite`` and ``corpus-matrix``
+commands are written to a temporary directory.
+
+Uses the standard library only; starclean is only ever run, never imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# the four rings at the default cap of 4096 elements, and the ladder
+CAP_RINGS = (
+    ("M2(Z8)", "tr(id)"),
+    ("TP(Z2,12)", "tp(id)"),
+    ("GR(Z4,C6)", "grp(id)"),
+    ("GR(Z2,C12)", "grp(id)"),
+)
+LADDER = (
+    ("M2(Z4)", "tr(id)"),
+    ("M3(Z2)", "tr(id)"),
+    ("M2(Z5)", "tr(id)"),
+    ("GR(Z3,C6)", "grp(id)"),
+    ("TP(Z2,10)", "tp(id)"),
+)
+
+# the wall time that `check` reports, the only run-dependent line of any stdout
+_ELAPSED_LINE = re.compile(rb'^ *"elapsed_ms": .*\n', re.MULTILINE)
+
+
+def _corpus_file(folder: Path, name: str, rings) -> str:
+    path = folder / f"{name}.json"
+    path.write_text(json.dumps([{"ring": r, "inv": i} for r, i in rings]))
+    return str(path)
+
+
+def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
+    """(name, starclean argv) for every command of the cap table."""
+    one = {ring: _corpus_file(folder, ring, [(ring, inv)]) for ring, inv in CAP_RINGS}
+    m2z8 = ["--ring", "M2(Z8)", "--inv", "tr(id)"]
+    table = [(f"check {p} M2(Z8)", ["check", *m2z8, "--prop", p]) for p in ("sr1", "isr1", "psr1")]
+    table += [(f"corpus-matrix {ring}", ["corpus-matrix", "--corpus", one[ring]]) for ring in one]
+    pair = ["--suites", "SRC-EQUIV,PSR-ONESIDED", "--corpus", one["M2(Z8)"]]
+    table += [
+        ("suite SRC-EQUIV,PSR-ONESIDED M2(Z8)", ["suite", *pair]),
+        ("suite TP(Z2,12)", ["suite", "--corpus", one["TP(Z2,12)"]]),
+        ("suite default", ["suite"]),
+        ("corpus-matrix ladder", ["corpus-matrix", "--corpus", _corpus_file(folder, "ladder", LADDER)]),
+    ]
+    return table
+
+
+def measure(src: str, argv: list[str]) -> dict:
+    """Run starclean once as this process's only child."""
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "starclean", *argv], env=env, capture_output=True)
+    wall = time.perf_counter() - start
+    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    row = {
+        "exit": proc.returncode,
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": round(peak_kb / 1024, 1),
+        "stdout_sha256_12": hashlib.sha256(_ELAPSED_LINE.sub(b"", proc.stdout)).hexdigest()[:12],
+    }
+    if proc.returncode:
+        lines = proc.stderr.decode(errors="replace").strip().splitlines()
+        row["stderr"] = lines[-1] if lines else ""
+    return row
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--only", default="", help="run only commands whose name contains this")
+    parser.add_argument("--measure", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure is not None:
+        print(json.dumps(measure(args.src, args.measure)))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command in cap_table(Path(tmp)):
+            if args.only not in name:
+                continue
+            child = subprocess.run(
+                [sys.executable, __file__, "--src", args.src, "--measure", *command],
+                capture_output=True, text=True, check=True,
+            )
+            text = " ".join(command).replace(tmp + os.sep, "")
+            row = {"name": name, "command": f"starclean {text}"}
+            row.update(json.loads(child.stdout))
+            print(json.dumps(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
