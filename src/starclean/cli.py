@@ -238,8 +238,8 @@ def _cmd_suite(args) -> int:
     tags = None if args.suites == "all" else [t.strip() for t in args.suites.split(",") if t.strip()]
     try:
         results = run_suites(corpus, tags, jobs=args.jobs)
-    except KeyError as exc:
-        raise UnknownProperty(str(exc)) from exc
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        raise UnknownProperty(exc.args[0]) from exc
     if args.format == "text":
         _emit(suites_to_text(results), args.out)
     else:

@@ -5,18 +5,23 @@ returns witnesses that can be re-validated independently: clean and star-clean
 decompositions, strong pi-regularity with its invertibility witnesses, the
 projection-times-unit factorization, the four equivalent power/decomposition
 conditions bundled in ``spsr_conditions``, and the unit plus self-adjoint
-square root of 1 decomposition.
+square root of 1 decomposition. Conditions C2 and C3, the factorization and
+the unit plus root decomposition are searched for every element at once:
+each reads its element's entry in an array of first witnesses that the
+``StarRing`` builds on first use (see the builders at the end).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .involutions import StarRing
-from .rings import FiniteRing
+from .rings import FiniteRing, _row_blocks
+
+if TYPE_CHECKING:  # involutions imports this module for the witness arrays
+    from .involutions import StarRing
 
 CLEAN_MODES = ("clean", "strongly-clean", "star-clean", "strongly-star-clean")
 _PROJECTION_MODES = ("star-clean", "strongly-star-clean")
@@ -101,15 +106,10 @@ def strongly_pi_regular_witness(
 
 def strongly_star_regular_witness(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (p, u) with a = p u = u p, p a projection and u a unit."""
-    R = S.ring
-    units = R.unit_ids
-    # a = pu forces p = a u^-1, so each unit u has one candidate p
-    proj = R.mul_table[a][R.unit_inverse_ids]
-    hits = np.flatnonzero(S.projection_mask[proj] & (R.mul_table[units, proj] == a))
-    if hits.size == 0:
+    u = int(S.ssr_witnesses[a])
+    if u < 0:
         return None
-    k = hits[proj[hits].argmin()]  # the least p, then the least u
-    return int(proj[k]), int(units[k])
+    return S.ring.mul(a, S.ring.inverse(u)), u  # a = pu, so p = a u^-1
 
 
 # -- the four equivalent conditions ---------------------------------------------
@@ -200,32 +200,21 @@ def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
 
 def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """a = f + v with f a projection, v a unit, fv = vf, and a*f nilpotent."""
-    R = S.ring
-    mul = R.mul_table
-    f = S.projection_ids
-    v = R.add_table[a, R.neg_table[f]]
-    ok = R.units_mask[v] & (mul[f, v] == mul[v, f]) & R.nilpotent_mask[mul[a, f]]
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
+    f = int(S.c2_witnesses[a])
+    if f < 0:
         return None
-    k = hits[0]
-    return PiStarCertificate(a, "C2", {"f": int(f[k]), "v": int(v[k])})
+    return PiStarCertificate(a, "C2", {"f": f, "v": S.ring.sub(a, f)})
 
 
 def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting projection p with a*p invertible in pRp and a(1-p) nilpotent."""
+    p = int(S.c3_witnesses[a])
+    if p < 0:
+        return None
     R = S.ring
-    mul = R.mul_table
-    proj = S.projection_ids
-    ap = mul[a, proj]
-    ok = (ap == mul[proj, a]) & R.nilpotent_mask[mul[a, R.one_minus_table[proj]]]
-    for p, x in zip(proj[ok].tolist(), ap[ok].tolist()):
-        # x = ap must be invertible inside the corner, whose unity is p
-        corner = R.corner_ids(p)
-        hits = np.flatnonzero((mul[x, corner] == p) & (mul[corner, x] == p))
-        if hits.size:
-            return PiStarCertificate(a, "C3", {"p": p, "w": int(corner[hits[0]])})
-    return None
+    # the corner inverse of ap is p u^-1 p, with u = ap + 1 - p a unit of R
+    u = R.add(R.mul(a, p), R.one_minus(p))
+    return PiStarCertificate(a, "C3", {"p": p, "w": R.mul(R.mul(p, R.inverse(u)), p)})
 
 
 def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
@@ -272,11 +261,93 @@ def spsr_conditions(S: StarRing, a: int) -> SpsrVerdict:
 
 def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (t, u) with a = t + u, t a self-adjoint square root of 1, u a unit."""
-    R = S.ring
-    roots = S.sasr_unit_ids
-    units = R.add_table[a, R.neg_table[roots]]
-    hits = np.flatnonzero(R.units_mask[units])
-    if hits.size == 0:
+    t = int(S.sasr_witnesses[a])
+    if t < 0:
         return None
-    k = hits[0]
-    return int(roots[k]), int(units[k])
+    return t, S.ring.sub(a, t)
+
+
+# -- first-witness arrays ---------------------------------------------------------
+#
+# Each builder answers its kernel for every element at once and returns, per
+# element id, the first witness in the kernel's search order, or -1. It walks
+# its pool (projections, or self-adjoint roots of 1) in ascending blocks of at
+# most about 2^20 candidate pairs, and reads only ring-level caches. StarRing
+# builds each array once, on first use. The builders share no condition: the
+# sides of a suite that compare these kernels keep their own code.
+
+
+def _keep_first(out: np.ndarray, elems: np.ndarray, witnesses: np.ndarray) -> None:
+    """Give each element of elems that has no witness in out yet its first
+    witness, in the order of elems."""
+    first = np.full(len(out), len(elems))  # position of each element's first hit
+    np.minimum.at(first, elems, np.arange(len(elems)))
+    new = np.flatnonzero((first < len(elems)) & (out < 0))
+    out[new] = witnesses[first[new]]
+
+
+def first_ssr_witnesses(S: StarRing) -> np.ndarray:
+    """Per element a, the unit u of the first (p, u), least p then least u,
+    with a = pu = up; p is a u^-1."""
+    R = S.ring
+    mul, units = R.mul_table, R.unit_ids
+    out = np.full(R.size, -1, dtype=np.int64)
+    for block in _row_blocks(0, len(S.projection_ids), len(units)):
+        p = S.projection_ids[block]
+        pu = mul[np.ix_(p, units)]
+        i, j = np.nonzero(pu == mul[np.ix_(units, p)].T)  # by p, then by u
+        _keep_first(out, pu[i, j], units[j])
+    return out
+
+
+def first_c2_witnesses(S: StarRing) -> np.ndarray:
+    """Per element a, the least projection f of a C2 decomposition a = f + v.
+
+    v = a - f is a unit, so the pairs (f, v) run over projections times
+    units; f + v hits each element at most once per f.
+    """
+    R = S.ring
+    mul, units = R.mul_table, R.unit_ids
+    out = np.full(R.size, -1, dtype=np.int64)
+    for block in _row_blocks(0, len(S.projection_ids), len(units)):
+        f = S.projection_ids[block]
+        i, j = np.nonzero(mul[np.ix_(f, units)] == mul[np.ix_(units, f)].T)  # by f
+        f, v = f[i], units[j]
+        a = R.add_table[f, v]
+        nil = R.nilpotent_mask[mul[a, f]]
+        _keep_first(out, a[nil], f[nil])
+    return out
+
+
+def first_c3_witnesses(S: StarRing) -> np.ndarray:
+    """Per element a, the least projection p with ap = pa, a(1-p) nilpotent
+    and ap invertible in pRp.
+
+    ap = pap lies in pRp, and it is invertible there iff u = ap + 1 - p is a
+    unit of R (then p u^-1 p is its inverse), so no corner is scanned.
+    """
+    R = S.ring
+    mul, q_of = R.mul_table, R.one_minus_table
+    out = np.full(R.size, -1, dtype=np.int64)
+    for block in _row_blocks(0, len(S.projection_ids), R.size):
+        todo = np.flatnonzero(out < 0)
+        p = S.projection_ids[block]
+        # one gather decides a(1-p) nilpotent; the other tests run on the pairs it keeps
+        i, j = np.nonzero(R.nilpotent_mask[mul[np.ix_(todo, q_of[p])]])  # by a, then p
+        a, p = todo[i], p[j]
+        ap = mul[a, p]
+        ok = (ap == mul[p, a]) & R.units_mask[R.add_table[ap, q_of[p]]]
+        _keep_first(out, a[ok], p[ok])
+    return out
+
+
+def first_sasr_witnesses(S: StarRing) -> np.ndarray:
+    """Per element a, the least self-adjoint square root t of 1 with a - t a
+    unit; the pairs (t, u) run over roots times units, a = t + u."""
+    R = S.ring
+    roots, units = S.sasr_unit_ids, R.unit_ids
+    out = np.full(R.size, -1, dtype=np.int64)
+    for block in _row_blocks(0, len(roots), len(units)):
+        t = roots[block]
+        _keep_first(out, R.add_table[np.ix_(t, units)].ravel(), np.repeat(t, len(units)))
+    return out

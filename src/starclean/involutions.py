@@ -3,7 +3,8 @@
 An involution is stored as a permutation of element ids and is always
 verified exhaustively against its three axioms: additivity, reversal of
 products, and self-inverseness.  ``StarRing`` pairs a ring with a validated
-involution and caches the projection and self-adjoint subsets.
+involution and caches the projection and self-adjoint subsets and the
+first-witness arrays of four element kernels.
 """
 
 from __future__ import annotations
@@ -13,6 +14,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .elements import (
+    first_c2_witnesses,
+    first_c3_witnesses,
+    first_sasr_witnesses,
+    first_ssr_witnesses,
+)
 from .errors import (
     AxiomViolation,
     IdentityOnNoncommutative,
@@ -235,6 +242,29 @@ class StarRing:
     def sasr_units(self) -> tuple[int, ...]:
         """Self-adjoint square roots of 1."""
         return tuple(self.sasr_unit_ids.tolist())
+
+    # first witness of each element for four element kernels, or -1; see the
+    # builders in ``elements``
+
+    @cached_property
+    def ssr_witnesses(self) -> np.ndarray:
+        """Unit u of the first strongly star-regular factorization a = pu = up."""
+        return first_ssr_witnesses(self)
+
+    @cached_property
+    def c2_witnesses(self) -> np.ndarray:
+        """Least projection f of a decomposition a = f + v meeting condition C2."""
+        return first_c2_witnesses(self)
+
+    @cached_property
+    def c3_witnesses(self) -> np.ndarray:
+        """Least projection p meeting condition C3 for a."""
+        return first_c3_witnesses(self)
+
+    @cached_property
+    def sasr_witnesses(self) -> np.ndarray:
+        """Least self-adjoint square root t of 1 with a - t a unit."""
+        return first_sasr_witnesses(self)
 
     def is_identity_involution(self) -> bool:
         return bool(self.self_adjoint_mask.all())

@@ -401,11 +401,6 @@ class FiniteRing:
         """Ids of the units, ascending."""
         return np.flatnonzero(self.units_mask)
 
-    @cached_property
-    def unit_inverse_ids(self) -> np.ndarray:
-        """The inverse of each unit, aligned with ``unit_ids``."""
-        return self._unit_data[1][self.unit_ids]
-
     def inverse(self, a: int) -> int:
         b = int(self._unit_data[1][a])
         if b < 0:

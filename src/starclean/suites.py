@@ -622,9 +622,14 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run suites in canonical tag order; results are order-deterministic.
 
+    tags=None runs every suite; an empty selection or an unknown tag raises
+    KeyError.
+
     ``jobs`` is accepted and ignored: suites run one after another.
     """
-    selected = list(SUITE_TAGS) if not tags else list(tags)
+    selected = list(SUITE_TAGS) if tags is None else list(tags)
+    if not selected:
+        raise KeyError(f"no suite tag selected; known: {', '.join(SUITE_TAGS)}")
     for tag in selected:
         if tag not in SUITES:
             raise KeyError(f"unknown suite tag {tag!r}; known: {', '.join(SUITE_TAGS)}")

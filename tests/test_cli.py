@@ -8,7 +8,7 @@ import warnings
 from starclean import cli
 from starclean.cli import main
 from starclean.rings import TABLE_BYTES_PER_PAIR
-from starclean.suites import SuiteRow
+from starclean.suites import SUITE_TAGS, SuiteRow
 
 
 def run_cli(capsys, *argv):
@@ -59,8 +59,17 @@ def test_suite_subset_and_exit(capsys):
 
 
 def test_suite_unknown_tag(capsys):
-    code, _ = run_cli(capsys, "suite", "--suites", "NOPE")
-    assert code == 2
+    known = ", ".join(SUITE_TAGS)
+    for tags, message in (
+        ("NOPE", f"unknown suite tag 'NOPE'; known: {known}"),
+        ("", f"no suite tag selected; known: {known}"),
+        (" , ", f"no suite tag selected; known: {known}"),
+    ):
+        code = main(["suite", "--suites", tags])
+        captured = capsys.readouterr()
+        assert code == 2, tags
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_suite_violation_exit_code(capsys, monkeypatch):

@@ -1,9 +1,15 @@
 import numpy as np
 
+import starclean.involutions as involutions
+import starclean.rings as rings
 from starclean.corpus import default_corpus
 from starclean.elements import (
     CLEAN_MODES,
     clean_certificates,
+    first_c2_witnesses,
+    first_c3_witnesses,
+    first_sasr_witnesses,
+    first_ssr_witnesses,
     is_clean_elem,
     spsr_conditions,
     strongly_pi_regular_witness,
@@ -282,11 +288,14 @@ def cert_record(cert):
 
 
 def test_element_layer_matches_loop_reference():
-    rings = default_corpus() + [
+    cases = default_corpus() + [
         build_star_ring("M2(Z4)", "tr(id)"),
         build_star_ring("GR(Z3,C6)", "grp(id)"),
+        # the ring JAC-EQUIV runs C2 and ssr on, and a ring where |P| = n
+        build_star_ring("M2(Z4)", "tr(id)").mod_jacobson()[0],
+        build_star_ring("Z2xZ2xZ2", "id"),
     ]
-    for S in rings:
+    for S in cases:
         for a in S.ring.elements():
             where = (S.label, a)
             for mode in CLEAN_MODES:
@@ -307,3 +316,50 @@ def test_element_layer_matches_loop_reference():
                 assert cert_record(cert) == expected, (where, tag)
             assert unit_sasr_decomposition(S, a) == ref_sasr(S, a), where
             assert elem_unit_regular(S, a) == ref_unit_regular(S, a), where
+
+
+# (builder, reference, the witness the array holds, pool, row length of a block)
+BUILDERS = (
+    (first_ssr_witnesses, ref_ssr, lambda r: r[1],
+     lambda S: S.projection_ids, lambda S: len(S.ring.unit_ids)),
+    (first_c2_witnesses, ref_c2, lambda r: r["f"],
+     lambda S: S.projection_ids, lambda S: len(S.ring.unit_ids)),
+    (first_c3_witnesses, ref_c3, lambda r: r["p"],
+     lambda S: S.projection_ids, lambda S: S.ring.size),
+    (first_sasr_witnesses, ref_sasr, lambda r: r[0],
+     lambda S: S.sasr_unit_ids, lambda S: len(S.ring.unit_ids)),
+)
+
+
+def test_blocked_witness_arrays_match_loop_reference(monkeypatch):
+    for S in (m2(3), m2(4), build_star_ring("Z2xZ2xZ2", "id")):
+        for build, ref, held, pool, row_len in BUILDERS:
+            refs = [ref(S, a) for a in S.ring.elements()]
+            want = [-1 if r is None else held(r) for r in refs]
+            size, row = len(pool(S)), row_len(S)
+            for block in (1, 3):
+                monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block * row)
+                assert len(rings._row_blocks(0, size, row)) == -(-size // block)
+                got = build(S)
+                assert got.tolist() == want, (S.label, build.__name__, block)
+
+
+def test_element_sweep_builds_each_array_once(monkeypatch):
+    calls = {}
+
+    def counted(build):
+        def wrapper(S):
+            calls[build.__name__, S.label] = calls.get((build.__name__, S.label), 0) + 1
+            return build(S)
+        return wrapper
+
+    for build, *_ in BUILDERS:
+        monkeypatch.setattr(involutions, build.__name__, counted(build))
+    cases = [m2(2), m2(3), ident(Zmod(8))]
+    for _ in range(2):
+        for S in cases:
+            for a in S.ring.elements():
+                spsr_conditions(S, a)
+                strongly_star_regular_witness(S, a)
+                unit_sasr_decomposition(S, a)
+    assert calls == {(build.__name__, S.label): 1 for build, *_ in BUILDERS for S in cases}

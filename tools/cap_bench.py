@@ -44,6 +44,8 @@ CAP_RINGS = (
     ("GR(Z4,C6)", "grp(id)"),
     ("GR(Z2,C12)", "grp(id)"),
 )
+# a ring of the cap size whose every element is a projection: |P| = n
+BOOLEAN_CAP_RING = ("x".join(["Z2"] * 12), "id")
 LADDER = (
     ("M2(Z4)", "tr(id)"),
     ("M3(Z2)", "tr(id)"),
@@ -68,6 +70,11 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
     m2z8 = ["--ring", "M2(Z8)", "--inv", "tr(id)"]
     table = [(f"check {p} M2(Z8)", ["check", *m2z8, "--prop", p]) for p in ("sr1", "isr1", "psr1")]
     table += [(f"corpus-matrix {ring}", ["corpus-matrix", "--corpus", one[ring]]) for ring in one]
+    named = [(ring, ring, inv) for ring, inv in CAP_RINGS] + [("Z2^12", *BOOLEAN_CAP_RING)]
+    table += [
+        (f"element {name}", ["element", "--ring", ring, "--inv", inv, "--elem", "7"])
+        for name, ring, inv in named
+    ]
     pair = ["--suites", "SRC-EQUIV,PSR-ONESIDED", "--corpus", one["M2(Z8)"]]
     table += [
         ("suite SRC-EQUIV,PSR-ONESIDED M2(Z8)", ["suite", *pair]),
