@@ -102,15 +102,9 @@ from .rings import (
     Zmod,
     build_ring,
     check_ring_axioms,
-    corner,
     generated_ideal,
-    idempotents,
-    is_local,
-    jacobson_radical,
-    nilpotents,
     quotient,
     spec_string,
-    units,
 )
 from .specparse import (
     build_star_ring,

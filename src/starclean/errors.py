@@ -23,16 +23,18 @@ class SpecTooLarge(StarCleanError):
         memory: int | None = None,
         id_limit: int | None = None,
     ):
+        # rings.spec_size_bound counts no further than 2^64
+        count = f"{size}" if size < 1 << 64 else "2^64 or more"
         if id_limit is not None:
             msg = (
-                f"ring would have {size} elements, more than the {id_limit} "
+                f"ring would have {count} elements, more than the {id_limit} "
                 f"that 16-bit element ids can name"
             )
         elif table_bytes is None:
-            msg = f"ring would have {size} elements, exceeding the cap of {cap}"
+            msg = f"ring would have {count} elements, exceeding the cap of {cap}"
         else:
             msg = (
-                f"ring would have {size} elements, whose tables need about {table_bytes} "
+                f"ring would have {count} elements, whose tables need about {table_bytes} "
                 f"bytes to build, more than the {memory} bytes of physical memory"
             )
         super().__init__(msg)
@@ -99,7 +101,7 @@ class SwapShapeMismatch(StarCleanError):
 
 
 class UnknownProperty(StarCleanError):
-    """An unrecognized ring-level property name was requested."""
+    """An unrecognized ring-level property name or suite tag was requested."""
 
 
 class IllConditioned(StarCleanError):

@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .rings import (
+    CornerRing,
     FiniteRing,
     GroupRing,
     Ideal,
@@ -36,7 +37,6 @@ from .rings import (
     ProductRing,
     QuotientRing,
     TruncatedPolyRing,
-    corner,
     quotient,
 )
 
@@ -314,7 +314,7 @@ def corner_star_ring(S: StarRing, e: int) -> StarRing:
         raise NotAProjection(
             f"corner restriction needs a projection; {S.ring.render(e)} fails p*=p=p^2"
         )
-    C = corner(S.ring, e)
+    C = CornerRing(S.ring, e)
     cstar = C._pos[S.star_table[C.parent_elements]]
     inv = Involution(C, cstar, "corner-restriction", f"{S.involution.label}|corner")
     return StarRing(C, inv, label=f"corner({S.label},{S.ring.render(e)})")

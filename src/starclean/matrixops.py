@@ -119,7 +119,10 @@ def drazin_inverse(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> Dra
     blocks = Pinv @ M @ P
     middle = np.zeros((n, n), dtype=complex)
     if r > 0:
-        middle[:r, :r] = np.linalg.inv(blocks[:r, :r])
+        try:
+            middle[:r, :r] = np.linalg.inv(blocks[:r, :r])
+        except np.linalg.LinAlgError as exc:  # a tol near 0 let noise count as rank
+            raise IllConditioned("the core block of A is singular") from exc
     B = P @ middle @ Pinv
 
     scale_a = max(1.0, float(np.linalg.norm(M)))
@@ -215,7 +218,7 @@ def load_matrix_csv(text: str, involution: str = "transpose") -> DenseMatrix:
 def load_matrix_json(text: str, involution: str = "transpose") -> DenseMatrix:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise MalformedSpec(f"invalid JSON matrix: {exc}") from exc
     if not isinstance(payload, list) or not payload:
         raise MalformedSpec("JSON matrix must be a non-empty array of arrays")
@@ -228,7 +231,10 @@ def load_matrix_json(text: str, involution: str = "transpose") -> DenseMatrix:
             if isinstance(cell, str):
                 parsed.append(parse_complex(cell))
             elif isinstance(cell, (int, float)):
-                parsed.append(complex(cell))
+                try:
+                    parsed.append(complex(cell))
+                except OverflowError as exc:
+                    raise MalformedSpec("matrix entry out of floating-point range") from exc
             else:
                 raise MalformedSpec(f"unsupported matrix entry {cell!r}")
         rows.append(parsed)

@@ -4,11 +4,12 @@ Every ring exposes its elements as integer ids ``0..size-1`` in a fixed
 mixed-radix enumeration over the construction tree: matrix entries are read
 row-major, group-ring coefficients in group element order, product components
 left to right, and the first component is the most significant digit.  Id 0
-is always the additive zero.  All arithmetic reads memoized Cayley tables,
-built once per ring.  Each construction defines its product once, in
-``_scalar_mul``; digit rings (matrices, group rings, truncated polynomials)
-call it only on pairs of single-digit elements and extend the table to every
-pair by additivity (see ``_DigitRing._tables``).
+is always the additive zero.  The Cayley tables, built once per ring, are
+the only arithmetic.  Integers mod n compute theirs in bulk; products,
+quotients and corners gather theirs from the tables they are made from.
+Only digit rings (matrices, group rings, truncated polynomials) define a
+product elementwise, in ``_scalar_mul``, which ``_DigitRing._tables`` calls
+on pairs of single-digit elements and extends to every pair by additivity.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ MAX_RING_SIZE = int(np.iinfo(ID_DTYPE).max) + 1
 # of a quotient, or the n x n mask that checks an identity involution's ring
 # is commutative, up to 1.5 more; every other gather runs in row blocks
 TABLE_BYTES_PER_PAIR = 6
+
+# element counts stop here: every larger ring is refused anyway, and a recipe
+# such as M100000(Z2) would otherwise build a 10^10-bit integer to refuse it
+SIZE_BOUND_CEILING = 1 << 64
 
 # entries of one row block of a widened gather in the table builders
 _BLOCK_ENTRIES = 1 << 20
@@ -211,20 +216,24 @@ def spec_string(spec: RingSpec) -> str:
 
 
 def spec_size_bound(spec: RingSpec) -> int:
-    """Element count of the spec; for quotients, the pre-quotient bound."""
+    """Element count of the spec, or SIZE_BOUND_CEILING if it is at least
+    that; for quotients, the pre-quotient bound.  An exponent of 64 already
+    reaches the ceiling from any base >= 2, so no larger one is used."""
     if isinstance(spec, Zmod):
-        return spec.n
-    if isinstance(spec, MatrixSpec):
-        return spec_size_bound(spec.base) ** (spec.k * spec.k)
-    if isinstance(spec, ProductSpec):
-        return spec_size_bound(spec.left) * spec_size_bound(spec.right)
-    if isinstance(spec, GroupRingSpec):
-        return spec_size_bound(spec.base) ** _validate_group_spec(spec.group)
-    if isinstance(spec, TruncatedPolySpec):
-        return spec_size_bound(spec.base) ** spec.bound
-    if isinstance(spec, QuotientSpec):
-        return spec_size_bound(spec.base)
-    raise MalformedSpec(f"not a ring spec: {spec!r}")
+        n = spec.n
+    elif isinstance(spec, MatrixSpec):
+        n = spec_size_bound(spec.base) ** min(spec.k * spec.k, 64)
+    elif isinstance(spec, ProductSpec):
+        n = spec_size_bound(spec.left) * spec_size_bound(spec.right)
+    elif isinstance(spec, GroupRingSpec):
+        n = spec_size_bound(spec.base) ** min(_validate_group_spec(spec.group), 64)
+    elif isinstance(spec, TruncatedPolySpec):
+        n = spec_size_bound(spec.base) ** min(spec.bound, 64)
+    elif isinstance(spec, QuotientSpec):
+        n = spec_size_bound(spec.base)
+    else:
+        raise MalformedSpec(f"not a ring spec: {spec!r}")
+    return min(n, SIZE_BOUND_CEILING)
 
 
 def validate_spec(spec: RingSpec, cap: int) -> None:
@@ -271,26 +280,16 @@ def validate_spec(spec: RingSpec, cap: int) -> None:
 class FiniteRing:
     """A finite unital ring on element ids 0..size-1.
 
-    Subclasses provide structural scalar arithmetic and a table builder;
-    everything else (units, idempotents, nilpotents, center, the Jacobson
-    radical, right-ideal masks) is derived here from the tables and cached.
+    A subclass provides ``_tables``, which returns its add, mul and neg
+    tables, plus rendering; the tables are its only arithmetic.  Everything
+    else (units, idempotents, nilpotents, center, the Jacobson radical,
+    right-ideal masks) is derived here from the tables and cached.
     """
 
     spec: RingSpec | None = None
     size: int
     one: int
     zero: int = 0
-
-    # -- structural scalar arithmetic: the reference the tables must match --
-
-    def _scalar_add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def _scalar_mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def _scalar_neg(self, a: int) -> int:
-        raise NotImplementedError
 
     def _tables(self):
         """Return the (add, mul, neg) tables as ID_DTYPE arrays."""
@@ -376,25 +375,20 @@ class FiniteRing:
 
     @cached_property
     def _unit_data(self) -> tuple[tuple[int, ...], np.ndarray]:
-        inv = np.full(self.size, -1, dtype=np.int64)
-        units: list[int] = []
+        # a unit's right inverse is unique, so the first b with ab = 1 is the
+        # inverse of a if a has one
         eq = self.mul_table == self.one
-        for a in range(self.size):
-            for b in np.flatnonzero(eq[a]):
-                if eq[b, a]:
-                    units.append(a)
-                    inv[a] = b
-                    break
-        return tuple(units), inv
+        b = eq.argmax(axis=1)
+        a = np.arange(self.size)
+        inv = np.where(eq[a, b] & eq[b, a], b, -1)
+        return tuple(np.flatnonzero(inv >= 0).tolist()), inv
 
     def units(self) -> tuple[int, ...]:
         return self._unit_data[0]
 
     @cached_property
     def units_mask(self) -> np.ndarray:
-        mask = np.zeros(self.size, dtype=bool)
-        mask[list(self._unit_data[0])] = True
-        return mask
+        return self._unit_data[1] >= 0
 
     @cached_property
     def unit_ids(self) -> np.ndarray:
@@ -425,10 +419,12 @@ class FiniteRing:
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
-        mask = np.zeros(self.size, dtype=bool)
-        for a in range(self.size):
-            mask[a] = self.is_nilpotent(a)
-        return mask
+        # a nilpotent a has a^k = 0 for some k <= n < 2^(n.bit_length()), so
+        # that many squarings of every element at once reach 0 exactly on them
+        p = np.arange(self.size)
+        for _ in range(self.size.bit_length()):
+            p = self.mul_table[p, p]
+        return p == self.zero
 
     def nilpotents(self) -> tuple[int, ...]:
         return tuple(int(x) for x in np.flatnonzero(self.nilpotent_mask))
@@ -437,23 +433,9 @@ class FiniteRing:
     def center_mask(self) -> np.ndarray:
         return (self.mul_table == self.mul_table.T).all(axis=1)
 
-    def center(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.flatnonzero(self.center_mask))
-
     @cached_property
     def is_commutative(self) -> bool:
         return bool(self.center_mask.all())
-
-    @cached_property
-    def _corners(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def corner_ids(self, e: int) -> np.ndarray:
-        """Ids of the corner eRe, ascending; cached per e."""
-        ids = self._corners.get(e)
-        if ids is None:
-            ids = self._corners[e] = np.unique(self.mul_table[self.mul_table[e], e])
-        return ids
 
     def commutant(self, a: int) -> np.ndarray:
         """Element ids commuting with a."""
@@ -542,15 +524,6 @@ class ZmodRing(FiniteRing):
         self.size = spec.n
         self.one = 1 % spec.n
 
-    def _scalar_add(self, a, b):
-        return (a + b) % self.size
-
-    def _scalar_mul(self, a, b):
-        return (a * b) % self.size
-
-    def _scalar_neg(self, a):
-        return (-a) % self.size
-
     def _tables(self):
         n = self.size
         i = np.arange(n, dtype=np.int64)
@@ -581,20 +554,6 @@ class ProductRing(FiniteRing):
 
     def join(self, l: int, r: int) -> int:
         return l * self.right.size + r
-
-    def _scalar_add(self, a, b):
-        al, ar = self.split(a)
-        bl, br = self.split(b)
-        return self.join(self.left.add(al, bl), self.right.add(ar, br))
-
-    def _scalar_mul(self, a, b):
-        al, ar = self.split(a)
-        bl, br = self.split(b)
-        return self.join(self.left.mul(al, bl), self.right.mul(ar, br))
-
-    def _scalar_neg(self, a):
-        al, ar = self.split(a)
-        return self.join(self.left.neg(al), self.right.neg(ar))
 
     def _tables(self):
         L, R, nr = self.left, self.right, self.right.size
@@ -645,13 +604,6 @@ class _DigitRing(FiniteRing):
         for d in digs:
             acc = acc * m + int(d)
         return acc
-
-    def _scalar_add(self, a, b):
-        da, db = self.digits_of(a), self.digits_of(b)
-        return self.encode([self.base.add(x, y) for x, y in zip(da, db)])
-
-    def _scalar_neg(self, a):
-        return self.encode([self.base.neg(x) for x in self.digits_of(a)])
 
     def _tables(self):
         """Tables from ``_scalar_mul`` on pairs of single-digit ids, by additivity.
@@ -844,15 +796,6 @@ class QuotientRing(FiniteRing):
             raise NotAnIdeal("coset partition is not uniform; subset is not an ideal")
         self.one = int(self.surjection[base.one])
 
-    def _scalar_add(self, a, b):
-        return int(self.surjection[self.base.add(int(self.reps[a]), int(self.reps[b]))])
-
-    def _scalar_mul(self, a, b):
-        return int(self.surjection[self.base.mul(int(self.reps[a]), int(self.reps[b]))])
-
-    def _scalar_neg(self, a):
-        return int(self.surjection[self.base.neg(int(self.reps[a]))])
-
     def _tables(self):
         B, reps, onto = self.base, self.reps, self.surjection
         return (
@@ -883,7 +826,7 @@ class CornerRing(FiniteRing):
         self.spec = None
         self.parent = parent
         self.e = e
-        elems = parent.corner_ids(e)
+        elems = np.unique(parent.mul_table[parent.mul_table[e], e])
         self.parent_elements = elems.astype(np.int64)
         self.size = len(elems)
         pos = np.full(parent.size, -1, dtype=np.int64)
@@ -899,15 +842,6 @@ class CornerRing(FiniteRing):
         if p < 0:
             raise ValueError(f"{self.parent.render(parent_id)} is not in the corner")
         return p
-
-    def _scalar_add(self, a, b):
-        return self.position(self.parent.add(self.embed(a), self.embed(b)))
-
-    def _scalar_mul(self, a, b):
-        return self.position(self.parent.mul(self.embed(a), self.embed(b)))
-
-    def _scalar_neg(self, a):
-        return self.position(self.parent.neg(self.embed(a)))
 
     def _tables(self):
         P, elems, pos = self.parent, self.parent_elements, self._pos
@@ -1034,38 +968,9 @@ def _build(spec: RingSpec) -> FiniteRing:
     raise MalformedSpec(f"not a ring spec: {spec!r}")
 
 
-def units(R: FiniteRing) -> tuple[int, ...]:
-    return R.units()
-
-
-def idempotents(R: FiniteRing) -> tuple[int, ...]:
-    return R.idempotents()
-
-
-def nilpotents(R: FiniteRing) -> tuple[int, ...]:
-    return R.nilpotents()
-
-
-def jacobson_radical(R: FiniteRing) -> Ideal:
-    return R.jacobson_radical()
-
-
 def quotient(R: FiniteRing, ideal: Ideal) -> QuotientRing:
-    if ideal.owner is not R:
-        raise NotAnIdeal("ideal belongs to a different ring")
     ideal.validate()
     return QuotientRing(R, ideal)
-
-
-def corner(R: FiniteRing, e: int) -> CornerRing:
-    return CornerRing(R, e)
-
-
-def is_local(R: FiniteRing) -> tuple[bool, int | None]:
-    """True iff every a has a or 1-a invertible; witness element otherwise."""
-    ok = R.units_mask | R.units_mask[R.one_minus_table]
-    bad = np.flatnonzero(~ok)
-    return (True, None) if bad.size == 0 else (False, int(bad[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", self.text, self.pos)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise ParseError("integer too long", self.text, start) from exc
 
     def filename(self) -> str:
         self._skip_ws()
@@ -305,7 +308,7 @@ def make_involution(R: FiniteRing, spec: InvSpec, base_dir: Path | None = None) 
             mapping = json.loads(path.read_text())
         except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read involution table {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer too long to convert
             raise ValidationError(f"involution table {path} is not valid JSON") from exc
         if (
             not isinstance(mapping, list)

@@ -20,6 +20,7 @@ from .elements import (
     strongly_star_regular_witness,
     unit_sasr_decomposition,
 )
+from .errors import UnknownProperty
 from .involutions import (
     StarRing,
     corner_star_ring,
@@ -613,7 +614,7 @@ SUITE_TAGS = tuple(SUITES)
 
 def run_suite(corpus: list[StarRing], tag: str) -> SuiteResult:
     if tag not in SUITES:
-        raise KeyError(f"unknown suite tag {tag!r}; known: {', '.join(SUITE_TAGS)}")
+        raise UnknownProperty(f"unknown suite tag {tag!r}; known: {', '.join(SUITE_TAGS)}")
     return SuiteResult(tag, tuple(SUITES[tag](corpus)))
 
 
@@ -623,15 +624,15 @@ def run_suites(
     """Run suites in canonical tag order; results are order-deterministic.
 
     tags=None runs every suite; an empty selection or an unknown tag raises
-    KeyError.
+    UnknownProperty.
 
     ``jobs`` is accepted and ignored: suites run one after another.
     """
     selected = list(SUITE_TAGS) if tags is None else list(tags)
     if not selected:
-        raise KeyError(f"no suite tag selected; known: {', '.join(SUITE_TAGS)}")
+        raise UnknownProperty(f"no suite tag selected; known: {', '.join(SUITE_TAGS)}")
     for tag in selected:
         if tag not in SUITES:
-            raise KeyError(f"unknown suite tag {tag!r}; known: {', '.join(SUITE_TAGS)}")
+            raise UnknownProperty(f"unknown suite tag {tag!r}; known: {', '.join(SUITE_TAGS)}")
     warmup(corpus)
     return [run_suite(corpus, tag) for tag in selected]

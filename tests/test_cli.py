@@ -377,3 +377,47 @@ def test_internal_error_exits_4(capsys, monkeypatch):
         "error: internal: RuntimeError: table lookup went wrong (at test_cli.py:"
         f"{broken.__code__.co_firstlineno + 1} in broken)\n"
     )
+
+
+def test_key_error_inside_a_suite_exits_4(capsys, monkeypatch):
+    import starclean.suites as suites_mod
+
+    def broken(corpus):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(suites_mod.SUITES, "BOOL", broken)
+    code = main(["suite", "--suites", "BOOL"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: KeyError: 'missing' (at test_cli.py:"
+        f"{broken.__code__.co_firstlineno + 1} in broken)\n"
+    )
+
+
+def test_oversized_numbers_are_refused(capsys, tmp_path):
+    long_int = "9" * 5000  # more digits than int() converts from text
+    long_json = tmp_path / "long.json"
+    long_json.write_text(f"[{long_int}]")
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(f"[[{'9' * 400}]]")
+
+    def check(ring, inv="id"):
+        return ["check", "--ring", ring, "--inv", inv, "--prop", "clean"]
+
+    for argv, exit_code, message in (
+        (check("M200(Z2)"), 3, "ring would have 2^64 or more elements, exceeding the cap"),
+        (check("M99999999999999999999(Z2)"), 3, "ring would have 2^64 or more elements"),
+        (check(f"Z{long_int}"), 2, "integer too long at position 1"),
+        (check("Z4", f"table:{long_json}"), 2, f"involution table {long_json} is not valid JSON"),
+        (["suite", "--corpus", str(long_json)], 2, f"corpus file {long_json} is not valid JSON"),
+        (["numeric", str(long_json)], 2, "invalid JSON matrix"),
+        (["numeric", str(overflow)], 2, "matrix entry out of floating-point range"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == exit_code, argv
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}"), (argv, captured.err[:200])
+        assert captured.err.count("\n") == 1

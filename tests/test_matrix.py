@@ -168,6 +168,10 @@ def test_ill_conditioned_raises():
         numerical_rank(np.diag([1.0, 1e-8]))
     with pytest.raises(IllConditioned):
         matrix_index(dm([[1, 0], [0, 1e-8]]))
+    # at tol = 0 rounding noise counts toward the rank, so the core block of
+    # this singular matrix is taken to be all of it
+    with pytest.raises(IllConditioned):
+        is_spsr_matrix(dm([[0, 0], [2, 5]]), tol=0)
 
 
 def _outcome(A):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from idealref import fixpoint_ideal_mask
+from ringref import scalar_add, scalar_mul, scalar_neg
 from starclean.corpus import default_corpus
 from starclean.errors import MalformedSpec, NotAnIdeal, NotIdempotent, SpecTooLarge
 from starclean.rings import (
     ID_DTYPE,
+    CornerRing,
     Cyclic,
     GroupProduct,
     GroupRingSpec,
@@ -19,10 +21,7 @@ from starclean.rings import (
     Zmod,
     build_ring,
     check_ring_axioms,
-    corner,
     generated_ideal,
-    is_local,
-    jacobson_radical,
     quotient,
     spec_string,
 )
@@ -126,7 +125,7 @@ def test_zmod_basics():
 def test_zmod_jacobson_matches_oracle():
     for n in (4, 6, 8, 9, 12):
         R = build_ring(Zmod(n))
-        assert set(jacobson_radical(R).elements()) == oracle_jacobson_zmod(n)
+        assert set(R.jacobson_radical().elements()) == oracle_jacobson_zmod(n)
 
 
 def test_matrix_ring_m2z2():
@@ -152,12 +151,12 @@ def test_matrix_ring_m2z3_idempotents():
 def test_jacobson_m2z2_is_zero():
     R = build_ring(MatrixSpec(2, Zmod(2)))
     assert oracle_jacobson_m2(2) == [((0, 0), (0, 0))]
-    assert jacobson_radical(R).elements() == (0,)
+    assert R.jacobson_radical().elements() == (0,)
 
 
 def test_jacobson_product_is_zero():
     R = build_ring(ProductSpec(Zmod(2), Zmod(2)))
-    assert jacobson_radical(R).elements() == (R.zero,)
+    assert R.jacobson_radical().elements() == (R.zero,)
     assert set(R.units()) == {R.from_value((1, 1))}
     assert len(R.idempotents()) == 4
 
@@ -232,9 +231,9 @@ def test_quotient_spec_in_tree():
 
 def test_corner_identity_and_zero():
     R = build_ring(MatrixSpec(2, Zmod(2)))
-    C1 = corner(R, R.one)
+    C1 = CornerRing(R, R.one)
     assert C1.size == R.size
-    C0 = corner(R, R.zero)
+    C0 = CornerRing(R, R.zero)
     assert C0.size == 1
     assert C0.one == C0.zero
 
@@ -242,7 +241,7 @@ def test_corner_identity_and_zero():
 def test_corner_e11():
     R = build_ring(MatrixSpec(2, Zmod(2)))
     e11 = R.from_value([[1, 0], [0, 0]])
-    C = corner(R, e11)
+    C = CornerRing(R, e11)
     assert C.size == 2
     assert C.embed(C.one) == e11
     assert C.mul(C.one, C.one) == C.one
@@ -252,15 +251,7 @@ def test_corner_e11():
 def test_corner_rejects_non_idempotent():
     R = build_ring(Zmod(4))
     with pytest.raises(NotIdempotent):
-        corner(R, 2)
-
-
-def test_is_local():
-    assert is_local(build_ring(Zmod(4))) == (True, None)
-    ok, witness = is_local(build_ring(Zmod(6)))
-    assert not ok and witness is not None
-    ok, _ = is_local(build_ring(MatrixSpec(2, Zmod(2))))
-    assert not ok
+        CornerRing(R, 2)
 
 
 def test_directly_finite():
@@ -277,9 +268,27 @@ def test_inverse_map_is_involution():
         assert R.mul(u, v) == R.one and R.mul(v, u) == R.one
 
 
+def test_unit_and_nilpotent_caches_match_brute_force():
+    for S in default_corpus():
+        R = S.ring
+        mul = R.mul_table
+        assert R.nilpotent_mask.tolist() == [R.is_nilpotent(a) for a in R.elements()], S.label
+        units = []
+        for a in R.elements():
+            two_sided = np.flatnonzero((mul[a] == R.one) & (mul[:, a] == R.one))
+            if two_sided.size:
+                assert two_sided.tolist() == [R.inverse(a)], (S.label, a)
+                units.append(a)
+            else:
+                with pytest.raises(ValueError):
+                    R.inverse(a)
+        assert R.units() == tuple(units), S.label
+        assert R.units_mask.tolist() == [a in units for a in R.elements()], S.label
+
+
 def test_scalar_matches_tables():
-    # the structural arithmetic is the reference for the tables; digit rings
-    # call _scalar_mul only on single-digit pairs and extend by additivity
+    # the structural reference in ringref against every table entry; digit
+    # rings call _scalar_mul only on single-digit pairs and extend by additivity
     M2 = build_ring(MatrixSpec(2, Zmod(2)))
     rings = [
         build_ring(spec)
@@ -296,14 +305,14 @@ def test_scalar_matches_tables():
             QuotientSpec(MatrixSpec(2, Zmod(4)), (130,)),  # M2(Z4) mod 2*I
         )
     ]
-    rings.append(corner(M2, M2.from_value([[1, 0], [0, 0]])))
+    rings.append(CornerRing(M2, M2.from_value([[1, 0], [0, 0]])))
     rings.append(quotient(M2, generated_ideal(M2, [M2.from_value([[0, 1], [0, 0]])])))
     for R in rings:
         for a in range(R.size):
-            assert R._scalar_neg(a) == int(R.neg_table[a]), (R, a)
+            assert scalar_neg(R, a) == int(R.neg_table[a]), (R, a)
             for b in range(R.size):
-                assert R._scalar_add(a, b) == int(R.add_table[a, b]), (R, a, b)
-                assert R._scalar_mul(a, b) == int(R.mul_table[a, b]), (R, a, b)
+                assert scalar_add(R, a, b) == int(R.add_table[a, b]), (R, a, b)
+                assert scalar_mul(R, a, b) == int(R.mul_table[a, b]), (R, a, b)
 
 
 def _tables(R):
@@ -315,9 +324,9 @@ def test_every_table_is_uint16():
     for S in default_corpus():
         R = S.ring
         e = R.idempotents()[len(R.idempotents()) // 2]
-        J = jacobson_radical(R)
+        J = R.jacobson_radical()
         g = J.elements()[-1] if J.size > 1 else R.zero
-        for ring in (R, corner(R, e), quotient(R, generated_ideal(R, [g]))):
+        for ring in (R, CornerRing(R, e), quotient(R, generated_ideal(R, [g]))):
             assert [t.dtype for t in _tables(ring)] == [np.uint16] * 3, (S.label, ring)
             assert all(t.flags.c_contiguous for t in _tables(ring)), (S.label, ring)
 
@@ -368,9 +377,9 @@ def test_power_sequence():
 def test_quotient_mod_radical_is_semisimple():
     for spec in (Zmod(8), Zmod(9), GroupRingSpec(Zmod(2), Cyclic(2))):
         R = build_ring(spec)
-        J = jacobson_radical(R)
+        J = R.jacobson_radical()
         Q = quotient(R, J)
-        assert jacobson_radical(Q).elements() == (Q.zero,)
+        assert Q.jacobson_radical().elements() == (Q.zero,)
 
 
 def test_generated_ideal_matches_fixpoint_reference():

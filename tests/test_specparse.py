@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringref import scalar_add, scalar_mul, scalar_neg
 from starclean.errors import (
     IdentityOnNoncommutative,
     NotStarInvariant,
@@ -23,6 +24,7 @@ from starclean.rings import (
     Zmod,
     build_ring,
     check_ring_axioms,
+    spec_size_bound,
     spec_string,
 )
 from starclean.specparse import (
@@ -149,9 +151,20 @@ def test_spec_string_roundtrip(spec):
     assert parse_ring_spec(spec_string(spec)) == spec
 
 
-@given(_spec.filter(lambda s: 1 < __import__("starclean.rings", fromlist=["spec_size_bound"]).spec_size_bound(s) <= 128))
+@given(_spec.filter(lambda s: 1 < spec_size_bound(s) <= 128))
 @settings(max_examples=25, deadline=None)
 def test_random_specs_build_valid_rings(spec):
     R = build_ring(spec)
     assert check_ring_axioms(R, exhaustive_limit=64, samples=600) == []
     assert R.directly_finite_witness() is None
+
+
+@given(_spec.filter(lambda s: spec_size_bound(s) <= 64))
+@settings(max_examples=25, deadline=None)
+def test_random_spec_tables_match_reference(spec):
+    R = build_ring(spec)
+    for a in R.elements():
+        assert scalar_neg(R, a) == int(R.neg_table[a]), (spec, a)
+        for b in R.elements():
+            assert scalar_add(R, a, b) == int(R.add_table[a, b]), (spec, a, b)
+            assert scalar_mul(R, a, b) == int(R.mul_table[a, b]), (spec, a, b)

@@ -6,6 +6,7 @@ import pytest
 from idealref import fixpoint_ideal_mask
 from starclean import suites
 from starclean.corpus import default_corpus
+from starclean.errors import UnknownProperty
 from starclean.properties import lifting_checks, ring_property, stable_range_checks
 from starclean.rings import Ideal
 from starclean.specparse import build_star_ring
@@ -39,7 +40,7 @@ def test_all_suites_pass(corpus):
 
 
 def test_unknown_tag(corpus):
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownProperty):
         run_suite(corpus, "NOPE")
 
 
