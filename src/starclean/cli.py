@@ -406,24 +406,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# control characters, written as \xNN escapes in an error line
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+
+
+def _error(message: str) -> None:
+    """Write the one ``error:`` line of a failed command to stderr."""
+    print(f"error: {message.translate(_CONTROL_ESCAPES)}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except SpecTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 3
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     except Exception as exc:  # a bug, not bad input: keep it apart from exit 1
         where = traceback.extract_tb(exc.__traceback__)[-1]
         message = " ".join(str(exc).split())
-        print(
-            f"error: internal: {type(exc).__name__}: {message} "
-            f"(at {Path(where.filename).name}:{where.lineno} in {where.name})",
-            file=sys.stderr,
+        _error(
+            f"internal: {type(exc).__name__}: {message} "
+            f"(at {Path(where.filename).name}:{where.lineno} in {where.name})"
         )
         return 4
 

@@ -2,60 +2,40 @@
 
 from __future__ import annotations
 
-from .involutions import (
-    StarRing,
-    corner_star_ring,
-    group_ring_involution,
-    identity_involution,
-    swap_involution,
-    transpose_involution,
-    truncated_poly_involution,
+from .involutions import StarRing, corner_star_ring
+from .specparse import build_star_ring
+
+# (ring recipe, involution recipe) of every member but the two corners
+_RECIPES = (
+    ("Z2", "id"),
+    ("Z3", "id"),
+    ("Z4", "id"),
+    ("Z5", "id"),
+    ("Z6", "id"),
+    ("Z8", "id"),
+    ("Z9", "id"),
+    ("Z16", "id"),
+    ("Z2xZ2", "swap"),
+    ("Z2xZ2", "id"),
+    ("M2(Z2)", "tr(id)"),
+    ("M2(Z3)", "tr(id)"),
+    ("GR(Z4,C2)", "grp(id)"),
+    ("GR(Z2,C2)", "grp(id)"),
+    ("GR(Z4,C4)", "grp(id)"),
+    ("TP(Z2,3)", "tp(id)"),
 )
-from .rings import (
-    Cyclic,
-    GroupRingSpec,
-    MatrixSpec,
-    ProductSpec,
-    TruncatedPolySpec,
-    Zmod,
-    build_ring,
-)
-
-
-def _ident(spec):
-    R = build_ring(spec)
-    return StarRing(R, identity_involution(R))
-
-
-def _m2_transpose(n: int) -> StarRing:
-    R = build_ring(MatrixSpec(2, Zmod(n)))
-    return StarRing(R, transpose_involution(R, identity_involution(R.base)))
-
-
-def _group_ring(base_n: int, group_n: int) -> StarRing:
-    R = build_ring(GroupRingSpec(Zmod(base_n), Cyclic(group_n)))
-    return StarRing(R, group_ring_involution(R, identity_involution(R.base)))
 
 
 def default_corpus() -> list[StarRing]:
-    """Eighteen star rings covering the worked examples plus hypothesis variations."""
-    members: list[StarRing] = []
-    for n in (2, 3, 4, 5, 6, 8, 9, 16):
-        members.append(_ident(Zmod(n)))
-    swap_base = build_ring(ProductSpec(Zmod(2), Zmod(2)))
-    members.append(StarRing(swap_base, swap_involution(swap_base)))
-    members.append(_ident(ProductSpec(Zmod(2), Zmod(2))))
-    members.append(_m2_transpose(2))
-    members.append(_m2_transpose(3))
-    members.append(_group_ring(4, 2))
-    members.append(_group_ring(2, 2))
-    members.append(_group_ring(4, 4))
-    tp = build_ring(TruncatedPolySpec(Zmod(2), 3))
-    members.append(StarRing(tp, truncated_poly_involution(tp, identity_involution(tp.base))))
-    for n in (2, 3):
-        S = _m2_transpose(n)
-        e11 = S.ring.from_value([[1, 0], [0, 0]])
-        members.append(corner_star_ring(S, e11))
+    """Eighteen star rings covering the worked examples plus hypothesis variations.
+
+    The sixteen recipe members come first, then the corners of M2(Z2) and
+    M2(Z3) at e11.
+    """
+    members = [build_star_ring(ring, inv) for ring, inv in _RECIPES]
+    for ring in ("M2(Z2)", "M2(Z3)"):
+        S = build_star_ring(ring, "tr(id)")
+        members.append(corner_star_ring(S, S.ring.from_value([[1, 0], [0, 0]])))
     return members
 
 

@@ -44,10 +44,21 @@ class SpecTooLarge(StarCleanError):
 
 
 class ParseError(StarCleanError):
-    """Spec text failed to parse; carries the offending position."""
+    """Spec text failed to parse; carries the offending position.
+
+    The message quotes the whole text when it is short, and otherwise only
+    the ``QUOTE_CHARS`` characters on each side of the position, with
+    ``...`` for each elided end.
+    """
+
+    QUOTE_CHARS = 40
 
     def __init__(self, message: str, text: str, pos: int):
-        super().__init__(f"{message} at position {pos} in {text!r}")
+        lo, hi = max(0, pos - self.QUOTE_CHARS), pos + self.QUOTE_CHARS
+        if len(text) <= 2 * self.QUOTE_CHARS:
+            lo, hi = 0, len(text)
+        quoted = f"{'...' if lo else ''}{text[lo:hi]!r}{'...' if hi < len(text) else ''}"
+        super().__init__(f"{message} at position {pos} in {quoted}")
         self.text = text
         self.pos = pos
 

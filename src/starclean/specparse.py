@@ -305,9 +305,11 @@ def make_involution(R: FiniteRing, spec: InvSpec, base_dir: Path | None = None) 
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         try:
-            mapping = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError) as exc:
+            text = path.read_text()
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise ValidationError(f"cannot read involution table {path}: {exc}") from exc
+        try:
+            mapping = json.loads(text)
         except ValueError as exc:  # bad JSON, or an integer too long to convert
             raise ValidationError(f"involution table {path} is not valid JSON") from exc
         if (

@@ -4,6 +4,10 @@ Each suite evaluates every side of an equivalence (or implication) through
 its own code path and reports any ring where the sides disagree.  A PASS
 asserts consistency on the given corpus, never a general proof.  Rings that
 do not meet a suite's hypothesis are reported as consistent with a note.
+
+A suite is a function of one star ring that returns that ring's row;
+``run_suite`` is the one loop over the rings.  A suite runs over the corpus
+unless ``_INSTANCES`` gives it its own ring list.
 """
 
 from __future__ import annotations
@@ -14,28 +18,21 @@ import numpy as np
 
 from .corpus import warmup
 from .elements import (
-    spsr_c1,
     spsr_c2,
     spsr_conditions,
     strongly_star_regular_witness,
     unit_sasr_decomposition,
 )
 from .errors import UnknownProperty
-from .involutions import (
-    StarRing,
-    corner_star_ring,
-    group_ring_involution,
-    identity_involution,
-    induce_quotient_involution,
-    transpose_involution,
-)
+from .involutions import StarRing, corner_star_ring, induce_quotient_involution
 from .properties import (
     lifting_checks,
     psr_onesided_equiv,
     ring_property,
     stable_range_checks,
 )
-from .rings import Cyclic, GroupRingSpec, MatrixSpec, Zmod, build_ring, generated_ideal
+from .rings import MatrixSpec, generated_ideal
+from .specparse import build_star_ring
 
 
 @dataclass(frozen=True)
@@ -78,28 +75,17 @@ def _flags_detail(**kwargs) -> dict:
 # -- element-level equivalence ---------------------------------------------------
 
 
-def _suite_elem_equiv(corpus):
-    rows = []
-    for S in corpus:
-        bad = None
-        for a in S.ring.elements():
-            v = spsr_conditions(S, a)
-            if not v.consistent:
-                bad = (a, v.flags)
-                break
-        if bad is None:
-            rows.append(SuiteRow(S.label, True, "four conditions agree on every element"))
-        else:
-            a, flags = bad
-            rows.append(
-                SuiteRow(
-                    S.label,
-                    False,
-                    f"conditions disagree on {S.ring.render(a)}",
-                    {"element": int(a), "flags": list(flags)},
-                )
+def _suite_elem_equiv(S: StarRing) -> SuiteRow:
+    for a in S.ring.elements():
+        v = spsr_conditions(S, a)
+        if not v.consistent:
+            return SuiteRow(
+                S.label,
+                False,
+                f"conditions disagree on {S.ring.render(a)}",
+                {"element": int(a), "flags": list(v.flags)},
             )
-    return rows
+    return SuiteRow(S.label, True, "four conditions agree on every element")
 
 
 # -- ring-level equivalence --------------------------------------------------------
@@ -146,91 +132,71 @@ def _ring_equiv_c5(S: StarRing) -> bool:
     return True
 
 
-def _suite_ring_equiv(corpus):
-    rows = []
-    for S in corpus:
-        c1 = all(spsr_c1(S, a) is not None for a in S.ring.elements())
-        c2 = (
-            ring_property(S, "pi-regular").value
-            and ring_property(S, "idempotents-are-projections").value
-        )
-        c3 = _ring_equiv_c3(S)
-        c4 = _ring_equiv_c4(S)
-        c5 = _ring_equiv_c5(S)
-        detail = _flags_detail(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5)
-        ok = len({c1, c2, c3, c4, c5}) == 1
-        rows.append(SuiteRow(S.label, ok, "five ring conditions compared", detail))
-    return rows
+def _suite_ring_equiv(S: StarRing) -> SuiteRow:
+    c1 = ring_property(S, "strongly-pi-star-regular").value
+    c2 = (
+        ring_property(S, "pi-regular").value
+        and ring_property(S, "idempotents-are-projections").value
+    )
+    c3 = _ring_equiv_c3(S)
+    c4 = _ring_equiv_c4(S)
+    c5 = _ring_equiv_c5(S)
+    detail = _flags_detail(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5)
+    ok = len({c1, c2, c3, c4, c5}) == 1
+    return SuiteRow(S.label, ok, "five ring conditions compared", detail)
 
 
 # -- radical factor equivalence -----------------------------------------------------
 
 
-def _suite_jac_equiv(corpus):
-    rows = []
-    for S in corpus:
-        QS, _ = S.mod_jacobson()
-        jnil = ring_property(S, "J-nil").value
-        lift = lifting_checks(S)
-        c1 = ring_property(S, "strongly-pi-star-regular").value
-        c2 = (
-            all(spsr_c2(QS, x) is not None for x in QS.ring.elements())
-            and jnil
-            and lift.projections_central.value
-            and lift.projections_lift.value
-        )
-        c3 = (
-            ring_property(QS, "strongly-star-regular").value
-            and jnil
-            and lift.idempotents_lift_to_central_projections.value
-        )
-        detail = _flags_detail(c1=c1, c2=c2, c3=c3)
-        ok = len({c1, c2, c3}) == 1
-        rows.append(SuiteRow(S.label, ok, "radical-factor conditions compared", detail))
-    return rows
+def _suite_jac_equiv(S: StarRing) -> SuiteRow:
+    QS, _ = S.mod_jacobson()
+    jnil = ring_property(S, "J-nil").value
+    lift = lifting_checks(S)
+    c1 = ring_property(S, "strongly-pi-star-regular").value
+    c2 = (
+        all(spsr_c2(QS, x) is not None for x in QS.ring.elements())
+        and jnil
+        and lift.projections_central.value
+        and lift.projections_lift.value
+    )
+    c3 = (
+        ring_property(QS, "strongly-star-regular").value
+        and jnil
+        and lift.idempotents_lift_to_central_projections.value
+    )
+    detail = _flags_detail(c1=c1, c2=c2, c3=c3)
+    ok = len({c1, c2, c3}) == 1
+    return SuiteRow(S.label, ok, "radical-factor conditions compared", detail)
 
 
-def _suite_spr_split(corpus):
-    rows = []
-    for S in corpus:
-        lhs = (
-            ring_property(S, "strongly-star-clean").value
-            and ring_property(S, "pi-regular").value
-        )
-        rhs = ring_property(S, "strongly-pi-star-regular").value
-        rows.append(
-            SuiteRow(S.label, lhs == rhs, "", _flags_detail(split=lhs, direct=rhs))
-        )
-    return rows
+def _suite_spr_split(S: StarRing) -> SuiteRow:
+    lhs = (
+        ring_property(S, "strongly-star-clean").value
+        and ring_property(S, "pi-regular").value
+    )
+    rhs = ring_property(S, "strongly-pi-star-regular").value
+    return SuiteRow(S.label, lhs == rhs, "", _flags_detail(split=lhs, direct=rhs))
 
 
 # -- matrix rings are never strongly pi-star-regular ---------------------------------
 
 
-def _matrix_instances(corpus):
-    instances = [
-        (S.label, S)
-        for S in corpus
-        if isinstance(S.ring.spec, MatrixSpec)
+def _is_matrix_transpose(S: StarRing) -> bool:
+    return (
+        isinstance(S.ring.spec, MatrixSpec)
         and S.ring.spec.k >= 2
         and S.involution.kind == "star-transpose"
-    ]
-    R = build_ring(MatrixSpec(2, Zmod(4)))
-    S4 = StarRing(R, transpose_involution(R, identity_involution(R.base)))
-    instances.append((S4.label, S4))
-    return instances
+    )
 
 
-def _suite_matrix_neg(corpus):
-    rows = []
-    for label, S in _matrix_instances(corpus):
-        verdict = ring_property(S, "strongly-pi-star-regular")
-        note = "matrix ring correctly fails" if not verdict.value else "matrix ring passes?!"
-        detail = {}
-        if verdict.witness is not None:
-            detail["witness"] = verdict.witness.to_dict()
-        rows.append(SuiteRow(label, not verdict.value, note, detail))
-    return rows
+def _suite_matrix_neg(S: StarRing) -> SuiteRow:
+    verdict = ring_property(S, "strongly-pi-star-regular")
+    note = "matrix ring correctly fails" if not verdict.value else "matrix ring passes?!"
+    detail = {}
+    if verdict.witness is not None:
+        detail["witness"] = verdict.witness.to_dict()
+    return SuiteRow(S.label, not verdict.value, note, detail)
 
 
 # -- corners inherit the property ------------------------------------------------------
@@ -241,65 +207,49 @@ def _corner(S: StarRing, e: int) -> StarRing:
     return S if e == S.ring.one else corner_star_ring(S, e)
 
 
-def _suite_corner(corpus):
-    rows = []
-    for S in corpus:
-        if not ring_property(S, "strongly-pi-star-regular").value:
-            rows.append(SuiteRow(S.label, True, "hypothesis not met; skipped"))
-            continue
-        R = S.ring
-        ok = True
-        note = ""
-        tested = 0
-        for e in R.idempotents():
-            if S.star(e) != e:
-                ok = False
-                note = f"idempotent {R.render(e)} is not a projection"
-                break
-            CS = _corner(S, e)
-            tested += 1
-            bad = next(
-                (x for x in CS.ring.elements() if spsr_c2(CS, x) is None), None
+def _suite_corner(S: StarRing) -> SuiteRow:
+    if not ring_property(S, "strongly-pi-star-regular").value:
+        return SuiteRow(S.label, True, "hypothesis not met; skipped")
+    R = S.ring
+    tested = 0
+    for e in R.idempotents():
+        if S.star(e) != e:
+            return SuiteRow(S.label, False, f"idempotent {R.render(e)} is not a projection")
+        CS = _corner(S, e)
+        tested += 1
+        bad = next((x for x in CS.ring.elements() if spsr_c2(CS, x) is None), None)
+        if bad is not None:
+            return SuiteRow(
+                S.label, False, f"corner at {R.render(e)} fails on {CS.ring.render(bad)}"
             )
-            if bad is not None:
-                ok = False
-                note = f"corner at {R.render(e)} fails on {CS.ring.render(bad)}"
-                break
-        rows.append(SuiteRow(S.label, ok, note or f"{tested} corners verified"))
-    return rows
+    return SuiteRow(S.label, True, f"{tested} corners verified")
 
 
 # -- group rings over two-groups --------------------------------------------------------
 
 
-def _suite_groupring(corpus):
-    del corpus  # fixed instances; the corpus members are rebuilt for independence
-    rows = []
-    for base_n, group_n in ((4, 2), (4, 4), (2, 2), (2, 4)):
-        base = build_ring(Zmod(base_n))
-        S = StarRing(base, identity_involution(base))
-        two = base.add(base.one, base.one)
-        hyp_two = base.jacobson_radical().contains(two)
-        RG = build_ring(GroupRingSpec(Zmod(base_n), Cyclic(group_n)))
-        SG = StarRing(RG, group_ring_involution(RG, identity_involution(RG.base)))
-        hyp_group = RG.group.is_two_group()
-        lhs = all(spsr_c1(S, a) is not None for a in base.elements())
-        rhs = all(spsr_c2(SG, x) is not None for x in RG.elements())
-        ok = hyp_two and hyp_group and lhs == rhs
-        rows.append(
-            SuiteRow(
-                SG.label,
-                ok,
-                "finite coefficient ring grants the artinian-prime-factor hypothesis",
-                _flags_detail(
-                    two_in_radical=hyp_two,
-                    two_group=hyp_group,
-                    base=lhs,
-                    group_ring=rhs,
-                ),
-            )
-        )
-    return rows
+def _suite_groupring(SG: StarRing) -> SuiteRow:
+    # the base side is rebuilt from its recipe, apart from the group ring
+    RG = SG.ring
+    S = build_star_ring(f"Z{RG.base.size}", "id")
+    base = S.ring
+    two = base.add(base.one, base.one)
+    hyp_two = base.jacobson_radical().contains(two)
+    hyp_group = RG.group.is_two_group()
+    lhs = ring_property(S, "strongly-pi-star-regular").value
+    rhs = all(spsr_c2(SG, x) is not None for x in RG.elements())
+    ok = hyp_two and hyp_group and lhs == rhs
+    return SuiteRow(
+        SG.label,
+        ok,
+        "finite coefficient ring grants the artinian-prime-factor hypothesis",
+        _flags_detail(
+            two_in_radical=hyp_two,
+            two_group=hyp_group,
+            base=lhs,
+            group_ring=rhs,
+        ),
+    )
 
 
 # -- the seven stable-range / cleanness conditions ----------------------------------------
@@ -338,121 +288,93 @@ def _src_c7(S: StarRing) -> bool:
     return True
 
 
-def _suite_src_equiv(corpus):
-    rows = []
-    for S in corpus:
-        sr = stable_range_checks(S)
-        star_ab = ring_property(S, "star-abelian").value
-        idproj = ring_property(S, "idempotents-are-projections").value
-        flags = {
-            "c1": sr["psr1"].value and star_ab,
-            "c2": _src_c2(S),
-            "c3": sr["isr1"].value and idproj,
-            "c4_clean": ring_property(S, "clean").value and idproj,
-            "c4_exchange": ring_property(S, "exchange").value and idproj,
-            "c5": ring_property(S, "star-clean").value and star_ab,
-            "c6": ring_property(S, "strongly-star-clean").value,
-            "c7": _src_c7(S),
-        }
-        ok = len(set(flags.values())) == 1
-        rows.append(SuiteRow(S.label, ok, "seven conditions compared", _flags_detail(**flags)))
-    return rows
+def _suite_src_equiv(S: StarRing) -> SuiteRow:
+    sr = stable_range_checks(S)
+    star_ab = ring_property(S, "star-abelian").value
+    idproj = ring_property(S, "idempotents-are-projections").value
+    flags = {
+        "c1": sr["psr1"].value and star_ab,
+        "c2": _src_c2(S),
+        "c3": sr["isr1"].value and idproj,
+        "c4_clean": ring_property(S, "clean").value and idproj,
+        "c4_exchange": ring_property(S, "exchange").value and idproj,
+        "c5": ring_property(S, "star-clean").value and star_ab,
+        "c6": ring_property(S, "strongly-star-clean").value,
+        "c7": _src_c7(S),
+    }
+    ok = len(set(flags.values())) == 1
+    return SuiteRow(S.label, ok, "seven conditions compared", _flags_detail(**flags))
 
 
-def _suite_ssc_psr(corpus):
-    rows = []
-    for S in corpus:
-        ssc = ring_property(S, "strongly-star-clean").value
-        if not ssc:
-            rows.append(SuiteRow(S.label, True, "hypothesis not met; skipped"))
-            continue
-        psr = stable_range_checks(S)["psr1"].value
-        rows.append(SuiteRow(S.label, psr, "", _flags_detail(ssc=ssc, psr1=psr)))
-    return rows
+def _suite_ssc_psr(S: StarRing) -> SuiteRow:
+    ssc = ring_property(S, "strongly-star-clean").value
+    if not ssc:
+        return SuiteRow(S.label, True, "hypothesis not met; skipped")
+    psr = stable_range_checks(S)["psr1"].value
+    return SuiteRow(S.label, psr, "", _flags_detail(ssc=ssc, psr1=psr))
 
 
-def _suite_psr_sc(corpus):
-    rows = []
-    for S in corpus:
-        psr = stable_range_checks(S)["psr1"].value
-        if not psr:
-            rows.append(SuiteRow(S.label, True, "hypothesis not met; skipped"))
-            continue
-        sc = ring_property(S, "star-clean").value
-        rows.append(SuiteRow(S.label, sc, "", _flags_detail(psr1=psr, star_clean=sc)))
-    return rows
+def _suite_psr_sc(S: StarRing) -> SuiteRow:
+    psr = stable_range_checks(S)["psr1"].value
+    if not psr:
+        return SuiteRow(S.label, True, "hypothesis not met; skipped")
+    sc = ring_property(S, "star-clean").value
+    return SuiteRow(S.label, sc, "", _flags_detail(psr1=psr, star_clean=sc))
 
 
 # -- local rings ------------------------------------------------------------------------
 
 
-def _suite_local_equiv(corpus):
-    rows = []
-    for S in corpus:
-        R = S.ring
-        trivial = {R.zero, R.one}
-        c1 = ring_property(S, "star-clean").value and set(S.projections()) == trivial
-        c2 = ring_property(S, "clean").value and set(R.idempotents()) == trivial
-        c3 = ring_property(S, "local").value
-        ok = len({c1, c2, c3}) == 1
-        rows.append(SuiteRow(S.label, ok, "", _flags_detail(c1=c1, c2=c2, c3=c3)))
-    return rows
+def _suite_local_equiv(S: StarRing) -> SuiteRow:
+    R = S.ring
+    trivial = {R.zero, R.one}
+    c1 = ring_property(S, "star-clean").value and set(S.projections()) == trivial
+    c2 = ring_property(S, "clean").value and set(R.idempotents()) == trivial
+    c3 = ring_property(S, "local").value
+    ok = len({c1, c2, c3}) == 1
+    return SuiteRow(S.label, ok, "", _flags_detail(c1=c1, c2=c2, c3=c3))
 
 
 # -- rings where 2 is invertible -----------------------------------------------------------
 
 
-def _suite_two_unit(corpus):
-    rows = []
-    for S in corpus:
-        R = S.ring
-        two = R.add(R.one, R.one)
-        if not R.units_mask[two]:
-            rows.append(SuiteRow(S.label, True, "2 is not a unit; skipped"))
-            continue
-        sqrt1 = [u for u in R.elements() if R.mul(u, u) == R.one]
-        lemma_lhs = all(S.star(u) == u for u in sqrt1)
-        lemma_rhs = ring_property(S, "idempotents-are-projections").value
-        thm_lhs = ring_property(S, "star-clean").value
-        thm_rhs = all(unit_sasr_decomposition(S, a) is not None for a in R.elements())
-        cor_lhs = ring_property(S, "clean").value and all(
-            S.star(u) == u for u in R.units()
-        )
-        cor_rhs = ring_property(S, "star-clean").value and S.is_identity_involution()
-        ok = lemma_lhs == lemma_rhs and thm_lhs == thm_rhs and cor_lhs == cor_rhs
-        rows.append(
-            SuiteRow(
-                S.label,
-                ok,
-                "square-root lemma, decomposition theorem, self-adjoint-unit corollary",
-                _flags_detail(
-                    lemma_lhs=lemma_lhs,
-                    lemma_rhs=lemma_rhs,
-                    theorem_lhs=thm_lhs,
-                    theorem_rhs=thm_rhs,
-                    corollary_lhs=cor_lhs,
-                    corollary_rhs=cor_rhs,
-                ),
-            )
-        )
-    return rows
+def _suite_two_unit(S: StarRing) -> SuiteRow:
+    R = S.ring
+    two = R.add(R.one, R.one)
+    if not R.units_mask[two]:
+        return SuiteRow(S.label, True, "2 is not a unit; skipped")
+    sqrt1 = [u for u in R.elements() if R.mul(u, u) == R.one]
+    lemma_lhs = all(S.star(u) == u for u in sqrt1)
+    lemma_rhs = ring_property(S, "idempotents-are-projections").value
+    thm_lhs = ring_property(S, "star-clean").value
+    thm_rhs = all(unit_sasr_decomposition(S, a) is not None for a in R.elements())
+    cor_lhs = ring_property(S, "clean").value and all(S.star(u) == u for u in R.units())
+    cor_rhs = ring_property(S, "star-clean").value and S.is_identity_involution()
+    ok = lemma_lhs == lemma_rhs and thm_lhs == thm_rhs and cor_lhs == cor_rhs
+    return SuiteRow(
+        S.label,
+        ok,
+        "square-root lemma, decomposition theorem, self-adjoint-unit corollary",
+        _flags_detail(
+            lemma_lhs=lemma_lhs,
+            lemma_rhs=lemma_rhs,
+            theorem_lhs=thm_lhs,
+            theorem_rhs=thm_rhs,
+            corollary_lhs=cor_lhs,
+            corollary_rhs=cor_rhs,
+        ),
+    )
 
 
 # -- boolean rings ---------------------------------------------------------------------------
 
 
-def _suite_bool(corpus):
-    rows = []
-    for S in corpus:
-        if not ring_property(S, "boolean").value:
-            rows.append(SuiteRow(S.label, True, "not boolean; skipped"))
-            continue
-        lhs = ring_property(S, "star-clean").value
-        rhs = S.is_identity_involution()
-        rows.append(
-            SuiteRow(S.label, lhs == rhs, "", _flags_detail(star_clean=lhs, identity=rhs))
-        )
-    return rows
+def _suite_bool(S: StarRing) -> SuiteRow:
+    if not ring_property(S, "boolean").value:
+        return SuiteRow(S.label, True, "not boolean; skipped")
+    lhs = ring_property(S, "star-clean").value
+    rhs = S.is_identity_involution()
+    return SuiteRow(S.label, lhs == rhs, "", _flags_detail(star_clean=lhs, identity=rhs))
 
 
 # -- quotients of star-clean rings --------------------------------------------------------------
@@ -485,107 +407,80 @@ def _quotient(S: StarRing, ideal) -> StarRing:
     return S if ideal.size == 1 else induce_quotient_involution(S, ideal)[0]
 
 
-def _suite_quot(corpus):
-    rows = []
-    for S in corpus:
-        if not ring_property(S, "star-clean").value:
-            rows.append(SuiteRow(S.label, True, "not star-clean; skipped"))
-            continue
-        star = S.star_table
-        tested = 0
-        bad = None
-        for ideal in _quotient_ideals(S.ring):
-            if not ideal.mask[star[ideal.elements_array]].all():
-                continue  # not star-invariant; the induced involution does not exist
-            QS = _quotient(S, ideal)
-            tested += 1
-            if not ring_property(QS, "star-clean").value:
-                bad = ideal
-                break
-        if bad is None:
-            rows.append(SuiteRow(S.label, True, f"{tested} star-invariant quotients verified"))
-        else:
-            rows.append(
-                SuiteRow(S.label, False, f"quotient by ideal of size {bad.size} not star-clean")
+def _suite_quot(S: StarRing) -> SuiteRow:
+    if not ring_property(S, "star-clean").value:
+        return SuiteRow(S.label, True, "not star-clean; skipped")
+    star = S.star_table
+    tested = 0
+    for ideal in _quotient_ideals(S.ring):
+        if not ideal.mask[star[ideal.elements_array]].all():
+            continue  # not star-invariant; the induced involution does not exist
+        QS = _quotient(S, ideal)
+        tested += 1
+        if not ring_property(QS, "star-clean").value:
+            return SuiteRow(
+                S.label, False, f"quotient by ideal of size {ideal.size} not star-clean"
             )
-    return rows
+    return SuiteRow(S.label, True, f"{tested} star-invariant quotients verified")
 
 
 # -- properness up to nilpotents ------------------------------------------------------------------
 
 
-def _suite_proper_nil(corpus):
-    rows = []
-    for S in corpus:
-        if not ring_property(S, "strongly-pi-star-regular").value:
-            rows.append(SuiteRow(S.label, True, "hypothesis not met; skipped"))
-            continue
-        R = S.ring
-        bad = next(
-            (
-                x
-                for x in R.elements()
-                if R.mul(S.star(x), x) == R.zero and not R.nilpotent_mask[x]
-            ),
-            None,
-        )
-        if bad is None:
-            rows.append(SuiteRow(S.label, True, "x*x = 0 forces x nilpotent"))
-        else:
-            rows.append(SuiteRow(S.label, False, f"x={R.render(bad)} breaks the rule"))
-    return rows
+def _suite_proper_nil(S: StarRing) -> SuiteRow:
+    if not ring_property(S, "strongly-pi-star-regular").value:
+        return SuiteRow(S.label, True, "hypothesis not met; skipped")
+    R = S.ring
+    bad = next(
+        (
+            x
+            for x in R.elements()
+            if R.mul(S.star(x), x) == R.zero and not R.nilpotent_mask[x]
+        ),
+        None,
+    )
+    if bad is None:
+        return SuiteRow(S.label, True, "x*x = 0 forces x nilpotent")
+    return SuiteRow(S.label, False, f"x={R.render(bad)} breaks the rule")
 
 
-def _suite_idproj_abelian(corpus):
-    rows = []
-    for S in corpus:
-        if not ring_property(S, "idempotents-are-projections").value:
-            rows.append(SuiteRow(S.label, True, "hypothesis not met; skipped"))
-            continue
-        ab = ring_property(S, "abelian").value
-        rows.append(SuiteRow(S.label, ab, "" if ab else "not abelian despite Id = P"))
-    return rows
+def _suite_idproj_abelian(S: StarRing) -> SuiteRow:
+    if not ring_property(S, "idempotents-are-projections").value:
+        return SuiteRow(S.label, True, "hypothesis not met; skipped")
+    ab = ring_property(S, "abelian").value
+    return SuiteRow(S.label, ab, "" if ab else "not abelian despite Id = P")
 
 
-def _suite_final_equiv(corpus):
-    rows = []
-    for S in corpus:
-        if not ring_property(S, "idempotents-are-projections").value:
-            rows.append(SuiteRow(S.label, True, "hypothesis not met; skipped"))
-            continue
-        sr = stable_range_checks(S)
-        flags = {
-            "clean": ring_property(S, "clean").value,
-            "strongly_clean": ring_property(S, "strongly-clean").value,
-            "exchange": ring_property(S, "exchange").value,
-            "star_clean": ring_property(S, "star-clean").value,
-            "strongly_star_clean": ring_property(S, "strongly-star-clean").value,
-            "isr1": sr["isr1"].value,
-            "psr1": sr["psr1"].value,
-        }
-        ok = len(set(flags.values())) == 1
-        rows.append(SuiteRow(S.label, ok, "five-way equivalence", _flags_detail(**flags)))
-    return rows
+def _suite_final_equiv(S: StarRing) -> SuiteRow:
+    if not ring_property(S, "idempotents-are-projections").value:
+        return SuiteRow(S.label, True, "hypothesis not met; skipped")
+    sr = stable_range_checks(S)
+    flags = {
+        "clean": ring_property(S, "clean").value,
+        "strongly_clean": ring_property(S, "strongly-clean").value,
+        "exchange": ring_property(S, "exchange").value,
+        "star_clean": ring_property(S, "star-clean").value,
+        "strongly_star_clean": ring_property(S, "strongly-star-clean").value,
+        "isr1": sr["isr1"].value,
+        "psr1": sr["psr1"].value,
+    }
+    ok = len(set(flags.values())) == 1
+    return SuiteRow(S.label, ok, "five-way equivalence", _flags_detail(**flags))
 
 
-def _suite_psr_onesided(corpus):
-    rows = []
-    for S in corpus:
-        res = psr_onesided_equiv(S)
-        rows.append(
-            SuiteRow(
-                S.label,
-                res.consistent,
-                "one-sided and two-sided variants agree",
-                {
-                    "two_sided": bool(res.two_sided.value),
-                    "right": bool(res.right.value),
-                    "left": bool(res.left.value),
-                    "collapse_ok": bool(res.collapse_ok),
-                },
-            )
-        )
-    return rows
+def _suite_psr_onesided(S: StarRing) -> SuiteRow:
+    res = psr_onesided_equiv(S)
+    return SuiteRow(
+        S.label,
+        res.consistent,
+        "one-sided and two-sided variants agree",
+        {
+            "two_sided": bool(res.two_sided.value),
+            "right": bool(res.right.value),
+            "left": bool(res.left.value),
+            "collapse_ok": bool(res.collapse_ok),
+        },
+    )
 
 
 SUITES = {
@@ -611,11 +506,26 @@ SUITES = {
 
 SUITE_TAGS = tuple(SUITES)
 
+# The suites with their own ring lists, each a function of the corpus.
+_INSTANCES = {
+    # the transpose matrix rings of the corpus, plus M2(Z4)
+    "MATRIX-NEG": lambda corpus: [
+        *filter(_is_matrix_transpose, corpus),
+        build_star_ring("M2(Z4)", "tr(id)"),
+    ],
+    # fixed group rings over two-groups; the corpus is not used
+    "GROUPRING": lambda corpus: [
+        build_star_ring(f"GR(Z{b},C{g})", "grp(id)") for b, g in ((4, 2), (4, 4), (2, 2), (2, 4))
+    ],
+}
+
 
 def run_suite(corpus: list[StarRing], tag: str) -> SuiteResult:
     if tag not in SUITES:
         raise UnknownProperty(f"unknown suite tag {tag!r}; known: {', '.join(SUITE_TAGS)}")
-    return SuiteResult(tag, tuple(SUITES[tag](corpus)))
+    suite = SUITES[tag]
+    rings = _INSTANCES[tag](corpus) if tag in _INSTANCES else corpus
+    return SuiteResult(tag, tuple(suite(S) for S in rings))
 
 
 def run_suites(

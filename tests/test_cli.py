@@ -75,8 +75,8 @@ def test_suite_unknown_tag(capsys):
 def test_suite_violation_exit_code(capsys, monkeypatch):
     import starclean.suites as suites_mod
 
-    def fake(corpus):
-        return [SuiteRow("X", False, "synthetic failure")]
+    def fake(S):
+        return SuiteRow("X", False, "synthetic failure")
 
     monkeypatch.setitem(suites_mod.SUITES, "FAKE", fake)
     code, out = run_cli(capsys, "suite", "--suites", "FAKE")
@@ -382,7 +382,7 @@ def test_internal_error_exits_4(capsys, monkeypatch):
 def test_key_error_inside_a_suite_exits_4(capsys, monkeypatch):
     import starclean.suites as suites_mod
 
-    def broken(corpus):
+    def broken(S):
         raise KeyError("missing")
 
     monkeypatch.setitem(suites_mod.SUITES, "BOOL", broken)
@@ -421,3 +421,38 @@ def test_oversized_numbers_are_refused(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}"), (argv, captured.err[:200])
         assert captured.err.count("\n") == 1
+
+
+def test_nul_in_a_table_path_is_a_read_error(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text('[{"ring": "Z2", "inv": "table:a\\u0000b"}]')
+    code = main(["suite", "--corpus", str(corpus), "--suites", "BOOL"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: corpus entry 0: cannot read involution table {tmp_path / 'a'}\\x00b: "
+    )
+    assert captured.err.count("\n") == 1 and "\0" not in captured.err
+    # a table that is read but does not parse keeps its own message
+    bad = tmp_path / "bad.json"
+    bad.write_text("[0,")
+    code = main(["check", "--ring", "Z2", "--inv", f"table:{bad}", "--prop", "clean"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: involution table {bad} is not valid JSON\n"
+
+
+def test_parse_error_quotes_a_window_of_a_long_recipe(capsys):
+    code = main(["check", "--ring", "Z" + "7" * 5000, "--inv", "id", "--prop", "clean"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: integer too long at position 1 in 'Z777")
+    assert captured.err.endswith("'...\n") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+    # a short recipe is still quoted whole
+    code = main(["check", "--ring", "M2(Z2", "--inv", "id", "--prop", "clean"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: expected ')' at position 5 in 'M2(Z2'\n"

@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from starclean import suites
 from starclean.corpus import default_corpus
 from starclean.errors import UnknownProperty
 from starclean.properties import lifting_checks, ring_property, stable_range_checks
+from starclean.report import json_dumps, suites_to_dict
 from starclean.rings import Ideal
 from starclean.specparse import build_star_ring
 from starclean.suites import run_suite, run_suites
@@ -37,6 +40,12 @@ def test_all_suites_pass(corpus):
         bad = [row for row in result.rows if not row.ok]
         assert result.passed, (result.tag, [(r.label, r.note) for r in bad])
     assert elapsed < 300, f"suites took {elapsed:.1f}s"
+
+
+def test_suite_json_matches_the_benchmark_golden(corpus):
+    golden = Path(__file__).parents[1] / "perfbench" / "golden" / "corpus-suites.json"
+    got = json_dumps(suites_to_dict(run_suites(corpus), corpus))
+    assert got == json.loads(golden.read_text())["suite_json"]
 
 
 def test_unknown_tag(corpus):
@@ -92,13 +101,13 @@ def test_quot_ideals_match_per_element_reference(quot_corpus, monkeypatch):
         assert len(got) == len(want), S.label
         for a, b in zip(got, want):
             assert (a == b).all(), S.label
-    rows = suites._suite_quot(quot_corpus)
+    rows = run_suite(quot_corpus, "QUOT").rows
     monkeypatch.setattr(
         suites,
         "_quotient_ideals",
         lambda R: [Ideal(R, m, check=False) for m in _reference_quotient_ideals(R)],
     )
-    reference = suites._suite_quot(quot_corpus)
+    reference = run_suite(quot_corpus, "QUOT").rows
     assert reference == rows
     assert [r.to_dict() for r in reference] == [r.to_dict() for r in rows]
 
@@ -116,7 +125,7 @@ def test_quot_computes_one_closure_per_unit_orbit(corpus, monkeypatch, label, cl
         return real(R, generators)
 
     monkeypatch.setattr(suites, "generated_ideal", counting)
-    [row] = suites._suite_quot([_by_label(corpus, label)])
+    [row] = run_suite([_by_label(corpus, label)], "QUOT").rows
     assert row.ok
     assert len(calls) == closures
 
@@ -125,11 +134,7 @@ def test_quot_computes_one_closure_per_unit_orbit(corpus, monkeypatch, label, cl
 
 
 def _corner_quot_jac(corpus):
-    rows = {
-        "CORNER": suites._suite_corner(corpus),
-        "QUOT": suites._suite_quot(corpus),
-        "JAC-EQUIV": suites._suite_jac_equiv(corpus),
-    }
+    rows = {tag: run_suite(corpus, tag).rows for tag in ("CORNER", "QUOT", "JAC-EQUIV")}
     rows["lifting"] = [lifting_checks(S) for S in corpus]
     return {tag: [r.to_dict() for r in found] for tag, found in rows.items()}
 
