@@ -5,10 +5,12 @@ returns witnesses that can be re-validated independently: clean and star-clean
 decompositions, strong pi-regularity with its invertibility witnesses, the
 projection-times-unit factorization, the four equivalent power/decomposition
 conditions bundled in ``spsr_conditions``, and the unit plus self-adjoint
-square root of 1 decomposition. Conditions C2 and C3, the factorization and
-the unit plus root decomposition are searched for every element at once:
-each reads its element's entry in an array of first witnesses that the
-``StarRing`` builds on first use (see the builders at the end).
+square root of 1 decomposition. Only the clean modes search one element at a
+time. Every other query reads its element's entry in an array of first
+witnesses, which its own builder (see the end of this module) fills for many
+elements at once: the factorization, C2 and the unit plus root sum for the
+whole ring on first use, and C1, C3, C4 and strong pi-regularity for one row
+block of elements at a time, the block of the element asked about.
 """
 
 from __future__ import annotations
@@ -89,19 +91,10 @@ def is_clean_elem(S: StarRing, a: int, mode: str) -> bool:
 def strongly_pi_regular_witness(
     R: FiniteRing, a: int
 ) -> Optional[tuple[int, int, int]]:
-    """First (n, x, y) with a^n = a^(n+1) x = y a^(n+1), searching along powers."""
-    powers, nxt = R.distinct_powers(a)
-    for n in range(1, len(powers) + 1):
-        w = powers[n - 1]
-        wnext = powers[n] if n < len(powers) else nxt
-        right = np.flatnonzero(R.mul_table[wnext] == w)
-        if right.size == 0:
-            continue
-        left = np.flatnonzero(R.mul_table[:, wnext] == w)
-        if left.size == 0:
-            continue
-        return n, int(right[0]), int(left[0])
-    return None
+    """First (n, x, y) with a^n = a^(n+1) x = y a^(n+1): least n, then least x
+    and least y."""
+    n, x, y = R.spr_witnesses.lookup(R, a).tolist()
+    return None if n < 0 else (n, x, y)
 
 
 def strongly_star_regular_witness(S: StarRing, a: int) -> Optional[tuple[int, int]]:
@@ -174,28 +167,10 @@ class PiStarCertificate:
 
 def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Some power of a equals e*u with a, e, u pairwise commuting, e a projection."""
-    R = S.ring
-    mul = R.mul_table
-    comm_mask = mul[a] == mul[:, a]
-    proj_comm = S.projection_ids[comm_mask[S.projection_ids]]
-    unit_comm = R.unit_ids[comm_mask[R.unit_ids]]
-    if unit_comm.size == 0 or proj_comm.size == 0:
+    m, e, u = S.c1_witnesses.lookup(S, a).tolist()
+    if m < 0:
         return None
-    powers, _ = R.distinct_powers(a)
-    miss = len(powers)
-    rank = np.full(R.size, miss)  # position of x among the powers of a, or miss
-    rank[powers] = np.arange(miss)
-    eu = mul[proj_comm[:, None], unit_comm]
-    ue = mul[unit_comm[:, None], proj_comm].T
-    ranks = np.where(eu == ue, rank[eu], miss)
-    first = int(ranks.argmin())  # row-major: lowest power, then by e, then by u
-    m = int(ranks.flat[first])
-    if m == miss:
-        return None
-    i, j = divmod(first, unit_comm.size)
-    return PiStarCertificate(
-        a, "C1", {"m": m + 1, "e": int(proj_comm[i]), "u": int(unit_comm[j])}
-    )
+    return PiStarCertificate(a, "C1", {"m": m, "e": e, "u": u})
 
 
 def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
@@ -208,7 +183,7 @@ def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
 
 def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting projection p with a*p invertible in pRp and a(1-p) nilpotent."""
-    p = int(S.c3_witnesses[a])
+    p = int(S.c3_witnesses.lookup(S, a))
     if p < 0:
         return None
     R = S.ring
@@ -219,17 +194,10 @@ def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
 
 def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting b with (ab)* = ab, b = bab, and a - a^2 b nilpotent."""
-    R = S.ring
-    cand = R.commutant(a)
-    cand = cand[R.mul_table[R.mul_table[cand, a], cand] == cand]  # b = bab
-    ab = R.mul_table[a, cand]
-    cond_star = S.star_table[ab] == ab
-    asq_b = R.mul_table[R.mul(a, a), cand]
-    cond_nil = R.nilpotent_mask[R.add_table[a, R.neg_table[asq_b]]]
-    hits = np.flatnonzero(cond_star & cond_nil)
-    if hits.size:
-        return PiStarCertificate(a, "C4", {"b": int(cand[hits[0]])})
-    return None
+    b = int(S.c4_witnesses.lookup(S, a))
+    if b < 0:
+        return None
+    return PiStarCertificate(a, "C4", {"b": b})
 
 
 @dataclass(frozen=True)
@@ -269,12 +237,22 @@ def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
 
 # -- first-witness arrays ---------------------------------------------------------
 #
-# Each builder answers its kernel for every element at once and returns, per
-# element id, the first witness in the kernel's search order, or -1. It walks
-# its pool (projections, or self-adjoint roots of 1) in ascending blocks of at
-# most about 2^20 candidate pairs, and reads only ring-level caches. StarRing
-# builds each array once, on first use. The builders share no condition: the
-# sides of a suite that compare these kernels keep their own code.
+# Each builder answers its kernel for many elements at once and returns, per
+# element, the first witness in the kernel's search order, or -1. Two shapes:
+#
+# - ssr, C2 and the unit plus root sum walk their pool (projections, or
+#   self-adjoint roots of 1) times the units, which meets every element, so
+#   they fill the whole array at once, in ascending pool blocks of at most
+#   about 2^20 candidate pairs. StarRing builds each once, on first use.
+# - C1, C3, C4 and strong pi-regularity are indexed by element: each answers
+#   one row block of elements, the rows of ``_row_blocks(0, n, n)``, and its
+#   ``WitnessBlocks`` (on the StarRing, or on the ring for strong
+#   pi-regularity) fills a block when one of its elements is first looked
+#   up. No temporary holds more than _BLOCK_ENTRIES entries, so a lone query
+#   at the size cap pays for one block, not for the whole ring.
+#
+# Builders read only ring-level caches and share no condition: the sides of
+# a suite that compare these kernels keep their own code.
 
 
 def _keep_first(out: np.ndarray, elems: np.ndarray, witnesses: np.ndarray) -> None:
@@ -319,25 +297,130 @@ def first_c2_witnesses(S: StarRing) -> np.ndarray:
     return out
 
 
-def first_c3_witnesses(S: StarRing) -> np.ndarray:
-    """Per element a, the least projection p with ap = pa, a(1-p) nilpotent
-    and ap invertible in pRp.
+def first_c3_witnesses(S: StarRing, rows: slice) -> np.ndarray:
+    """Per element a of rows, the least projection p with ap = pa, a(1-p)
+    nilpotent and ap invertible in pRp.
 
     ap = pap lies in pRp, and it is invertible there iff u = ap + 1 - p is a
     unit of R (then p u^-1 p is its inverse), so no corner is scanned.
     """
     R = S.ring
     mul, q_of = R.mul_table, R.one_minus_table
-    out = np.full(R.size, -1, dtype=np.int64)
-    for block in _row_blocks(0, len(S.projection_ids), R.size):
+    elems = np.arange(R.size)[rows]
+    out = np.full(len(elems), -1, dtype=np.int64)
+    for block in _row_blocks(0, len(S.projection_ids), len(elems)):
         todo = np.flatnonzero(out < 0)
         p = S.projection_ids[block]
         # one gather decides a(1-p) nilpotent; the other tests run on the pairs it keeps
-        i, j = np.nonzero(R.nilpotent_mask[mul[np.ix_(todo, q_of[p])]])  # by a, then p
-        a, p = todo[i], p[j]
+        i, j = np.nonzero(R.nilpotent_mask[mul[np.ix_(elems[todo], q_of[p])]])  # by a, then p
+        i, p = todo[i], p[j]
+        a = elems[i]
         ap = mul[a, p]
         ok = (ap == mul[p, a]) & R.units_mask[R.add_table[ap, q_of[p]]]
-        _keep_first(out, a[ok], p[ok])
+        _keep_first(out, i[ok], p[ok])
+    return out
+
+
+def first_c1_witnesses(S: StarRing, rows: slice) -> np.ndarray:
+    """Per element a of rows, the first (m, e, u), least m, then least e, then
+    least u, with a^m = eu, a, e and u pairwise commuting, e a projection and
+    u a unit.
+
+    The pairs (e, u) with eu = ue are listed by e, then u, and keyed by
+    x = eu. rank[i, x] is m - 1 when x is the m-th power of the i-th element
+    and first occurs there; walking the powers of every element of the block
+    at once fills it. A pair counts for a when a commutes with e and u.
+    """
+    R = S.ring
+    mul, units = R.mul_table, R.unit_ids
+    elems = np.arange(R.size)[rows]
+    k = len(elems)
+    commutes = mul[rows] == mul[:, rows].T
+    miss = R.size  # above every rank: an element has at most n distinct powers
+    rank = np.full((k, R.size), miss, dtype=np.min_scalar_type(miss))
+    i, w = np.arange(k), elems  # rows whose powers are still new, and their power
+    m = 0
+    while i.size:
+        rank[i, w] = m
+        m += 1
+        w = mul[w, elems[i]]
+        new = rank[i, w] == miss
+        i, w = i[new], w[new]
+    best = np.full(k, miss, dtype=rank.dtype)
+    out = np.full((k, 3), -1, dtype=np.int64)
+    row = np.arange(k)
+    for block in _row_blocks(0, len(S.projection_ids), len(units)):
+        e = S.projection_ids[block]
+        eu = mul[np.ix_(e, units)]
+        pe, pu = np.nonzero(eu == mul[np.ix_(units, e)].T)  # by e, then u
+        px, pe, pu = eu[pe, pu], e[pe], units[pu]
+        # chunks of a quarter block: the block's rank and commute arrays
+        # stay the largest live, and a smaller working set runs faster
+        for chunk in _row_blocks(0, len(pe), 4 * k):
+            ce, cu = pe[chunk], pu[chunk]
+            r = rank[:, px[chunk]]
+            ok = commutes[:, ce]
+            ok &= commutes[:, cu]
+            r[~ok] = miss
+            j = r.argmin(axis=1)  # the least power, then the first pair
+            rj = r[row, j]
+            better = rj < best  # earlier chunks hold earlier pairs, so ties keep them
+            best[better] = rj[better]
+            j = j[better]
+            out[better] = np.stack([rj[better].astype(np.int64) + 1, ce[j], cu[j]], axis=1)
+    return out
+
+
+def first_c4_witnesses(S: StarRing, rows: slice) -> np.ndarray:
+    """Per element a of rows, the least b with ab = ba, (ab)* = ab, bab = b
+    and a - a^2 b nilpotent.
+
+    bab = b gives (ab)^2 = a(bab) = ab, so with (ab)* = ab, ab is a
+    projection: pairs whose ab is not one are skipped. That test and
+    bab = b, as b(ab) = b, run on every pair of the block; the other
+    conditions run on the pairs they keep.
+    """
+    R = S.ring
+    mul = R.mul_table
+    elems, b_all = np.arange(R.size)[rows], np.arange(R.size)
+    ab = mul[rows]
+    i, b = np.nonzero(S.projection_mask[ab] & (mul[b_all, ab] == b_all))  # by a, then b
+    a, ab = elems[i], ab[i, b]
+    ok = (ab == mul[b, a]) & (S.star_table[ab] == ab)
+    ok &= R.nilpotent_mask[R.add_table[a, R.neg_table[mul[mul[a, a], b]]]]
+    out = np.full(len(elems), -1, dtype=np.int64)
+    _keep_first(out, i[ok], b[ok])
+    return out
+
+
+def first_spr_witnesses(R: FiniteRing, rows: slice) -> np.ndarray:
+    """Per element a of rows, the first (n, x, y) with a^n = a^(n+1) x =
+    y a^(n+1): least n, then least x and least y.
+
+    The powers of every element of the block are walked at once. Each
+    succeeds by the time its powers repeat, at n = the least s with
+    a^s = a^(s+p), p >= 1: a^(s+1) a^(p-1) = a^s, with a^0 = 1. So the walk
+    ends, and at the same n as a walk over the distinct powers of one
+    element.
+    """
+    mul = R.mul_table
+    elems = np.arange(R.size)[rows]
+    out = np.full((len(elems), 3), -1, dtype=np.int64)
+    i = np.arange(len(elems))  # rows still walking
+    w = elems  # their power a^n
+    for n in range(1, R.size + 1):
+        if not i.size:
+            break
+        wnext = mul[w, elems[i]]
+        right = mul[wnext] == w[:, None]
+        j = np.flatnonzero(right.any(axis=1))  # left is scanned only where right holds
+        left = mul[:, wnext[j]].T == w[j, None]
+        hit = left.any(axis=1)
+        j = j[hit]
+        out[i[j]] = np.stack([np.full(len(j), n), right[j].argmax(axis=1), left[hit].argmax(axis=1)], axis=1)
+        walking = np.ones(len(i), dtype=bool)
+        walking[j] = False
+        i, w = i[walking], wnext[walking]
     return out
 
 

@@ -4,7 +4,7 @@ An involution is stored as a permutation of element ids and is always
 verified exhaustively against its three axioms: additivity, reversal of
 products, and self-inverseness.  ``StarRing`` pairs a ring with a validated
 involution and caches the projection and self-adjoint subsets and the
-first-witness arrays of four element kernels.
+first-witness arrays of six element kernels.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from typing import Iterable
 import numpy as np
 
 from .elements import (
+    first_c1_witnesses,
     first_c2_witnesses,
     first_c3_witnesses,
+    first_c4_witnesses,
     first_sasr_witnesses,
     first_ssr_witnesses,
 )
@@ -37,6 +39,7 @@ from .rings import (
     ProductRing,
     QuotientRing,
     TruncatedPolyRing,
+    WitnessBlocks,
     quotient,
 )
 
@@ -243,8 +246,9 @@ class StarRing:
         """Self-adjoint square roots of 1."""
         return tuple(self.sasr_unit_ids.tolist())
 
-    # first witness of each element for four element kernels, or -1; see the
-    # builders in ``elements``
+    # first witness of each element for six element kernels, or -1; see the
+    # builders in ``elements``. Three are whole arrays, built on first use;
+    # C1, C3 and C4 fill one row block of elements at a time.
 
     @cached_property
     def ssr_witnesses(self) -> np.ndarray:
@@ -252,14 +256,24 @@ class StarRing:
         return first_ssr_witnesses(self)
 
     @cached_property
+    def c1_witnesses(self) -> WitnessBlocks:
+        """First (m, e, u) meeting condition C1 for a."""
+        return WitnessBlocks(self.ring.size, (3,), first_c1_witnesses)
+
+    @cached_property
     def c2_witnesses(self) -> np.ndarray:
         """Least projection f of a decomposition a = f + v meeting condition C2."""
         return first_c2_witnesses(self)
 
     @cached_property
-    def c3_witnesses(self) -> np.ndarray:
+    def c3_witnesses(self) -> WitnessBlocks:
         """Least projection p meeting condition C3 for a."""
-        return first_c3_witnesses(self)
+        return WitnessBlocks(self.ring.size, (), first_c3_witnesses)
+
+    @cached_property
+    def c4_witnesses(self) -> WitnessBlocks:
+        """Least b meeting condition C4 for a."""
+        return WitnessBlocks(self.ring.size, (), first_c4_witnesses)
 
     @cached_property
     def sasr_witnesses(self) -> np.ndarray:

@@ -41,7 +41,8 @@ TABLE_BYTES_PER_PAIR = 6
 # such as M100000(Z2) would otherwise build a 10^10-bit integer to refuse it
 SIZE_BOUND_CEILING = 1 << 64
 
-# entries of one row block of a widened gather in the table builders
+# entries of one row block of a widened gather in the table builders and the
+# element kernels
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -98,6 +99,33 @@ def _row_blocks(start: int, stop: int, row_len: int) -> list[slice]:
     """Slices covering rows [start, stop), each of at most _BLOCK_ENTRIES entries."""
     step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
     return [slice(s, min(s + step, stop)) for s in range(start, stop, step)]
+
+
+class WitnessBlocks:
+    """Per-element first witnesses of one kernel, filled one row block of
+    elements at a time: looking an element up fills the block that holds it.
+
+    The blocks are ``_row_blocks(0, size, size)``, so a kernel that gathers
+    one table row per element of a block stays within _BLOCK_ENTRIES
+    entries. ``fill(owner, rows)`` returns the witnesses of the elements in
+    the slice rows, each of shape ``tail`` (-1 for none). The owner is
+    passed at each lookup, so the cache holds no reference back to it and
+    a ring with its caches is freed as soon as it goes out of use.
+    """
+
+    def __init__(self, size: int, tail: tuple[int, ...], fill):
+        self.blocks = _row_blocks(0, size, size)
+        self.filled = np.zeros(len(self.blocks), dtype=bool)
+        self.values = np.full((size, *tail), -1, dtype=np.int64)
+        self._fill = fill
+
+    def lookup(self, owner, a: int) -> np.ndarray:
+        k = a // self.blocks[0].stop
+        if not self.filled[k]:
+            rows = self.blocks[k]
+            self.values[rows] = self._fill(owner, rows)
+            self.filled[k] = True
+        return self.values[a]
 
 
 def _pair_ids(left: np.ndarray, right: np.ndarray, nr: int) -> np.ndarray:
@@ -371,6 +399,14 @@ class FiniteRing:
         powers, _ = self.distinct_powers(a)
         return self.zero in powers
 
+    @cached_property
+    def spr_witnesses(self) -> WitnessBlocks:
+        """First (n, x, y) of each element's strong pi-regularity; see
+        ``elements.first_spr_witnesses``."""
+        from .elements import first_spr_witnesses  # elements imports this module
+
+        return WitnessBlocks(self.size, (3,), first_spr_witnesses)
+
     # -- derived subsets ------------------------------------------------------
 
     @cached_property
@@ -436,10 +472,6 @@ class FiniteRing:
     @cached_property
     def is_commutative(self) -> bool:
         return bool(self.center_mask.all())
-
-    def commutant(self, a: int) -> np.ndarray:
-        """Element ids commuting with a."""
-        return np.flatnonzero(self.mul_table[a] == self.mul_table[:, a])
 
     def jacobson_radical(self) -> "Ideal":
         return self._jacobson

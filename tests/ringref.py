@@ -4,8 +4,11 @@ The package computes with its Cayley tables only. These functions state each
 construction's add, mul and neg structurally, on top of the tables of the
 rings it is made from, so the tests can check every table entry against
 them. A digit ring's product is its own ``_scalar_mul``, which the package
-calls only on single-digit pairs.
+calls only on single-digit pairs. ``commutant`` serves the per-element
+search loops that the element kernels are checked against.
 """
+
+import numpy as np
 
 from starclean.rings import CornerRing, ProductRing, QuotientRing, ZmodRing, _DigitRing
 
@@ -54,3 +57,8 @@ def scalar_neg(R, a):
     if isinstance(R, CornerRing):
         return R.position(R.parent.neg(R.embed(a)))
     raise TypeError(f"no reference arithmetic for {R!r}")
+
+
+def commutant(R, a):
+    """Element ids commuting with a."""
+    return np.flatnonzero(R.mul_table[a] == R.mul_table[:, a])

@@ -1,14 +1,19 @@
 import numpy as np
+from ringref import commutant
 
+import starclean.elements as elements
 import starclean.involutions as involutions
 import starclean.rings as rings
 from starclean.corpus import default_corpus
 from starclean.elements import (
     CLEAN_MODES,
     clean_certificates,
+    first_c1_witnesses,
     first_c2_witnesses,
     first_c3_witnesses,
+    first_c4_witnesses,
     first_sasr_witnesses,
+    first_spr_witnesses,
     first_ssr_witnesses,
     is_clean_elem,
     spsr_conditions,
@@ -205,9 +210,24 @@ def ref_ssr(S, a):
     return None
 
 
+def ref_spr(R, a):
+    powers, nxt = R.distinct_powers(a)
+    for n in range(1, len(powers) + 1):
+        w = powers[n - 1]
+        wnext = powers[n] if n < len(powers) else nxt
+        right = np.flatnonzero(R.mul_table[wnext] == w)
+        if right.size == 0:
+            continue
+        left = np.flatnonzero(R.mul_table[:, wnext] == w)
+        if left.size == 0:
+            continue
+        return n, int(right[0]), int(left[0])
+    return None
+
+
 def ref_c1(S, a):
     R = S.ring
-    comm = R.commutant(a)
+    comm = commutant(R, a)
     comm_mask = np.zeros(R.size, dtype=bool)
     comm_mask[comm] = True
     proj_comm = [p for p in ref_projections(S) if comm_mask[p]]
@@ -257,7 +277,7 @@ def ref_c3(S, a):
 
 def ref_c4(S, a):
     R = S.ring
-    cand = R.commutant(a)
+    cand = commutant(R, a)
     ab = R.mul_table[a, cand]
     cond_star = S.star_table[ab] == ab
     bab = R.mul_table[R.mul_table[cand, a], cand]
@@ -304,6 +324,7 @@ def test_element_layer_matches_loop_reference():
                 assert [(c.part, c.unit) for c in certs] == ref, (where, mode)
                 assert all(type(c.part) is int and type(c.unit) is int for c in certs)
                 assert is_clean_elem(S, a, mode) == bool(ref), (where, mode)
+            assert strongly_pi_regular_witness(S.ring, a) == ref_spr(S.ring, a), where
             assert strongly_star_regular_witness(S, a) == ref_ssr(S, a), where
             v = spsr_conditions(S, a)
             for tag, cert, ref in (
@@ -318,16 +339,35 @@ def test_element_layer_matches_loop_reference():
             assert elem_unit_regular(S, a) == ref_unit_regular(S, a), where
 
 
-# (builder, reference, the witness the array holds, pool, row length of a block)
+def elements_of(S):
+    return np.arange(S.ring.size)
+
+
+def swept(build, owner_of=lambda S: S):
+    """A row-block builder run over every block of elements in turn."""
+    def whole(S):
+        n = S.ring.size
+        return np.concatenate([build(owner_of(S), rows) for rows in rings._row_blocks(0, n, n)])
+    return whole
+
+
+# (builder, reference, the witness the array holds, pool, row length of a block);
+# the whole-array builders block their pool, the row-block builders the elements
 BUILDERS = (
     (first_ssr_witnesses, ref_ssr, lambda r: r[1],
      lambda S: S.projection_ids, lambda S: len(S.ring.unit_ids)),
     (first_c2_witnesses, ref_c2, lambda r: r["f"],
      lambda S: S.projection_ids, lambda S: len(S.ring.unit_ids)),
-    (first_c3_witnesses, ref_c3, lambda r: r["p"],
-     lambda S: S.projection_ids, lambda S: S.ring.size),
     (first_sasr_witnesses, ref_sasr, lambda r: r[0],
      lambda S: S.sasr_unit_ids, lambda S: len(S.ring.unit_ids)),
+    (swept(first_c1_witnesses), ref_c1, lambda r: [r["m"], r["e"], r["u"]],
+     elements_of, lambda S: S.ring.size),
+    (swept(first_c3_witnesses), ref_c3, lambda r: r["p"],
+     elements_of, lambda S: S.ring.size),
+    (swept(first_c4_witnesses), ref_c4, lambda r: r["b"],
+     elements_of, lambda S: S.ring.size),
+    (swept(first_spr_witnesses, lambda S: S.ring), lambda S, a: ref_spr(S.ring, a), list,
+     elements_of, lambda S: S.ring.size),
 )
 
 
@@ -335,31 +375,77 @@ def test_blocked_witness_arrays_match_loop_reference(monkeypatch):
     for S in (m2(3), m2(4), build_star_ring("Z2xZ2xZ2", "id")):
         for build, ref, held, pool, row_len in BUILDERS:
             refs = [ref(S, a) for a in S.ring.elements()]
-            want = [-1 if r is None else held(r) for r in refs]
             size, row = len(pool(S)), row_len(S)
             for block in (1, 3):
                 monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block * row)
                 assert len(rings._row_blocks(0, size, row)) == -(-size // block)
-                got = build(S)
-                assert got.tolist() == want, (S.label, build.__name__, block)
+                got = build(S).tolist()
+                none = [-1] * 3 if isinstance(got[0], list) else -1
+                want = [none if r is None else held(r) for r in refs]
+                assert got == want, (S.label, ref.__name__, block)
+
+
+# (module the owner looks the builder up in, builder name, owner of its array)
+LAZY_BUILDERS = (
+    (involutions, "first_ssr_witnesses", lambda S: S),
+    (involutions, "first_c2_witnesses", lambda S: S),
+    (involutions, "first_sasr_witnesses", lambda S: S),
+    (involutions, "first_c1_witnesses", lambda S: S),
+    (involutions, "first_c3_witnesses", lambda S: S),
+    (involutions, "first_c4_witnesses", lambda S: S),
+    (elements, "first_spr_witnesses", lambda S: S.ring),
+)
 
 
 def test_element_sweep_builds_each_array_once(monkeypatch):
     calls = {}
 
-    def counted(build):
-        def wrapper(S):
-            calls[build.__name__, S.label] = calls.get((build.__name__, S.label), 0) + 1
-            return build(S)
+    def counted(name, build):
+        def wrapper(owner, *rows):
+            calls[name, id(owner)] = calls.get((name, id(owner)), 0) + 1
+            return build(owner, *rows)
         return wrapper
 
-    for build, *_ in BUILDERS:
-        monkeypatch.setattr(involutions, build.__name__, counted(build))
-    cases = [m2(2), m2(3), ident(Zmod(8))]
+    for module, name, _ in LAZY_BUILDERS:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cases = [m2(2), m2(3), ident(Zmod(8))]  # one row block each
     for _ in range(2):
         for S in cases:
             for a in S.ring.elements():
                 spsr_conditions(S, a)
+                strongly_pi_regular_witness(S.ring, a)
                 strongly_star_regular_witness(S, a)
                 unit_sasr_decomposition(S, a)
-    assert calls == {(build.__name__, S.label): 1 for build, *_ in BUILDERS for S in cases}
+    want = {(name, id(owner(S))): 1 for _, name, owner in LAZY_BUILDERS for S in cases}
+    assert calls == want
+
+
+def test_element_queries_fill_only_their_own_row_block(monkeypatch):
+    def arrays(S):
+        return {
+            "c1": S.c1_witnesses,
+            "c3": S.c3_witnesses,
+            "c4": S.c4_witnesses,
+            "spr": S.ring.spr_witnesses,
+        }
+
+    def ask(S, a):
+        spsr_conditions(S, a)
+        strongly_pi_regular_witness(S.ring, a)
+
+    whole = build_star_ring("M2(Z4)", "tr(id)")
+    for a in whole.ring.elements():
+        ask(whole, a)
+    S = build_star_ring("M2(Z4)", "tr(id)")
+    n = S.ring.size
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 60 * n)  # blocks of 60, 60, 60, 60, 16 rows
+    ask(S, 130)
+    for name, blocks in arrays(S).items():
+        assert blocks.filled.tolist() == [False, False, True, False, False], name
+        assert (blocks.values[:120] == -1).all() and (blocks.values[180:] == -1).all(), name
+    for a in S.ring.elements():
+        ask(S, a)
+    for name, blocks in arrays(S).items():
+        assert blocks.filled.all(), name
+        assert len(arrays(whole)[name].blocks) == 1, name
+        assert blocks.values.tolist() == arrays(whole)[name].values.tolist(), name

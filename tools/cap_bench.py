@@ -68,7 +68,8 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
     """(name, starclean argv) for every command of the cap table."""
     one = {ring: _corpus_file(folder, ring, [(ring, inv)]) for ring, inv in CAP_RINGS}
     m2z8 = ["--ring", "M2(Z8)", "--inv", "tr(id)"]
-    table = [(f"check {p} M2(Z8)", ["check", *m2z8, "--prop", p]) for p in ("sr1", "isr1", "psr1")]
+    checks = ("sr1", "isr1", "psr1", "strongly-pi-star-regular", "strongly-pi-regular")
+    table = [(f"check {p} M2(Z8)", ["check", *m2z8, "--prop", p]) for p in checks]
     table += [(f"corpus-matrix {ring}", ["corpus-matrix", "--corpus", one[ring]]) for ring in one]
     named = [(ring, ring, inv) for ring, inv in CAP_RINGS] + [("Z2^12", *BOOLEAN_CAP_RING)]
     table += [
@@ -79,6 +80,8 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
     table += [
         ("suite SRC-EQUIV,PSR-ONESIDED M2(Z8)", ["suite", *pair]),
         ("suite TP(Z2,12)", ["suite", "--corpus", one["TP(Z2,12)"]]),
+        ("suite ELEM-EQUIV Z2^12", ["suite", "--suites", "ELEM-EQUIV", "--corpus",
+                                    _corpus_file(folder, "Z2^12", [BOOLEAN_CAP_RING])]),
         ("suite default", ["suite"]),
         ("corpus-matrix ladder", ["corpus-matrix", "--corpus", _corpus_file(folder, "ladder", LADDER)]),
     ]
