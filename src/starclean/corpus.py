@@ -40,7 +40,11 @@ def default_corpus() -> list[StarRing]:
 
 
 def warmup(corpus: list[StarRing]) -> None:
-    """Populate every shared cache of each ring in the corpus."""
+    """Populate the shared caches of each ring in the corpus.
+
+    The comaximal pairs are left to their first reader, the stable-range
+    deciders or SRC-EQUIV: at the size cap they are the largest cache.
+    """
     for S in corpus:
         R = S.ring
         R.units_mask
@@ -49,7 +53,6 @@ def warmup(corpus: list[StarRing]) -> None:
         R.center_mask
         R.jacobson_radical()
         R.right_ideal_masks
-        R.comaximal_pairs
         S.projection_mask
         S.self_adjoint_mask
         S.sasr_units

@@ -5,22 +5,23 @@ returns witnesses that can be re-validated independently: clean and star-clean
 decompositions, strong pi-regularity with its invertibility witnesses, the
 projection-times-unit factorization, the four equivalent power/decomposition
 conditions bundled in ``spsr_conditions``, and the unit plus self-adjoint
-square root of 1 decomposition. Only the clean modes search one element at a
-time. Every other query reads its element's entry in an array of first
-witnesses, which its own builder (see the end of this module) fills for many
-elements at once: the factorization, C2 and the unit plus root sum for the
-whole ring on first use, and C1, C3, C4 and strong pi-regularity for one row
-block of elements at a time, the block of the element asked about.
+square root of 1 decomposition. Every query reads its element's entry in a
+per-ring array, which its own builder (see the end of this module) fills for
+many elements at once: the table of every decomposition of each clean mode,
+the factorization, C2 and the unit plus root sum for the whole ring on first
+use, and C1, C3, C4 and strong pi-regularity for one row block of elements at
+a time, the block of the element asked about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .rings import FiniteRing, _row_blocks
+from .rings import ID_DTYPE, FiniteRing, _row_blocks
 
 if TYPE_CHECKING:  # involutions imports this module for the witness arrays
     from .involutions import StarRing
@@ -58,31 +59,34 @@ class CleanCertificate(NamedTuple):
         return True
 
 
-def _clean_decompositions(S: StarRing, a: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """(parts e, units a - e) of every decomposition of a in the mode, by e."""
-    if mode not in CLEAN_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {CLEAN_MODES}")
-    R = S.ring
-    pool = S.projection_ids if mode in _PROJECTION_MODES else R.idempotent_ids
-    units = R.add_table[a, R.neg_table[pool]]
-    ok = R.units_mask[units]
-    if mode in _COMMUTING_MODES:
-        ok &= R.mul_table[pool, units] == R.mul_table[units, pool]
-    return pool[ok], units[ok]
+class CleanTable(NamedTuple):
+    """Every decomposition a = e + u of one clean mode, grouped by a: those of
+    a are parts[offsets[a]:offsets[a + 1]] and the units at the same
+    positions, by ascending e."""
+
+    offsets: np.ndarray
+    parts: np.ndarray
+    units: np.ndarray
 
 
 def clean_certificates(S: StarRing, a: int, mode: str) -> list[CleanCertificate]:
     """All decompositions of a in the given mode, ordered by the idempotent id."""
-    parts, units = _clean_decompositions(S, a, mode)
-    projection, commuting = mode in _PROJECTION_MODES, mode in _COMMUTING_MODES
-    return [
-        CleanCertificate(a, e, u, projection, commuting)
-        for e, u in zip(parts.tolist(), units.tolist())
-    ]
+    table = S.clean_table(mode)
+    lo, hi = table.offsets[a : a + 2].tolist()
+    k = hi - lo
+    return list(map(
+        CleanCertificate,
+        repeat(a, k),
+        table.parts[lo:hi].tolist(),
+        table.units[lo:hi].tolist(),
+        repeat(mode in _PROJECTION_MODES, k),
+        repeat(mode in _COMMUTING_MODES, k),
+    ))
 
 
 def is_clean_elem(S: StarRing, a: int, mode: str) -> bool:
-    return bool(_clean_decompositions(S, a, mode)[0].size)
+    offsets = S.clean_table(mode).offsets
+    return bool(offsets[a + 1] > offsets[a])
 
 
 # -- strong pi-regularity -------------------------------------------------------
@@ -238,12 +242,15 @@ def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
 # -- first-witness arrays ---------------------------------------------------------
 #
 # Each builder answers its kernel for many elements at once and returns, per
-# element, the first witness in the kernel's search order, or -1. Two shapes:
+# element, the first witness in the kernel's search order, or -1; the clean
+# tables return every decomposition. Two shapes:
 #
-# - ssr, C2 and the unit plus root sum walk their pool (projections, or
-#   self-adjoint roots of 1) times the units, which meets every element, so
-#   they fill the whole array at once, in ascending pool blocks of at most
-#   about 2^20 candidate pairs. StarRing builds each once, on first use.
+# - the clean tables, ssr, C2 and the unit plus root sum walk their pool
+#   (idempotents, projections, or self-adjoint roots of 1) times the units,
+#   which meets every element, so they fill the whole array at once, in
+#   ascending pool blocks of at most about 2^20 candidate pairs. StarRing
+#   builds each once, on first use; each clean mode has its own table,
+#   built from its own pool.
 # - C1, C3, C4 and strong pi-regularity are indexed by element: each answers
 #   one row block of elements, the rows of ``_row_blocks(0, n, n)``, and its
 #   ``WitnessBlocks`` (on the StarRing, or on the ring for strong
@@ -262,6 +269,38 @@ def _keep_first(out: np.ndarray, elems: np.ndarray, witnesses: np.ndarray) -> No
     np.minimum.at(first, elems, np.arange(len(elems)))
     new = np.flatnonzero((first < len(elems)) & (out < 0))
     out[new] = witnesses[first[new]]
+
+
+def clean_decomposition_table(S: StarRing, mode: str) -> CleanTable:
+    """Every decomposition a = e + u of the mode, e in its pool and u a unit,
+    with eu = ue in the commuting modes.
+
+    The pairs (e, u) are listed by e, then u, and sorted stably by a = e + u.
+    Each e gives a at most once, as u = a - e, so the decompositions of each
+    element stay ordered by e.
+    """
+    if mode not in CLEAN_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {CLEAN_MODES}")
+    R = S.ring
+    mul, units = R.mul_table, R.unit_ids
+    pool = S.projection_ids if mode in _PROJECTION_MODES else R.idempotent_ids
+    sums, parts, us = [], [], []
+    for block in _row_blocks(0, len(pool), len(units)):
+        e = pool[block]
+        if mode in _COMMUTING_MODES:
+            keep = mul[np.ix_(e, units)] == mul[np.ix_(units, e)].T
+        else:
+            keep = np.ones((len(e), len(units)), dtype=bool)
+        i, j = np.nonzero(keep)  # by e, then u
+        e, u = e[i], units[j]
+        sums.append(R.add_table[e, u])
+        parts.append(e.astype(ID_DTYPE))
+        us.append(u.astype(ID_DTYPE))
+    a = np.concatenate(sums)
+    order = np.argsort(a, kind="stable")
+    offsets = np.zeros(R.size + 1, dtype=np.min_scalar_type(len(a)))
+    offsets[1:] = np.cumsum(np.bincount(a, minlength=R.size))
+    return CleanTable(offsets, np.concatenate(parts)[order], np.concatenate(us)[order])
 
 
 def first_ssr_witnesses(S: StarRing) -> np.ndarray:

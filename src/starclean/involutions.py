@@ -3,8 +3,9 @@
 An involution is stored as a permutation of element ids and is always
 verified exhaustively against its three axioms: additivity, reversal of
 products, and self-inverseness.  ``StarRing`` pairs a ring with a validated
-involution and caches the projection and self-adjoint subsets and the
-first-witness arrays of six element kernels.
+involution and caches the projection and self-adjoint subsets, the table of
+every decomposition of each clean mode and the first-witness arrays of six
+element kernels.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Iterable
 import numpy as np
 
 from .elements import (
+    CleanTable,
+    clean_decomposition_table,
     first_c1_witnesses,
     first_c2_witnesses,
     first_c3_witnesses,
@@ -203,6 +206,7 @@ class StarRing:
         self.involution = involution
         self.label = label or f"{ring.describe()}/{involution.label}"
         self._prop_cache: dict = {}
+        self._clean_tables: dict[str, CleanTable] = {}
 
     @property
     def star_table(self) -> np.ndarray:
@@ -245,6 +249,14 @@ class StarRing:
     def sasr_units(self) -> tuple[int, ...]:
         """Self-adjoint square roots of 1."""
         return tuple(self.sasr_unit_ids.tolist())
+
+    def clean_table(self, mode: str) -> CleanTable:
+        """Every decomposition of each element in a clean mode, built from the
+        mode's own pool on first use; see ``elements.clean_decomposition_table``."""
+        table = self._clean_tables.get(mode)
+        if table is None:
+            table = self._clean_tables[mode] = clean_decomposition_table(self, mode)
+        return table
 
     # first witness of each element for six element kernels, or -1; see the
     # builders in ``elements``. Three are whole arrays, built on first use;

@@ -412,11 +412,13 @@ class FiniteRing:
     @cached_property
     def _unit_data(self) -> tuple[tuple[int, ...], np.ndarray]:
         # a unit's right inverse is unique, so the first b with ab = 1 is the
-        # inverse of a if a has one
-        eq = self.mul_table == self.one
-        b = eq.argmax(axis=1)
-        a = np.arange(self.size)
-        inv = np.where(eq[a, b] & eq[b, a], b, -1)
+        # inverse of a if a has one; rows are searched a block at a time
+        mul, n = self.mul_table, self.size
+        b = np.empty(n, dtype=np.intp)
+        for rows in _row_blocks(0, n, n):
+            b[rows] = (mul[rows] == self.one).argmax(axis=1)
+        a = np.arange(n)
+        inv = np.where((mul[a, b] == self.one) & (mul[b, a] == self.one), b, -1)
         return tuple(np.flatnonzero(inv >= 0).tolist()), inv
 
     def units(self) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from ringref import commutant
 
 import starclean.elements as elements
@@ -337,6 +338,38 @@ def test_element_layer_matches_loop_reference():
                 assert cert_record(cert) == expected, (where, tag)
             assert unit_sasr_decomposition(S, a) == ref_sasr(S, a), where
             assert elem_unit_regular(S, a) == ref_unit_regular(S, a), where
+
+
+def test_clean_tables_over_many_pool_blocks_match_loop_reference(monkeypatch):
+    # two candidate pairs per block: one pool row per block on M2(Z4), whose
+    # rows hold 96 units, and two rows per block on Z2xZ2xZ2
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 2)
+    built = []
+
+    def counted(S, mode):
+        table = elements.clean_decomposition_table(S, mode)
+        built.append((S.label, mode))
+        return table
+
+    monkeypatch.setattr(involutions, "clean_decomposition_table", counted)
+    cases = [build_star_ring("M2(Z4)", "tr(id)"), build_star_ring("Z2xZ2xZ2", "id")]
+    for S in cases:
+        for pool in (S.ring.idempotent_ids, S.projection_ids):
+            assert len(rings._row_blocks(0, len(pool), len(S.ring.unit_ids))) >= 4, S.label
+        for _ in range(2):
+            for a in S.ring.elements():
+                for mode in CLEAN_MODES:
+                    ref = ref_clean(S, a, mode)
+                    certs = clean_certificates(S, a, mode)
+                    assert [(c.part, c.unit) for c in certs] == ref, (S.label, a, mode)
+                    assert is_clean_elem(S, a, mode) == bool(ref), (S.label, a, mode)
+        for bad in ("cleanly", "CLEAN", ""):
+            with pytest.raises(ValueError):
+                clean_certificates(S, 0, bad)
+            with pytest.raises(ValueError):
+                is_clean_elem(S, 0, bad)
+    # each mode's table is built once, on first use
+    assert sorted(built) == sorted((S.label, mode) for S in cases for mode in CLEAN_MODES)
 
 
 def elements_of(S):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import starclean.rings as rings
 from idealref import fixpoint_ideal_mask
 from ringref import scalar_add, scalar_mul, scalar_neg
 from starclean.corpus import default_corpus
@@ -268,22 +269,29 @@ def test_inverse_map_is_involution():
         assert R.mul(u, v) == R.one and R.mul(v, u) == R.one
 
 
-def test_unit_and_nilpotent_caches_match_brute_force():
-    for S in default_corpus():
-        R = S.ring
+def test_unit_and_nilpotent_caches_match_brute_force(monkeypatch):
+    def check(label, R):
         mul = R.mul_table
-        assert R.nilpotent_mask.tolist() == [R.is_nilpotent(a) for a in R.elements()], S.label
+        assert R.nilpotent_mask.tolist() == [R.is_nilpotent(a) for a in R.elements()], label
         units = []
         for a in R.elements():
-            two_sided = np.flatnonzero((mul[a] == R.one) & (mul[:, a] == R.one))
-            if two_sided.size:
-                assert two_sided.tolist() == [R.inverse(a)], (S.label, a)
+            two_sided = [b for b in R.elements() if mul[a, b] == R.one and mul[b, a] == R.one]
+            if two_sided:
+                assert two_sided == [R.inverse(a)], (label, a)
                 units.append(a)
             else:
                 with pytest.raises(ValueError):
                     R.inverse(a)
-        assert R.units() == tuple(units), S.label
-        assert R.units_mask.tolist() == [a in units for a in R.elements()], S.label
+        assert R.units() == tuple(units), label
+        assert R.units_mask.tolist() == [a in units for a in R.elements()], label
+
+    for S in default_corpus():
+        check(S.label, S.ring)
+    # the unit search runs over row blocks of elements: 7 rows each here
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 7 * 256)
+    R = build_ring(MatrixSpec(2, Zmod(4)))
+    assert len(rings._row_blocks(0, R.size, R.size)) == 37
+    check(R.describe(), R)
 
 
 def test_scalar_matches_tables():
