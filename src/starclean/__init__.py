@@ -25,6 +25,7 @@ from .errors import (
     CorpusError,
     IdentityOnNoncommutative,
     IllConditioned,
+    InputError,
     MalformedSpec,
     NotAnIdeal,
     NotAProjection,
@@ -101,7 +102,6 @@ from .rings import (
     TruncatedPolySpec,
     Zmod,
     build_ring,
-    check_ring_axioms,
     generated_ideal,
     quotient,
     spec_string,

@@ -33,20 +33,13 @@ from .elements import (
     unit_sasr_decomposition,
 )
 from .errors import (
-    AxiomViolation,
     CorpusError,
-    IdentityOnNoncommutative,
     IllConditioned,
+    InputError,
     MalformedSpec,
-    NotAnIdeal,
-    NotAProjection,
-    NotIdempotent,
-    NotStarInvariant,
     OutputError,
     ParseError,
     SpecTooLarge,
-    SwapShapeMismatch,
-    UnknownProperty,
     ValidationError,
 )
 from .fixtures import FIXTURES, run_fixture
@@ -64,23 +57,6 @@ from .report import (
 from .rings import current_size_cap, validate_spec
 from .specparse import build_star_ring, parse_involution_spec, parse_ring_spec
 from .suites import SUITE_TAGS, run_suites
-
-_INPUT_ERRORS = (
-    ParseError,
-    MalformedSpec,
-    ValidationError,
-    CorpusError,
-    AxiomViolation,
-    IdentityOnNoncommutative,
-    SwapShapeMismatch,
-    NotStarInvariant,
-    NotAnIdeal,
-    NotIdempotent,
-    NotAProjection,
-    UnknownProperty,
-    OutputError,
-)
-
 
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
@@ -131,7 +107,7 @@ def _load_corpus(path: str, cap: int | None) -> list[StarRing]:
             members.append(build_star_ring(ring_text, inv_text, cap, base_dir, label))
         except SpecTooLarge:
             raise
-        except _INPUT_ERRORS as exc:
+        except InputError as exc:
             raise CorpusError(i, str(exc)) from exc
     return members
 
@@ -423,7 +399,7 @@ def main(argv=None) -> int:
     except SpecTooLarge as exc:
         _error(str(exc))
         return 3
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         _error(str(exc))
         return 2
     except Exception as exc:  # a bug, not bad input: keep it apart from exit 1

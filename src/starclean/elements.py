@@ -7,24 +7,24 @@ projection-times-unit factorization, the four equivalent power/decomposition
 conditions bundled in ``spsr_conditions``, and the unit plus self-adjoint
 square root of 1 decomposition. Every query reads its element's entry in a
 per-ring array, which its own builder (see the end of this module) fills for
-many elements at once: the table of every decomposition of each clean mode,
-the factorization, C2 and the unit plus root sum for the whole ring on first
-use, and C1, C3, C4 and strong pi-regularity for one row block of elements at
-a time, the block of the element asked about.
+many elements at once. Each array is kept in the ``arrays`` store of its
+owner, the star ring (the ring for strong pi-regularity), under a key of this
+module: the table of every decomposition of each clean mode, the
+factorization, C2 and the unit plus root sum are built whole on first use,
+and C1, C3, C4 and strong pi-regularity one row block of elements at a time,
+the block of the element asked about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .involutions import StarRing
 from .rings import ID_DTYPE, FiniteRing, _row_blocks
-
-if TYPE_CHECKING:  # involutions imports this module for the witness arrays
-    from .involutions import StarRing
 
 CLEAN_MODES = ("clean", "strongly-clean", "star-clean", "strongly-star-clean")
 _PROJECTION_MODES = ("star-clean", "strongly-star-clean")
@@ -71,7 +71,7 @@ class CleanTable(NamedTuple):
 
 def clean_certificates(S: StarRing, a: int, mode: str) -> list[CleanCertificate]:
     """All decompositions of a in the given mode, ordered by the idempotent id."""
-    table = S.clean_table(mode)
+    table = S.arrays[_CLEAN_TABLES[mode]]
     lo, hi = table.offsets[a : a + 2].tolist()
     k = hi - lo
     return list(map(
@@ -85,7 +85,7 @@ def clean_certificates(S: StarRing, a: int, mode: str) -> list[CleanCertificate]
 
 
 def is_clean_elem(S: StarRing, a: int, mode: str) -> bool:
-    offsets = S.clean_table(mode).offsets
+    offsets = S.arrays[_CLEAN_TABLES[mode]].offsets
     return bool(offsets[a + 1] > offsets[a])
 
 
@@ -97,13 +97,13 @@ def strongly_pi_regular_witness(
 ) -> Optional[tuple[int, int, int]]:
     """First (n, x, y) with a^n = a^(n+1) x = y a^(n+1): least n, then least x
     and least y."""
-    n, x, y = R.spr_witnesses.lookup(R, a).tolist()
+    n, x, y = R.arrays[_spr_blocks].lookup(R, a).tolist()
     return None if n < 0 else (n, x, y)
 
 
 def strongly_star_regular_witness(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (p, u) with a = p u = u p, p a projection and u a unit."""
-    u = int(S.ssr_witnesses[a])
+    u = int(S.arrays[first_ssr_witnesses][a])
     if u < 0:
         return None
     return S.ring.mul(a, S.ring.inverse(u)), u  # a = pu, so p = a u^-1
@@ -171,7 +171,7 @@ class PiStarCertificate:
 
 def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Some power of a equals e*u with a, e, u pairwise commuting, e a projection."""
-    m, e, u = S.c1_witnesses.lookup(S, a).tolist()
+    m, e, u = S.arrays[_c1_blocks].lookup(S, a).tolist()
     if m < 0:
         return None
     return PiStarCertificate(a, "C1", {"m": m, "e": e, "u": u})
@@ -179,7 +179,7 @@ def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
 
 def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """a = f + v with f a projection, v a unit, fv = vf, and a*f nilpotent."""
-    f = int(S.c2_witnesses[a])
+    f = int(S.arrays[first_c2_witnesses][a])
     if f < 0:
         return None
     return PiStarCertificate(a, "C2", {"f": f, "v": S.ring.sub(a, f)})
@@ -187,7 +187,7 @@ def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
 
 def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting projection p with a*p invertible in pRp and a(1-p) nilpotent."""
-    p = int(S.c3_witnesses.lookup(S, a))
+    p = int(S.arrays[_c3_blocks].lookup(S, a))
     if p < 0:
         return None
     R = S.ring
@@ -198,7 +198,7 @@ def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
 
 def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting b with (ab)* = ab, b = bab, and a - a^2 b nilpotent."""
-    b = int(S.c4_witnesses.lookup(S, a))
+    b = int(S.arrays[_c4_blocks].lookup(S, a))
     if b < 0:
         return None
     return PiStarCertificate(a, "C4", {"b": b})
@@ -233,33 +233,88 @@ def spsr_conditions(S: StarRing, a: int) -> SpsrVerdict:
 
 def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (t, u) with a = t + u, t a self-adjoint square root of 1, u a unit."""
-    t = int(S.sasr_witnesses[a])
+    t = int(S.arrays[first_sasr_witnesses][a])
     if t < 0:
         return None
     return t, S.ring.sub(a, t)
 
 
-# -- first-witness arrays ---------------------------------------------------------
+# -- per-ring arrays ---------------------------------------------------------------
 #
 # Each builder answers its kernel for many elements at once and returns, per
 # element, the first witness in the kernel's search order, or -1; the clean
-# tables return every decomposition. Two shapes:
+# tables return every decomposition. An array is made on first lookup in the
+# ``arrays`` store of its owner, keyed by its builder (or by a key per clean
+# mode). Two shapes:
 #
 # - the clean tables, ssr, C2 and the unit plus root sum walk their pool
 #   (idempotents, projections, or self-adjoint roots of 1) times the units,
 #   which meets every element, so they fill the whole array at once, in
-#   ascending pool blocks of at most about 2^20 candidate pairs. StarRing
-#   builds each once, on first use; each clean mode has its own table,
-#   built from its own pool.
+#   ascending pool blocks of at most about 2^20 candidate pairs. Each clean
+#   mode's table is built from its own pool.
 # - C1, C3, C4 and strong pi-regularity are indexed by element: each answers
-#   one row block of elements, the rows of ``_row_blocks(0, n, n)``, and its
-#   ``WitnessBlocks`` (on the StarRing, or on the ring for strong
-#   pi-regularity) fills a block when one of its elements is first looked
-#   up. No temporary holds more than _BLOCK_ENTRIES entries, so a lone query
-#   at the size cap pays for one block, not for the whole ring.
+#   one row block of elements, the rows of ``_row_blocks(0, n, n)``, and the
+#   store holds its ``WitnessBlocks``, which fill a block when one of its
+#   elements is first looked up. No temporary holds more than _BLOCK_ENTRIES
+#   entries, so a lone query at the size cap pays for one block, not for the
+#   whole ring.
 #
 # Builders read only ring-level caches and share no condition: the sides of
 # a suite that compare these kernels keep their own code.
+
+
+class _CleanTableKeys(dict):
+    """The store key of each clean mode's table, by mode."""
+
+    def __missing__(self, mode: str):
+        raise ValueError(f"unknown mode {mode!r}; expected one of {CLEAN_MODES}")
+
+
+_CLEAN_TABLES = _CleanTableKeys(
+    (mode, lambda S, mode=mode: clean_decomposition_table(S, mode)) for mode in CLEAN_MODES
+)
+
+
+class WitnessBlocks:
+    """The first witnesses of one row-block builder, filled one block of
+    ``_row_blocks(0, size, size)`` at a time: looking an element up fills
+    its block with ``fill(owner, rows)``, each witness of shape ``tail``. The
+    owner is passed at each lookup, so the blocks keep no reference to it.
+    """
+
+    def __init__(self, size: int, tail: tuple[int, ...], fill):
+        self.blocks = _row_blocks(0, size, size)
+        self.rows = self.blocks[0].stop  # rows per block
+        self.filled = np.zeros(len(self.blocks), dtype=bool)
+        self.values = np.full((size, *tail), -1, dtype=np.int64)
+        self._fill = fill
+
+    def lookup(self, owner, a: int) -> np.ndarray:
+        k = a // self.rows
+        if not self.filled[k]:
+            rows = self.blocks[k]
+            self.values[rows] = self._fill(owner, rows)
+            self.filled[k] = True
+        return self.values[a]
+
+
+# the store keys of the row-block builders
+
+
+def _c1_blocks(S: StarRing) -> WitnessBlocks:
+    return WitnessBlocks(S.ring.size, (3,), first_c1_witnesses)
+
+
+def _c3_blocks(S: StarRing) -> WitnessBlocks:
+    return WitnessBlocks(S.ring.size, (), first_c3_witnesses)
+
+
+def _c4_blocks(S: StarRing) -> WitnessBlocks:
+    return WitnessBlocks(S.ring.size, (), first_c4_witnesses)
+
+
+def _spr_blocks(R: FiniteRing) -> WitnessBlocks:
+    return WitnessBlocks(R.size, (3,), first_spr_witnesses)
 
 
 def _keep_first(out: np.ndarray, elems: np.ndarray, witnesses: np.ndarray) -> None:
@@ -279,8 +334,6 @@ def clean_decomposition_table(S: StarRing, mode: str) -> CleanTable:
     Each e gives a at most once, as u = a - e, so the decompositions of each
     element stay ordered by e.
     """
-    if mode not in CLEAN_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {CLEAN_MODES}")
     R = S.ring
     mul, units = R.mul_table, R.unit_ids
     pool = S.projection_ids if mode in _PROJECTION_MODES else R.idempotent_ids

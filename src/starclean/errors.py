@@ -5,7 +5,11 @@ class StarCleanError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MalformedSpec(StarCleanError):
+class InputError(StarCleanError):
+    """Bad input: the command line exits 2 on any of these."""
+
+
+class MalformedSpec(InputError):
     """A ring or involution recipe is structurally invalid."""
 
 
@@ -43,7 +47,7 @@ class SpecTooLarge(StarCleanError):
         self.table_bytes = table_bytes
 
 
-class ParseError(StarCleanError):
+class ParseError(InputError):
     """Spec text failed to parse; carries the offending position.
 
     The message quotes the whole text when it is short, and otherwise only
@@ -63,23 +67,23 @@ class ParseError(StarCleanError):
         self.pos = pos
 
 
-class ValidationError(StarCleanError):
+class ValidationError(InputError):
     """A parsed spec is well-formed but incompatible with its target."""
 
 
-class NotAnIdeal(StarCleanError):
+class NotAnIdeal(InputError):
     """A subset fails one of the two-sided ideal closure conditions."""
 
 
-class NotIdempotent(StarCleanError):
+class NotIdempotent(InputError):
     """A corner was requested at an element with e*e != e."""
 
 
-class NotAProjection(StarCleanError):
+class NotAProjection(InputError):
     """An involution restriction was requested at a non-self-adjoint idempotent."""
 
 
-class NotStarInvariant(StarCleanError):
+class NotStarInvariant(InputError):
     """An ideal is not closed under the involution; carries a witness element."""
 
     def __init__(self, message: str, witness: int):
@@ -87,7 +91,7 @@ class NotStarInvariant(StarCleanError):
         self.witness = witness
 
 
-class AxiomViolation(StarCleanError):
+class AxiomViolation(InputError):
     """A candidate involution breaks one of its three axioms."""
 
     def __init__(self, axiom: str, witness: tuple, detail: str = ""):
@@ -97,7 +101,7 @@ class AxiomViolation(StarCleanError):
         self.witness = witness
 
 
-class IdentityOnNoncommutative(StarCleanError):
+class IdentityOnNoncommutative(InputError):
     """The identity map is only an involution on commutative rings."""
 
     def __init__(self, witness: tuple, detail: str = ""):
@@ -107,11 +111,11 @@ class IdentityOnNoncommutative(StarCleanError):
         self.witness = witness
 
 
-class SwapShapeMismatch(StarCleanError):
+class SwapShapeMismatch(InputError):
     """The swap involution needs a product of two copies of the same ring."""
 
 
-class UnknownProperty(StarCleanError):
+class UnknownProperty(InputError):
     """An unrecognized ring-level property name or suite tag was requested."""
 
 
@@ -119,11 +123,11 @@ class IllConditioned(StarCleanError):
     """A numerical rank decision fell inside the ambiguity band."""
 
 
-class OutputError(StarCleanError):
+class OutputError(InputError):
     """The report could not be written to the requested file."""
 
 
-class CorpusError(StarCleanError):
+class CorpusError(InputError):
     """A corpus file entry failed to parse or validate; carries its index."""
 
     def __init__(self, index: int, message: str):

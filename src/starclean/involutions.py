@@ -3,9 +3,9 @@
 An involution is stored as a permutation of element ids and is always
 verified exhaustively against its three axioms: additivity, reversal of
 products, and self-inverseness.  ``StarRing`` pairs a ring with a validated
-involution and caches the projection and self-adjoint subsets, the table of
-every decomposition of each clean mode and the first-witness arrays of six
-element kernels.
+involution and caches the projection and self-adjoint subsets; its
+``arrays`` store holds the per-ring arrays of the element kernels, which
+``elements`` builds.
 """
 
 from __future__ import annotations
@@ -15,16 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .elements import (
-    CleanTable,
-    clean_decomposition_table,
-    first_c1_witnesses,
-    first_c2_witnesses,
-    first_c3_witnesses,
-    first_c4_witnesses,
-    first_sasr_witnesses,
-    first_ssr_witnesses,
-)
 from .errors import (
     AxiomViolation,
     IdentityOnNoncommutative,
@@ -34,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .rings import (
+    ArrayStore,
     CornerRing,
     FiniteRing,
     GroupRing,
@@ -42,7 +33,6 @@ from .rings import (
     ProductRing,
     QuotientRing,
     TruncatedPolyRing,
-    WitnessBlocks,
     quotient,
 )
 
@@ -206,7 +196,7 @@ class StarRing:
         self.involution = involution
         self.label = label or f"{ring.describe()}/{involution.label}"
         self._prop_cache: dict = {}
-        self._clean_tables: dict[str, CleanTable] = {}
+        self.arrays = ArrayStore(self)  # the element kernels' arrays; see ``elements``
 
     @property
     def star_table(self) -> np.ndarray:
@@ -250,62 +240,22 @@ class StarRing:
         """Self-adjoint square roots of 1."""
         return tuple(self.sasr_unit_ids.tolist())
 
-    def clean_table(self, mode: str) -> CleanTable:
-        """Every decomposition of each element in a clean mode, built from the
-        mode's own pool on first use; see ``elements.clean_decomposition_table``."""
-        table = self._clean_tables.get(mode)
-        if table is None:
-            table = self._clean_tables[mode] = clean_decomposition_table(self, mode)
-        return table
-
-    # first witness of each element for six element kernels, or -1; see the
-    # builders in ``elements``. Three are whole arrays, built on first use;
-    # C1, C3 and C4 fill one row block of elements at a time.
-
-    @cached_property
-    def ssr_witnesses(self) -> np.ndarray:
-        """Unit u of the first strongly star-regular factorization a = pu = up."""
-        return first_ssr_witnesses(self)
-
-    @cached_property
-    def c1_witnesses(self) -> WitnessBlocks:
-        """First (m, e, u) meeting condition C1 for a."""
-        return WitnessBlocks(self.ring.size, (3,), first_c1_witnesses)
-
-    @cached_property
-    def c2_witnesses(self) -> np.ndarray:
-        """Least projection f of a decomposition a = f + v meeting condition C2."""
-        return first_c2_witnesses(self)
-
-    @cached_property
-    def c3_witnesses(self) -> WitnessBlocks:
-        """Least projection p meeting condition C3 for a."""
-        return WitnessBlocks(self.ring.size, (), first_c3_witnesses)
-
-    @cached_property
-    def c4_witnesses(self) -> WitnessBlocks:
-        """Least b meeting condition C4 for a."""
-        return WitnessBlocks(self.ring.size, (), first_c4_witnesses)
-
-    @cached_property
-    def sasr_witnesses(self) -> np.ndarray:
-        """Least self-adjoint square root t of 1 with a - t a unit."""
-        return first_sasr_witnesses(self)
-
     def is_identity_involution(self) -> bool:
         return bool(self.self_adjoint_mask.all())
 
     @cached_property
-    def _mod_jacobson(self) -> tuple["StarRing", np.ndarray]:
+    def _mod_jacobson(self) -> tuple[StarRing | None, np.ndarray]:
+        # None for R/0 = R: a cached reference to self would be a cycle
         J = self.ring.jacobson_radical()
         if J.size == 1:
-            return self, np.arange(self.ring.size)
+            return None, np.arange(self.ring.size)
         return induce_quotient_involution(self, J)
 
     def mod_jacobson(self) -> tuple["StarRing", np.ndarray]:
         """Quotient by the Jacobson radical with the induced involution, plus
         the surjection; R/0 = R, so when J(R) = 0 it is this ring itself."""
-        return self._mod_jacobson
+        QS, pi = self._mod_jacobson
+        return (self if QS is None else QS), pi
 
     def __repr__(self):
         return f"<StarRing {self.label} size={self.ring.size}>"

@@ -361,15 +361,6 @@ class OneSidedResult:
             self.two_sided.value == self.right.value == self.left.value
         ) and self.collapse_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "two_sided": self.two_sided.to_dict(),
-            "right": self.right.to_dict(),
-            "left": self.left.to_dict(),
-            "collapse_ok": bool(self.collapse_ok),
-            "consistent": bool(self.consistent),
-        }
-
 
 def psr_onesided_equiv(S: StarRing) -> OneSidedResult:
     """Compare two-sided, right-invertible, and left-invertible variants of

@@ -15,6 +15,7 @@ on pairs of single-digit elements and extends to every pair by additivity.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -101,31 +102,19 @@ def _row_blocks(start: int, stop: int, row_len: int) -> list[slice]:
     return [slice(s, min(s + step, stop)) for s in range(start, stop, step)]
 
 
-class WitnessBlocks:
-    """Per-element first witnesses of one kernel, filled one row block of
-    elements at a time: looking an element up fills the block that holds it.
+class ArrayStore(dict):
+    """The per-ring arrays of one owner, keyed by the function that builds
+    each from the owner: ``store[build]`` is ``build(owner)``, made on first
+    use. Every key and builder is in ``elements``. The owner is held by a weak
+    reference, so owner and store form no reference cycle."""
 
-    The blocks are ``_row_blocks(0, size, size)``, so a kernel that gathers
-    one table row per element of a block stays within _BLOCK_ENTRIES
-    entries. ``fill(owner, rows)`` returns the witnesses of the elements in
-    the slice rows, each of shape ``tail`` (-1 for none). The owner is
-    passed at each lookup, so the cache holds no reference back to it and
-    a ring with its caches is freed as soon as it goes out of use.
-    """
+    def __init__(self, owner):
+        super().__init__()
+        self.owner = weakref.ref(owner)
 
-    def __init__(self, size: int, tail: tuple[int, ...], fill):
-        self.blocks = _row_blocks(0, size, size)
-        self.filled = np.zeros(len(self.blocks), dtype=bool)
-        self.values = np.full((size, *tail), -1, dtype=np.int64)
-        self._fill = fill
-
-    def lookup(self, owner, a: int) -> np.ndarray:
-        k = a // self.blocks[0].stop
-        if not self.filled[k]:
-            rows = self.blocks[k]
-            self.values[rows] = self._fill(owner, rows)
-            self.filled[k] = True
-        return self.values[a]
+    def __missing__(self, build):
+        value = self[build] = build(self.owner())
+        return value
 
 
 def _pair_ids(left: np.ndarray, right: np.ndarray, nr: int) -> np.ndarray:
@@ -400,12 +389,9 @@ class FiniteRing:
         return self.zero in powers
 
     @cached_property
-    def spr_witnesses(self) -> WitnessBlocks:
-        """First (n, x, y) of each element's strong pi-regularity; see
-        ``elements.first_spr_witnesses``."""
-        from .elements import first_spr_witnesses  # elements imports this module
-
-        return WitnessBlocks(self.size, (3,), first_spr_witnesses)
+    def arrays(self) -> ArrayStore:
+        """The ring's arrays of the element kernels; see ``elements``."""
+        return ArrayStore(self)
 
     # -- derived subsets ------------------------------------------------------
 
@@ -1005,97 +991,3 @@ def _build(spec: RingSpec) -> FiniteRing:
 def quotient(R: FiniteRing, ideal: Ideal) -> QuotientRing:
     ideal.validate()
     return QuotientRing(R, ideal)
-
-
-# ---------------------------------------------------------------------------
-# axiom checking
-
-
-_AXIOMS = (
-    "add-commutative",
-    "add-associative",
-    "zero-identity",
-    "neg-inverse",
-    "mul-associative",
-    "one-identity",
-    "left-distributive",
-    "right-distributive",
-)
-
-
-def check_ring_axioms(
-    R: FiniteRing,
-    exhaustive_limit: int = 512,
-    samples: int = 4096,
-    seed: int = 0,
-) -> list[tuple[str, tuple[int, ...]]]:
-    """Verify the ring axioms; exhaustive up to the limit, sampled above.
-
-    Returns a list of (axiom, witness ids); empty means everything holds.
-    """
-    n = R.size
-    violations: list[tuple[str, tuple[int, ...]]] = []
-    if n <= exhaustive_limit:
-        add, mul, neg = R.add_table, R.mul_table, R.neg_table
-        idx = np.arange(n)
-        if not (add == add.T).all():
-            a, b = np.argwhere(add != add.T)[0]
-            violations.append(("add-commutative", (int(a), int(b))))
-        if not (add[R.zero] == idx).all():
-            violations.append(("zero-identity", (int(np.flatnonzero(add[R.zero] != idx)[0]),)))
-        if not (add[idx, neg] == R.zero).all():
-            violations.append(("neg-inverse", (int(np.flatnonzero(add[idx, neg] != R.zero)[0]),)))
-        if not ((mul[R.one] == idx).all() and (mul[:, R.one] == idx).all()):
-            violations.append(("one-identity", (0,)))
-        for a in range(n):
-            lhs = add[add[a][:, None], idx[None, :]]
-            rhs = np.take(add[a], add)
-            if not (lhs == rhs).all():
-                b, c = np.argwhere(lhs != rhs)[0]
-                violations.append(("add-associative", (a, int(b), int(c))))
-                break
-        for a in range(n):
-            lhs = mul[mul[a][:, None], idx[None, :]]
-            rhs = np.take(mul[a], mul)
-            if not (lhs == rhs).all():
-                b, c = np.argwhere(lhs != rhs)[0]
-                violations.append(("mul-associative", (a, int(b), int(c))))
-                break
-        for a in range(n):
-            lhs = np.take(mul[a], add)
-            rhs = add[np.ix_(mul[a], mul[a])]
-            if not (lhs == rhs).all():
-                b, c = np.argwhere(lhs != rhs)[0]
-                violations.append(("left-distributive", (a, int(b), int(c))))
-                break
-        for a in range(n):
-            lhs = np.take(mul[:, a], add)
-            rhs = add[np.ix_(mul[:, a], mul[:, a])]
-            if not (lhs == rhs).all():
-                b, c = np.argwhere(lhs != rhs)[0]
-                violations.append(("right-distributive", (int(b), int(c), a)))
-                break
-        return violations
-
-    rng = np.random.default_rng(seed)
-    triples = rng.integers(0, n, size=(samples, 3))
-    for a, b, c in triples.tolist():
-        if R.add(a, b) != R.add(b, a):
-            violations.append(("add-commutative", (a, b)))
-        if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
-            violations.append(("add-associative", (a, b, c)))
-        if R.add(R.zero, a) != a:
-            violations.append(("zero-identity", (a,)))
-        if R.add(a, R.neg(a)) != R.zero:
-            violations.append(("neg-inverse", (a,)))
-        if R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c)):
-            violations.append(("mul-associative", (a, b, c)))
-        if R.mul(R.one, a) != a or R.mul(a, R.one) != a:
-            violations.append(("one-identity", (a,)))
-        if R.mul(a, R.add(b, c)) != R.add(R.mul(a, b), R.mul(a, c)):
-            violations.append(("left-distributive", (a, b, c)))
-        if R.mul(R.add(a, b), c) != R.add(R.mul(a, c), R.mul(b, c)):
-            violations.append(("right-distributive", (a, b, c)))
-        if violations:
-            break
-    return violations

@@ -5,7 +5,8 @@ construction's add, mul and neg structurally, on top of the tables of the
 rings it is made from, so the tests can check every table entry against
 them. A digit ring's product is its own ``_scalar_mul``, which the package
 calls only on single-digit pairs. ``commutant`` serves the per-element
-search loops that the element kernels are checked against.
+search loops that the element kernels are checked against, and
+``check_ring_axioms`` checks every ring axiom on every triple of elements.
 """
 
 import numpy as np
@@ -62,3 +63,50 @@ def scalar_neg(R, a):
 def commutant(R, a):
     """Element ids commuting with a."""
     return np.flatnonzero(R.mul_table[a] == R.mul_table[:, a])
+
+
+def check_ring_axioms(R) -> list[tuple[str, tuple[int, ...]]]:
+    """The first violation of each ring axiom, as (axiom, witness ids), over
+    every pair and triple of elements; empty means every axiom holds."""
+    n = R.size
+    violations: list[tuple[str, tuple[int, ...]]] = []
+    add, mul, neg = R.add_table, R.mul_table, R.neg_table
+    idx = np.arange(n)
+    if not (add == add.T).all():
+        a, b = np.argwhere(add != add.T)[0]
+        violations.append(("add-commutative", (int(a), int(b))))
+    if not (add[R.zero] == idx).all():
+        violations.append(("zero-identity", (int(np.flatnonzero(add[R.zero] != idx)[0]),)))
+    if not (add[idx, neg] == R.zero).all():
+        violations.append(("neg-inverse", (int(np.flatnonzero(add[idx, neg] != R.zero)[0]),)))
+    if not ((mul[R.one] == idx).all() and (mul[:, R.one] == idx).all()):
+        violations.append(("one-identity", (0,)))
+    for a in range(n):
+        lhs = add[add[a][:, None], idx[None, :]]
+        rhs = np.take(add[a], add)
+        if not (lhs == rhs).all():
+            b, c = np.argwhere(lhs != rhs)[0]
+            violations.append(("add-associative", (a, int(b), int(c))))
+            break
+    for a in range(n):
+        lhs = mul[mul[a][:, None], idx[None, :]]
+        rhs = np.take(mul[a], mul)
+        if not (lhs == rhs).all():
+            b, c = np.argwhere(lhs != rhs)[0]
+            violations.append(("mul-associative", (a, int(b), int(c))))
+            break
+    for a in range(n):
+        lhs = np.take(mul[a], add)
+        rhs = add[np.ix_(mul[a], mul[a])]
+        if not (lhs == rhs).all():
+            b, c = np.argwhere(lhs != rhs)[0]
+            violations.append(("left-distributive", (a, int(b), int(c))))
+            break
+    for a in range(n):
+        lhs = np.take(mul[:, a], add)
+        rhs = add[np.ix_(mul[:, a], mul[:, a])]
+        if not (lhs == rhs).all():
+            b, c = np.argwhere(lhs != rhs)[0]
+            violations.append(("right-distributive", (int(b), int(c), a)))
+            break
+    return violations

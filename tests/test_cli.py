@@ -5,7 +5,7 @@ import time
 import tracemalloc
 import warnings
 
-from starclean import cli
+from starclean import cli, errors
 from starclean.cli import main
 from starclean.rings import TABLE_BYTES_PER_PAIR
 from starclean.suites import SUITE_TAGS, SuiteRow
@@ -456,3 +456,17 @@ def test_parse_error_quotes_a_window_of_a_long_recipe(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: expected ')' at position 5 in 'M2(Z2'\n"
+
+
+def test_every_package_error_but_two_is_an_input_error():
+    # main exits 2 on an InputError, 3 on SpecTooLarge; numeric reports IllConditioned
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.StarCleanError)
+    ]
+    assert len(classes) == 17
+    for c in classes:
+        if c not in (errors.StarCleanError, errors.SpecTooLarge, errors.IllConditioned):
+            assert issubclass(c, errors.InputError), c.__name__
+    for c in (errors.SpecTooLarge, errors.IllConditioned):
+        assert not issubclass(c, errors.InputError), c.__name__

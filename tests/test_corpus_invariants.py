@@ -4,13 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from ringref import check_ring_axioms
 
 from starclean.corpus import default_corpus
 from starclean.elements import is_clean_elem, spsr_conditions, strongly_star_regular_witness
 from starclean.involutions import StarRing, identity_involution, transpose_involution
 from starclean.matrixops import DenseMatrix, is_spsr_matrix
 from starclean.properties import ring_property
-from starclean.rings import MatrixSpec, Zmod, build_ring, check_ring_axioms, quotient
+from starclean.rings import MatrixSpec, Zmod, build_ring, quotient
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from ringref import commutant
 
 import starclean.elements as elements
-import starclean.involutions as involutions
 import starclean.rings as rings
-from starclean.corpus import default_corpus
+from starclean.corpus import default_corpus, warmup
 from starclean.elements import (
     CLEAN_MODES,
     clean_certificates,
@@ -345,13 +347,14 @@ def test_clean_tables_over_many_pool_blocks_match_loop_reference(monkeypatch):
     # rows hold 96 units, and two rows per block on Z2xZ2xZ2
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 2)
     built = []
+    build = elements.clean_decomposition_table
 
     def counted(S, mode):
-        table = elements.clean_decomposition_table(S, mode)
+        table = build(S, mode)
         built.append((S.label, mode))
         return table
 
-    monkeypatch.setattr(involutions, "clean_decomposition_table", counted)
+    monkeypatch.setattr(elements, "clean_decomposition_table", counted)
     cases = [build_star_ring("M2(Z4)", "tr(id)"), build_star_ring("Z2xZ2xZ2", "id")]
     for S in cases:
         for pool in (S.ring.idempotent_ids, S.projection_ids):
@@ -420,12 +423,12 @@ def test_blocked_witness_arrays_match_loop_reference(monkeypatch):
 
 # (module the owner looks the builder up in, builder name, owner of its array)
 LAZY_BUILDERS = (
-    (involutions, "first_ssr_witnesses", lambda S: S),
-    (involutions, "first_c2_witnesses", lambda S: S),
-    (involutions, "first_sasr_witnesses", lambda S: S),
-    (involutions, "first_c1_witnesses", lambda S: S),
-    (involutions, "first_c3_witnesses", lambda S: S),
-    (involutions, "first_c4_witnesses", lambda S: S),
+    (elements, "first_ssr_witnesses", lambda S: S),
+    (elements, "first_c2_witnesses", lambda S: S),
+    (elements, "first_sasr_witnesses", lambda S: S),
+    (elements, "first_c1_witnesses", lambda S: S),
+    (elements, "first_c3_witnesses", lambda S: S),
+    (elements, "first_c4_witnesses", lambda S: S),
     (elements, "first_spr_witnesses", lambda S: S.ring),
 )
 
@@ -456,10 +459,10 @@ def test_element_sweep_builds_each_array_once(monkeypatch):
 def test_element_queries_fill_only_their_own_row_block(monkeypatch):
     def arrays(S):
         return {
-            "c1": S.c1_witnesses,
-            "c3": S.c3_witnesses,
-            "c4": S.c4_witnesses,
-            "spr": S.ring.spr_witnesses,
+            "c1": S.arrays[elements._c1_blocks],
+            "c3": S.arrays[elements._c3_blocks],
+            "c4": S.arrays[elements._c4_blocks],
+            "spr": S.ring.arrays[elements._spr_blocks],
         }
 
     def ask(S, a):
@@ -482,3 +485,35 @@ def test_element_queries_fill_only_their_own_row_block(monkeypatch):
         assert blocks.filled.all(), name
         assert len(arrays(whole)[name].blocks) == 1, name
         assert blocks.values.tolist() == arrays(whole)[name].values.tolist(), name
+
+
+def test_star_ring_is_freed_without_the_cycle_collector():
+    def every_array(S):
+        for mode in CLEAN_MODES:
+            clean_certificates(S, 1, mode)
+        spsr_conditions(S, 1)
+        strongly_pi_regular_witness(S.ring, 1)
+        strongly_star_regular_witness(S, 1)
+        unit_sasr_decomposition(S, 1)
+
+    def and_warmup(S):
+        every_array(S)
+        warmup([S])
+        assert S.mod_jacobson()[0] is S  # J = 0, so R/J(R) is S itself
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for step in (every_array, and_warmup):
+            S = build_star_ring("M2(Z3)", "tr(id)")
+            step(S)
+            star_ring, ring = weakref.ref(S), weakref.ref(S.ring)
+            del S
+            assert star_ring() is None, step.__name__
+            # the ring's cached Jacobson radical is an Ideal that refers back
+            # to it, so only a ring without one is freed by reference counts
+            if step is every_array:
+                assert ring() is None
+    finally:
+        if enabled:
+            gc.enable()

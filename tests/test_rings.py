@@ -5,7 +5,7 @@ import pytest
 
 import starclean.rings as rings
 from idealref import fixpoint_ideal_mask
-from ringref import scalar_add, scalar_mul, scalar_neg
+from ringref import check_ring_axioms, scalar_add, scalar_mul, scalar_neg
 from starclean.corpus import default_corpus
 from starclean.errors import MalformedSpec, NotAnIdeal, NotIdempotent, SpecTooLarge
 from starclean.rings import (
@@ -21,7 +21,6 @@ from starclean.rings import (
     TruncatedPolySpec,
     Zmod,
     build_ring,
-    check_ring_axioms,
     generated_ideal,
     quotient,
     spec_string,

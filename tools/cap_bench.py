@@ -44,8 +44,10 @@ CAP_RINGS = (
     ("GR(Z4,C6)", "grp(id)"),
     ("GR(Z2,C12)", "grp(id)"),
 )
-# a ring of the cap size whose every element is a projection: |P| = n
+# a ring of the cap size whose every element is a projection: |P| = n, and
+# the one of half that size, the largest on which every suite runs in minutes
 BOOLEAN_CAP_RING = ("x".join(["Z2"] * 12), "id")
+BOOLEAN_HALF_RING = ("x".join(["Z2"] * 11), "id")
 LADDER = (
     ("M2(Z4)", "tr(id)"),
     ("M3(Z2)", "tr(id)"),
@@ -82,6 +84,7 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
         ("suite TP(Z2,12)", ["suite", "--corpus", one["TP(Z2,12)"]]),
         ("suite ELEM-EQUIV Z2^12", ["suite", "--suites", "ELEM-EQUIV", "--corpus",
                                     _corpus_file(folder, "Z2^12", [BOOLEAN_CAP_RING])]),
+        ("suite Z2^11", ["suite", "--corpus", _corpus_file(folder, "Z2^11", [BOOLEAN_HALF_RING])]),
         ("suite default", ["suite"]),
         ("corpus-matrix ladder", ["corpus-matrix", "--corpus", _corpus_file(folder, "ladder", LADDER)]),
     ]
