@@ -48,7 +48,6 @@ from .involutions import (
     identity_involution,
     induce_quotient_involution,
     is_proper,
-    is_star_abelian,
     product_involution,
     swap_involution,
     table_involution,
@@ -103,7 +102,6 @@ from .rings import (
     Zmod,
     build_ring,
     generated_ideal,
-    quotient,
     spec_string,
 )
 from .specparse import (

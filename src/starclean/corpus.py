@@ -51,7 +51,7 @@ def warmup(corpus: list[StarRing]) -> None:
         R.idempotent_mask
         R.nilpotent_mask
         R.center_mask
-        R.jacobson_radical()
+        R.jacobson_mask
         R.right_ideal_masks
         S.projection_mask
         S.self_adjoint_mask

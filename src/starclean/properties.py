@@ -20,7 +20,7 @@ from .elements import (
     strongly_star_regular_witness,
 )
 from .errors import UnknownProperty
-from .involutions import StarRing, is_star_abelian
+from .involutions import StarRing
 from .rings import _row_blocks
 
 
@@ -119,13 +119,9 @@ def elem_unit_regular(S, a):
 
 
 def elem_star_regular(S, a):
-    """xR = pR for some projection p."""
-    R = S.ring
-    row = R.right_ideal(a)
-    for p in S.projections():
-        if (R.right_ideal(p) == row).all():
-            return True
-    return False
+    """xR = pR for some projection p: x and p share a principal right ideal class."""
+    cls, _ = S.ring.principal_right_ideal_classes
+    return bool((cls[S.projection_ids] == cls[a]).any())
 
 
 def elem_strongly_star_regular(S, a):
@@ -170,20 +166,18 @@ def _forall_elements(S: StarRing, pred) -> Verdict:
 # -- set-shaped properties -------------------------------------------------------
 
 
+def _central_verdict(S: StarRing, mask: np.ndarray) -> Verdict:
+    """True iff every element of mask is central; witness (x, y), xy != yx."""
+    witness = S.ring.first_noncentral(mask)
+    return Verdict(True) if witness is None else Verdict(False, _pair_witness(S, *witness))
+
+
 def _prop_abelian(S: StarRing) -> Verdict:
-    R = S.ring
-    for e in R.idempotents():
-        bad = np.flatnonzero(R.mul_table[e] != R.mul_table[:, e])
-        if bad.size:
-            return Verdict(False, _pair_witness(S, e, int(bad[0])))
-    return Verdict(True)
+    return _central_verdict(S, S.ring.idempotent_mask)
 
 
 def _prop_star_abelian(S: StarRing) -> Verdict:
-    ok, witness = is_star_abelian(S)
-    if ok:
-        return Verdict(True)
-    return Verdict(False, _pair_witness(S, *witness))
+    return _central_verdict(S, S.projection_mask)
 
 
 def _prop_idempotents_are_projections(S: StarRing) -> Verdict:
@@ -195,10 +189,8 @@ def _prop_idempotents_are_projections(S: StarRing) -> Verdict:
 
 def _prop_j_nil(S: StarRing) -> Verdict:
     R = S.ring
-    for a in R.jacobson_radical().elements():
-        if not R.nilpotent_mask[a]:
-            return Verdict(False, _elem_witness(S, a))
-    return Verdict(True)
+    bad = np.flatnonzero(R.jacobson_mask & ~R.nilpotent_mask)
+    return Verdict(True) if bad.size == 0 else Verdict(False, _elem_witness(S, int(bad[0])))
 
 
 def _prop_directly_finite(S: StarRing) -> Verdict:
@@ -336,7 +328,7 @@ def check_witness(S: StarRing, prop: str, witness: Witness) -> bool:
         return R.mul(e, e) == e and S.star(e) != e
     if prop == "J-nil":
         (a,) = ids
-        return R.jacobson_radical().contains(a) and not R.is_nilpotent(a)
+        return bool(R.jacobson_mask[a]) and not R.is_nilpotent(a)
     if prop == "directly-finite":
         a, b = ids
         return R.mul(a, b) == R.one and R.mul(b, a) != R.one

@@ -300,7 +300,10 @@ class FiniteRing:
     A subclass provides ``_tables``, which returns its add, mul and neg
     tables, plus rendering; the tables are its only arithmetic.  Everything
     else (units, idempotents, nilpotents, center, the Jacobson radical,
-    right-ideal masks) is derived here from the tables and cached.
+    right-ideal masks and their classes) is derived here from the tables and
+    cached, once per ring fact: the deciders and suites that need centrality,
+    aR = bR or J(R) read these caches. J(R) is kept as a mask; it is an ideal
+    by the quasi-regularity theorem, so it is never validated (see ``Ideal``).
     """
 
     spec: RingSpec | None = None
@@ -457,23 +460,26 @@ class FiniteRing:
     def center_mask(self) -> np.ndarray:
         return (self.mul_table == self.mul_table.T).all(axis=1)
 
-    @cached_property
-    def is_commutative(self) -> bool:
-        return bool(self.center_mask.all())
+    def first_noncentral(self, mask: np.ndarray) -> tuple[int, int] | None:
+        """(a, b): a is the least id of mask outside the center, b the least
+        id with ab != ba; None if every element of mask is central."""
+        outside = np.flatnonzero(mask & ~self.center_mask)
+        if outside.size == 0:
+            return None
+        a = int(outside[0])
+        return a, int(np.flatnonzero(self.mul_table[a] != self.mul_table[:, a])[0])
 
-    def jacobson_radical(self) -> "Ideal":
-        return self._jacobson
-
     @cached_property
-    def _jacobson(self) -> "Ideal":
+    def jacobson_mask(self) -> np.ndarray:
         # quasi-regularity: a is in the radical iff 1 - r*a is a unit for all r.
         # One-sided suffices here: left invertible implies invertible in a
         # finite ring (direct finiteness).
-        one_minus_ra = self.one_minus_table[self.mul_table]
-        mask = self.units_mask[one_minus_ra].all(axis=0)
-        ideal = Ideal(self, mask, check=False)
-        ideal.validate()
-        return ideal
+        return self.units_mask[self.one_minus_table[self.mul_table]].all(axis=0)
+
+    def jacobson_radical(self) -> "Ideal":
+        """J(R), an ideal by the quasi-regularity theorem, so not validated;
+        a fresh view of ``jacobson_mask``, which the ring does not refer to."""
+        return Ideal(self, self.jacobson_mask, check=False)
 
     @cached_property
     def right_ideal_masks(self) -> np.ndarray:
@@ -812,8 +818,6 @@ class QuotientRing(FiniteRing):
         self.reps = reps.astype(np.int64)
         self.surjection = np.searchsorted(reps, rep_of).astype(np.int64)
         self.size = len(reps)
-        if self.size * ideal.size != base.size:
-            raise NotAnIdeal("coset partition is not uniform; subset is not an ideal")
         self.one = int(self.surjection[base.one])
 
     def _tables(self):
@@ -886,7 +890,13 @@ class CornerRing(FiniteRing):
 
 
 class Ideal:
-    """A validated two-sided ideal, stored as a boolean mask over the owner."""
+    """A two-sided ideal, stored as a boolean mask over the owner.
+
+    A mask from outside (``Ideal(...)``, ``Ideal.from_elements``) is validated
+    once, here. The ideals starclean builds are ideals by construction and are
+    not: ``generated_ideal`` by its closure argument, and J(R) by the
+    quasi-regularity theorem. So a ``QuotientRing`` trusts its ideal.
+    """
 
     def __init__(self, owner: FiniteRing, mask: np.ndarray, check: bool = True):
         self.owner = owner
@@ -899,16 +909,13 @@ class Ideal:
             self.validate()
 
     @classmethod
-    def from_elements(cls, owner: FiniteRing, elems: Iterable[int], check: bool = True) -> "Ideal":
+    def from_elements(cls, owner: FiniteRing, elems: Iterable[int]) -> "Ideal":
         mask = np.zeros(owner.size, dtype=bool)
         mask[list(elems)] = True
-        return cls(owner, mask, check=check)
+        return cls(owner, mask)
 
     def elements(self) -> tuple[int, ...]:
         return tuple(int(x) for x in self.elements_array)
-
-    def contains(self, a: int) -> bool:
-        return bool(self.mask[a])
 
     def validate(self) -> None:
         R = self.owner
@@ -922,16 +929,6 @@ class Ideal:
         if not self.mask[R.mul_table[idx, :]].all():
             raise NotAnIdeal("not closed under right multiplication")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ideal)
-            and other.owner is self.owner
-            and bool((other.mask == self.mask).all())
-        )
-
-    def __hash__(self):
-        return hash((id(self.owner), self.elements()))
-
     def __repr__(self):
         return f"<Ideal size={self.size} of {self.owner.describe()}>"
 
@@ -942,7 +939,8 @@ def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> Ideal:
     The ideal is the additive closure of R·G·R, which holds G because 1 is
     in R. R·G·R is closed under left and right multiplication, and sums of
     such a set stay closed under both, so after the one multiplication
-    gather only the additive closure remains; it runs by doubling.
+    gather only the additive closure remains; it runs by doubling. The
+    result is an ideal by this argument, so it is not validated.
     """
     mul = R.mul_table
     gens = np.asarray(list(generators), dtype=np.int64)
@@ -986,8 +984,3 @@ def _build(spec: RingSpec) -> FiniteRing:
         ideal = generated_ideal(base, spec.generators)
         return QuotientRing(base, ideal, spec=spec)
     raise MalformedSpec(f"not a ring spec: {spec!r}")
-
-
-def quotient(R: FiniteRing, ideal: Ideal) -> QuotientRing:
-    ideal.validate()
-    return QuotientRing(R, ideal)

@@ -29,7 +29,6 @@ from .properties import (
     lifting_checks,
     psr_onesided_equiv,
     ring_property,
-    stable_range_checks,
 )
 from .rings import MatrixSpec, generated_ideal
 from .specparse import build_star_ring
@@ -93,16 +92,13 @@ def _suite_elem_equiv(S: StarRing) -> SuiteRow:
 
 def _ring_equiv_c3(S: StarRing) -> bool:
     R = S.ring
-    proj = S.projections()
+    cls, reps = R.principal_right_ideal_classes
+    # the classes of the principal right ideals pR of the projections
+    proj_class = np.zeros(len(reps), dtype=bool)
+    proj_class[cls[S.projection_ids]] = True
     for a in R.elements():
         powers, _ = R.distinct_powers(a)
-        hit = False
-        for w in powers:
-            row = R.right_ideal(w)
-            if any((R.right_ideal(p) == row).all() for p in proj):
-                hit = True
-                break
-        if not hit:
+        if not proj_class[cls[powers]].any():
             return False
     return ring_property(S, "abelian").value
 
@@ -234,7 +230,7 @@ def _suite_groupring(SG: StarRing) -> SuiteRow:
     S = build_star_ring(f"Z{RG.base.size}", "id")
     base = S.ring
     two = base.add(base.one, base.one)
-    hyp_two = base.jacobson_radical().contains(two)
+    hyp_two = bool(base.jacobson_mask[two])
     hyp_group = RG.group.is_two_group()
     lhs = ring_property(S, "strongly-pi-star-regular").value
     rhs = all(spsr_c2(SG, x) is not None for x in RG.elements())
@@ -289,13 +285,12 @@ def _src_c7(S: StarRing) -> bool:
 
 
 def _suite_src_equiv(S: StarRing) -> SuiteRow:
-    sr = stable_range_checks(S)
     star_ab = ring_property(S, "star-abelian").value
     idproj = ring_property(S, "idempotents-are-projections").value
     flags = {
-        "c1": sr["psr1"].value and star_ab,
+        "c1": ring_property(S, "psr1").value and star_ab,
         "c2": _src_c2(S),
-        "c3": sr["isr1"].value and idproj,
+        "c3": ring_property(S, "isr1").value and idproj,
         "c4_clean": ring_property(S, "clean").value and idproj,
         "c4_exchange": ring_property(S, "exchange").value and idproj,
         "c5": ring_property(S, "star-clean").value and star_ab,
@@ -310,12 +305,12 @@ def _suite_ssc_psr(S: StarRing) -> SuiteRow:
     ssc = ring_property(S, "strongly-star-clean").value
     if not ssc:
         return SuiteRow(S.label, True, "hypothesis not met; skipped")
-    psr = stable_range_checks(S)["psr1"].value
+    psr = ring_property(S, "psr1").value
     return SuiteRow(S.label, psr, "", _flags_detail(ssc=ssc, psr1=psr))
 
 
 def _suite_psr_sc(S: StarRing) -> SuiteRow:
-    psr = stable_range_checks(S)["psr1"].value
+    psr = ring_property(S, "psr1").value
     if not psr:
         return SuiteRow(S.label, True, "hypothesis not met; skipped")
     sc = ring_property(S, "star-clean").value
@@ -454,15 +449,14 @@ def _suite_idproj_abelian(S: StarRing) -> SuiteRow:
 def _suite_final_equiv(S: StarRing) -> SuiteRow:
     if not ring_property(S, "idempotents-are-projections").value:
         return SuiteRow(S.label, True, "hypothesis not met; skipped")
-    sr = stable_range_checks(S)
     flags = {
         "clean": ring_property(S, "clean").value,
         "strongly_clean": ring_property(S, "strongly-clean").value,
         "exchange": ring_property(S, "exchange").value,
         "star_clean": ring_property(S, "star-clean").value,
         "strongly_star_clean": ring_property(S, "strongly-star-clean").value,
-        "isr1": sr["isr1"].value,
-        "psr1": sr["psr1"].value,
+        "isr1": ring_property(S, "isr1").value,
+        "psr1": ring_property(S, "psr1").value,
     }
     ok = len(set(flags.values())) == 1
     return SuiteRow(S.label, ok, "five-way equivalence", _flags_detail(**flags))

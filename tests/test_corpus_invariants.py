@@ -11,7 +11,7 @@ from starclean.elements import is_clean_elem, spsr_conditions, strongly_star_reg
 from starclean.involutions import StarRing, identity_involution, transpose_involution
 from starclean.matrixops import DenseMatrix, is_spsr_matrix
 from starclean.properties import ring_property
-from starclean.rings import MatrixSpec, Zmod, build_ring, quotient
+from starclean.rings import MatrixSpec, QuotientRing, Zmod, build_ring
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,8 @@ def test_radical_is_nil_and_factor_is_semisimple(corpus):
         assert ring_property(S, "J-nil").value, S.label
         R = S.ring
         J = R.jacobson_radical()
-        Q = quotient(R, J)
+        J.validate()  # J(R) is not validated where it is built
+        Q = QuotientRing(R, J)
         assert Q.jacobson_radical().size == 1, S.label
         assert Q.size * J.size == R.size, S.label
 

@@ -510,10 +510,7 @@ def test_star_ring_is_freed_without_the_cycle_collector():
             star_ring, ring = weakref.ref(S), weakref.ref(S.ring)
             del S
             assert star_ring() is None, step.__name__
-            # the ring's cached Jacobson radical is an Ideal that refers back
-            # to it, so only a ring without one is freed by reference counts
-            if step is every_array:
-                assert ring() is None
+            assert ring() is None, step.__name__
     finally:
         if enabled:
             gc.enable()

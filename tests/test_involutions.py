@@ -17,13 +17,13 @@ from starclean.involutions import (
     identity_involution,
     induce_quotient_involution,
     is_proper,
-    is_star_abelian,
     product_involution,
     swap_involution,
     table_involution,
     transpose_involution,
     truncated_poly_involution,
 )
+from starclean.properties import Verdict, ring_property
 from starclean.rings import (
     Cyclic,
     GroupRingSpec,
@@ -229,16 +229,15 @@ def test_is_proper_matrix_rings_match_oracle():
 
 def test_is_star_abelian():
     S = _star(Zmod(9), identity_involution)
-    assert is_star_abelian(S) == (True, None)
+    assert ring_property(S, "star-abelian") == Verdict(True)
     S2 = m2(2)
-    ok, witness = is_star_abelian(S2)
-    assert not ok
-    p, x = witness
+    verdict = ring_property(S2, "star-abelian")
+    assert not verdict.value
+    p, x = verdict.witness.ids
     R = S2.ring
     assert R.mul(p, x) != R.mul(x, p)
     assert S2.projection_mask[p]
-    ok3, _ = is_star_abelian(m2(3))
-    assert not ok3
+    assert not ring_property(m2(3), "star-abelian").value
 
 
 def test_star_respects_units():

@@ -3,7 +3,7 @@ import pytest
 
 from starclean.corpus import default_corpus
 from starclean.elements import is_clean_elem
-from starclean.errors import UnknownProperty
+from starclean.errors import IdentityOnNoncommutative, UnknownProperty
 from starclean.involutions import (
     StarRing,
     identity_involution,
@@ -15,12 +15,15 @@ from starclean.properties import (
     _stable_success,
     check_stable_range_pair,
     check_witness,
+    elem_star_regular,
     lifting_checks,
     psr_onesided_equiv,
     ring_property,
     stable_range_checks,
 )
 from starclean.rings import MatrixSpec, ProductSpec, Zmod, build_ring
+from starclean.specparse import build_star_ring
+from starclean.suites import _ring_equiv_c3
 
 
 def ident(spec):
@@ -233,3 +236,75 @@ def test_all_false_verdicts_revalidate():
 def test_unknown_property():
     with pytest.raises(UnknownProperty):
         ring_property(ident(Zmod(4)), "frobnicated")
+
+
+# -- centrality, aR = pR and J(R) against the row-by-row loops they replaced ------
+
+
+def _loop_first_noncentral(R, ids):
+    """First (a, b) with ab != ba, a walking ids and b all of R in id order."""
+    for a in ids:
+        bad = np.flatnonzero(R.mul_table[a] != R.mul_table[:, a])
+        if bad.size:
+            return a, int(bad[0])
+    return None
+
+
+def _loop_star_regular(S, a):
+    R = S.ring
+    return any((R.right_ideal(p) == R.right_ideal(a)).all() for p in S.projections())
+
+
+def _loop_ring_equiv_c3(S):
+    R = S.ring
+    for a in R.elements():
+        powers, _ = R.distinct_powers(a)
+        if not any(_loop_star_regular(S, w) for w in powers):
+            return False
+    return ring_property(S, "abelian").value
+
+
+_LADDER = (("M2(Z4)", "tr(id)"), ("M3(Z2)", "tr(id)"), ("M2(Z5)", "tr(id)"),
+           ("GR(Z3,C6)", "grp(id)"), ("TP(Z2,10)", "tp(id)"))
+
+
+@pytest.fixture(scope="module")
+def reference_rings():
+    ladder = [build_star_ring(ring, inv) for ring, inv in _LADDER]
+    return default_corpus() + [build_star_ring("x".join(["Z2"] * 8), "id")] + ladder
+
+
+def test_centrality_witnesses_match_the_row_loops(reference_rings):
+    noncommutative = 0
+    for S in reference_rings:
+        R = S.ring
+        for prop, ids in (("abelian", R.idempotents()), ("star-abelian", S.projections())):
+            verdict = ring_property(S, prop)
+            want = _loop_first_noncentral(R, ids)
+            assert (None if verdict.value else verdict.witness.ids) == want, (S.label, prop)
+        want = _loop_first_noncentral(R, R.elements())
+        if want is None:
+            assert identity_involution(R).kind == "identity"
+            continue
+        noncommutative += 1
+        with pytest.raises(IdentityOnNoncommutative) as err:
+            identity_involution(R)
+        assert err.value.witness == want, S.label
+    assert noncommutative >= 5
+
+
+def test_star_regular_and_c3_match_the_row_compares(reference_rings):
+    for S in reference_rings:
+        for a in S.ring.elements():
+            assert elem_star_regular(S, a) == _loop_star_regular(S, a), (S.label, a)
+        assert _ring_equiv_c3(S) == _loop_ring_equiv_c3(S), S.label
+
+
+def test_j_nil_reads_the_radical(reference_rings):
+    for S in reference_rings:
+        R = S.ring
+        J = R.jacobson_radical()
+        J.validate()
+        assert J.mask is R.jacobson_mask
+        bad = [a for a in J.elements() if not R.nilpotent_mask[a]]
+        assert ring_property(S, "J-nil").value == (not bad), S.label

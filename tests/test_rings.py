@@ -17,12 +17,12 @@ from starclean.rings import (
     Ideal,
     MatrixSpec,
     ProductSpec,
+    QuotientRing,
     QuotientSpec,
     TruncatedPolySpec,
     Zmod,
     build_ring,
     generated_ideal,
-    quotient,
     spec_string,
 )
 
@@ -187,7 +187,7 @@ def test_nilpotents_squarefree_modulus():
 def test_quotient_z4():
     R = build_ring(Zmod(4))
     I = Ideal.from_elements(R, [0, 2])
-    Q = quotient(R, I)
+    Q = QuotientRing(R, I)
     assert Q.size == 2
     assert Q.add(1, 1) == 0
     assert Q.mul(1, 1) == 1
@@ -196,7 +196,7 @@ def test_quotient_z4():
 
 def test_quotient_by_zero_is_identity():
     R = build_ring(Zmod(6))
-    Q = quotient(R, Ideal.from_elements(R, [0]))
+    Q = QuotientRing(R, Ideal.from_elements(R, [0]))
     assert Q.size == R.size
     assert all(Q.add(a, b) == R.add(a, b) for a in range(6) for b in range(6))
 
@@ -208,7 +208,7 @@ def test_quotient_m2z4_by_two_eye():
     # oracle: the ideal generated by 2*I consists of the matrices with all
     # entries even, 2^4 of them
     assert I.size == 16
-    Q = quotient(R, I)
+    Q = QuotientRing(R, I)
     assert Q.size == 16
     assert Q.size * I.size == R.size
     # surjection maps each element onto its coset id
@@ -313,7 +313,7 @@ def test_scalar_matches_tables():
         )
     ]
     rings.append(CornerRing(M2, M2.from_value([[1, 0], [0, 0]])))
-    rings.append(quotient(M2, generated_ideal(M2, [M2.from_value([[0, 1], [0, 0]])])))
+    rings.append(QuotientRing(M2, generated_ideal(M2, [M2.from_value([[0, 1], [0, 0]])])))
     for R in rings:
         for a in range(R.size):
             assert scalar_neg(R, a) == int(R.neg_table[a]), (R, a)
@@ -333,7 +333,7 @@ def test_every_table_is_uint16():
         e = R.idempotents()[len(R.idempotents()) // 2]
         J = R.jacobson_radical()
         g = J.elements()[-1] if J.size > 1 else R.zero
-        for ring in (R, CornerRing(R, e), quotient(R, generated_ideal(R, [g]))):
+        for ring in (R, CornerRing(R, e), QuotientRing(R, generated_ideal(R, [g]))):
             assert [t.dtype for t in _tables(ring)] == [np.uint16] * 3, (S.label, ring)
             assert all(t.flags.c_contiguous for t in _tables(ring)), (S.label, ring)
 
@@ -385,7 +385,7 @@ def test_quotient_mod_radical_is_semisimple():
     for spec in (Zmod(8), Zmod(9), GroupRingSpec(Zmod(2), Cyclic(2))):
         R = build_ring(spec)
         J = R.jacobson_radical()
-        Q = quotient(R, J)
+        Q = QuotientRing(R, J)
         assert Q.jacobson_radical().elements() == (Q.zero,)
 
 

@@ -78,6 +78,8 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
         (f"element {name}", ["element", "--ring", ring, "--inv", inv, "--elem", "7"])
         for name, ring, inv in named
     ]
+    z2_12 = ["--ring", BOOLEAN_CAP_RING[0], "--inv", BOOLEAN_CAP_RING[1]]
+    table.append(("check star-regular Z2^12", ["check", *z2_12, "--prop", "star-regular"]))
     pair = ["--suites", "SRC-EQUIV,PSR-ONESIDED", "--corpus", one["M2(Z8)"]]
     table += [
         ("suite SRC-EQUIV,PSR-ONESIDED M2(Z8)", ["suite", *pair]),
