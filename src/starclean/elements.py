@@ -8,16 +8,19 @@ conditions bundled in ``spsr_conditions``, and the unit plus self-adjoint
 square root of 1 decomposition. Every query reads its element's entry in a
 per-ring array, which its own builder (see the end of this module) fills for
 many elements at once. Each array is kept in the ``arrays`` store of its
-owner, the star ring (the ring for strong pi-regularity), under a key of this
-module: the table of every decomposition of each clean mode, the
-factorization, C2 and the unit plus root sum are built whole on first use,
-and C1, C3, C4 and strong pi-regularity one row block of elements at a time,
-the block of the element asked about.
+owner, the star ring (the ring for strong pi-regularity and regularity),
+under a key of this module: the table of every decomposition of each clean
+mode, the factorization, C2 and the unit plus root sum are built whole on
+first use, and C1, C3, C4, strong pi-regularity and regularity one row
+block of elements at a time, the block of the element asked about. The
+``*_holds`` functions answer a whole block of elements from the same
+arrays, for the ring-level deciders of ``properties``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -59,6 +62,11 @@ class CleanCertificate(NamedTuple):
         return True
 
 
+# builds a certificate from one field tuple without the keyword handling of
+# the named tuple's own constructor, about a third cheaper per certificate
+_new_certificate = partial(tuple.__new__, CleanCertificate)
+
+
 class CleanTable(NamedTuple):
     """Every decomposition a = e + u of one clean mode, grouped by a: those of
     a are parts[offsets[a]:offsets[a + 1]] and the units at the same
@@ -74,19 +82,24 @@ def clean_certificates(S: StarRing, a: int, mode: str) -> list[CleanCertificate]
     table = S.arrays[_CLEAN_TABLES[mode]]
     lo, hi = table.offsets[a : a + 2].tolist()
     k = hi - lo
-    return list(map(
-        CleanCertificate,
+    return list(map(_new_certificate, zip(
         repeat(a, k),
         table.parts[lo:hi].tolist(),
         table.units[lo:hi].tolist(),
         repeat(mode in _PROJECTION_MODES, k),
         repeat(mode in _COMMUTING_MODES, k),
-    ))
+    )))
 
 
 def is_clean_elem(S: StarRing, a: int, mode: str) -> bool:
     offsets = S.arrays[_CLEAN_TABLES[mode]].offsets
     return bool(offsets[a + 1] > offsets[a])
+
+
+def clean_holds(S: StarRing, rows: slice, mode: str) -> np.ndarray:
+    """Per element of rows, whether it has a decomposition in the mode."""
+    offsets = S.arrays[_CLEAN_TABLES[mode]].offsets
+    return offsets[rows.start + 1 : rows.stop + 1] > offsets[rows]
 
 
 # -- strong pi-regularity -------------------------------------------------------
@@ -101,12 +114,25 @@ def strongly_pi_regular_witness(
     return None if n < 0 else (n, x, y)
 
 
+def strongly_pi_regular_holds(R: FiniteRing, rows: slice) -> np.ndarray:
+    return R.arrays[_spr_blocks].take(R, rows)[:, 0] >= 0
+
+
+def regular_holds(R: FiniteRing, ids) -> np.ndarray:
+    """Per element of ids (a slice or an id array), whether a = aba for some b."""
+    return R.arrays[_regular_blocks].take(R, ids) >= 0
+
+
 def strongly_star_regular_witness(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (p, u) with a = p u = u p, p a projection and u a unit."""
     u = int(S.arrays[first_ssr_witnesses][a])
     if u < 0:
         return None
     return S.ring.mul(a, S.ring.inverse(u)), u  # a = pu, so p = a u^-1
+
+
+def strongly_star_regular_holds(S: StarRing, rows: slice) -> np.ndarray:
+    return S.arrays[first_ssr_witnesses][rows] >= 0
 
 
 # -- the four equivalent conditions ---------------------------------------------
@@ -175,6 +201,10 @@ def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     if m < 0:
         return None
     return PiStarCertificate(a, "C1", {"m": m, "e": e, "u": u})
+
+
+def spsr_c1_holds(S: StarRing, rows: slice) -> np.ndarray:
+    return S.arrays[_c1_blocks].take(S, rows)[:, 0] >= 0
 
 
 def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
@@ -252,12 +282,12 @@ def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
 #   which meets every element, so they fill the whole array at once, in
 #   ascending pool blocks of at most about 2^20 candidate pairs. Each clean
 #   mode's table is built from its own pool.
-# - C1, C3, C4 and strong pi-regularity are indexed by element: each answers
-#   one row block of elements, the rows of ``_row_blocks(0, n, n)``, and the
-#   store holds its ``WitnessBlocks``, which fill a block when one of its
-#   elements is first looked up. No temporary holds more than _BLOCK_ENTRIES
-#   entries, so a lone query at the size cap pays for one block, not for the
-#   whole ring.
+# - C1, C3, C4, strong pi-regularity and regularity are indexed by element:
+#   each answers one row block of elements, the rows of
+#   ``_row_blocks(0, n, n)``, and the store holds its ``WitnessBlocks``,
+#   which fill a block when one of its elements is first looked up. No
+#   temporary holds more than _BLOCK_ENTRIES entries, so a lone query at the
+#   size cap pays for one block, not for the whole ring.
 #
 # Builders read only ring-level caches and share no condition: the sides of
 # a suite that compare these kernels keep their own code.
@@ -278,8 +308,9 @@ _CLEAN_TABLES = _CleanTableKeys(
 class WitnessBlocks:
     """The first witnesses of one row-block builder, filled one block of
     ``_row_blocks(0, size, size)`` at a time: looking an element up fills
-    its block with ``fill(owner, rows)``, each witness of shape ``tail``. The
-    owner is passed at each lookup, so the blocks keep no reference to it.
+    its block with ``fill(owner, rows)``, each witness of shape ``tail``, and
+    taking many fills every block they meet. The owner is passed at each
+    lookup, so the blocks keep no reference to it.
     """
 
     def __init__(self, size: int, tail: tuple[int, ...], fill):
@@ -289,13 +320,25 @@ class WitnessBlocks:
         self.values = np.full((size, *tail), -1, dtype=np.int64)
         self._fill = fill
 
+    def _fill_block(self, owner, k: int) -> None:
+        rows = self.blocks[k]
+        self.values[rows] = self._fill(owner, rows)
+        self.filled[k] = True
+
     def lookup(self, owner, a: int) -> np.ndarray:
         k = a // self.rows
         if not self.filled[k]:
-            rows = self.blocks[k]
-            self.values[rows] = self._fill(owner, rows)
-            self.filled[k] = True
+            self._fill_block(owner, k)
         return self.values[a]
+
+    def take(self, owner, ids) -> np.ndarray:
+        """The witnesses of ids, a slice of elements or an array of ids,
+        filling every block that holds one of them."""
+        met = np.zeros(len(self.blocks), dtype=bool)
+        met[np.arange(len(self.values))[ids] // self.rows] = True
+        for k in np.flatnonzero(met & ~self.filled).tolist():
+            self._fill_block(owner, k)
+        return self.values[ids]
 
 
 # the store keys of the row-block builders
@@ -315,6 +358,10 @@ def _c4_blocks(S: StarRing) -> WitnessBlocks:
 
 def _spr_blocks(R: FiniteRing) -> WitnessBlocks:
     return WitnessBlocks(R.size, (3,), first_spr_witnesses)
+
+
+def _regular_blocks(R: FiniteRing) -> WitnessBlocks:
+    return WitnessBlocks(R.size, (), first_regular_witnesses)
 
 
 def _keep_first(out: np.ndarray, elems: np.ndarray, witnesses: np.ndarray) -> None:
@@ -513,6 +560,26 @@ def first_spr_witnesses(R: FiniteRing, rows: slice) -> np.ndarray:
         walking = np.ones(len(i), dtype=bool)
         walking[j] = False
         i, w = i[walking], wnext[walking]
+    return out
+
+
+def first_regular_witnesses(R: FiniteRing, rows: slice) -> np.ndarray:
+    """Per element a of rows, the least b with aba = a.
+
+    Column a of mul holds ba for every b, and a(ba) is entry ba of row a,
+    so every lookup stays within the block's own rows of mul. The rows go
+    in parts of an eighth of a block, as each part's index is 8-byte intp.
+    """
+    mul, n = R.mul_table, R.size
+    out = np.empty(rows.stop - rows.start, dtype=np.int64)
+    for part in _row_blocks(rows.start, rows.stop, 8 * n):
+        elems = np.arange(part.start, part.stop)
+        ba = mul[:, part].T.astype(np.intp)
+        ba += n * np.arange(len(elems))[:, None]  # index into the part's flat rows
+        hit = mul[part].ravel()[ba] == elems[:, None]
+        b = hit.argmax(axis=1)
+        b[~hit[np.arange(len(b)), b]] = -1
+        out[part.start - rows.start : part.stop - rows.start] = b
     return out
 
 

@@ -1,22 +1,36 @@
 """Ring-level property deciders with re-checkable witnesses.
 
-Universally quantified properties are decided by exhaustive scans over
-elements (or pairs); a False verdict always carries the first counterexample
-in canonical element order, and ``check_witness`` re-validates any witness
-against the property it refutes.
+A property quantified over elements is decided from row-block masks: one
+kernel answers a whole block of ``_row_blocks(0, n, n)`` at once, the
+blocks run in ascending order, and the first block with a failing element
+ends the scan. Set-shaped and pair properties read ring-level caches. A
+False verdict always carries the first counterexample in canonical element
+order, the same one a scan of one element at a time finds, and
+``check_witness`` re-validates any witness against the property it refutes
+with a per-element predicate. Those of exchange, the five regularities
+without "strongly-*-star" or "strongly-pi", boolean and local share no
+kernel with their block deciders; the four clean modes, strongly-pi-regular,
+strongly-pi-star-regular and strongly-star-regular read the same
+first-witness arrays as their deciders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .elements import (
+    clean_holds,
     is_clean_elem,
+    regular_holds,
     spsr_c1,
+    spsr_c1_holds,
+    strongly_pi_regular_holds,
     strongly_pi_regular_witness,
+    strongly_star_regular_holds,
     strongly_star_regular_witness,
 )
 from .errors import UnknownProperty
@@ -54,7 +68,7 @@ def _pair_witness(S: StarRing, a: int, b: int) -> Witness:
     return Witness("pair", (a, b), f"a={S.ring.render(a)}, b={S.ring.render(b)}")
 
 
-# -- per-element predicates ----------------------------------------------------
+# -- per-element predicates, the re-checks of check_witness ---------------------
 
 
 def elem_clean(S, a):
@@ -137,29 +151,102 @@ def elem_local(S, a):
     return bool(R.units_mask[a] or R.units_mask[R.one_minus(a)])
 
 
-_ELEMENT_TESTS: dict[str, Callable[[StarRing, int], bool]] = {
-    "clean": elem_clean,
-    "strongly-clean": elem_strongly_clean,
-    "star-clean": elem_star_clean,
-    "strongly-star-clean": elem_strongly_star_clean,
-    "exchange": elem_exchange,
-    "pi-regular": elem_pi_regular,
-    "strongly-pi-regular": elem_strongly_pi_regular,
-    "strongly-pi-star-regular": elem_spsr,
-    "regular": elem_regular,
-    "strongly-regular": elem_strongly_regular,
-    "unit-regular": elem_unit_regular,
-    "star-regular": elem_star_regular,
-    "strongly-star-regular": elem_strongly_star_regular,
-    "boolean": elem_boolean,
-    "local": elem_local,
+# -- block kernels, the deciders -------------------------------------------------
+#
+# Each kernel answers, for every element of one row block, whether the
+# property holds there. No temporary holds more than one block's entries:
+# a block has at most _BLOCK_ENTRIES // n rows, and a kernel's widest
+# array is those rows times a pool of at most n ids.
+
+
+def _holds_exchange(S, rows):
+    """Some idempotent e with e in aR and 1 - e in (1 - a)R."""
+    R = S.ring
+    masks, q, e = R.right_ideal_masks, R.one_minus_table, R.idempotent_ids
+    elems = np.arange(R.size)[rows]
+    return (masks[np.ix_(elems, e)] & masks[np.ix_(q[elems], q[e])]).any(axis=1)
+
+
+def _holds_pi_regular(S, rows):
+    """Some power of a is regular: the distinct powers of every element of
+    the block are walked at once, each row until it meets a regular power
+    or a repeat."""
+    R = S.ring
+    mul = R.mul_table
+    elems = np.arange(R.size)[rows]
+    out = np.zeros(len(elems), dtype=bool)
+    seen = np.zeros((len(elems), R.size), dtype=bool)
+    i, w = np.arange(len(elems)), elems  # rows still walking, and their new power
+    while i.size:
+        seen[i, w] = True
+        hit = regular_holds(R, w)
+        out[i[hit]] = True
+        i, w = i[~hit], w[~hit]
+        w = mul[w, elems[i]]
+        new = ~seen[i, w]
+        i, w = i[new], w[new]
+    return out
+
+
+def _holds_strongly_regular(S, rows):
+    """a in a^2 R."""
+    R = S.ring
+    elems = np.arange(R.size)[rows]
+    return R.right_ideal_masks[R.mul_table[elems, elems], elems]
+
+
+def _holds_unit_regular(S, rows):
+    """a = aua for some unit u, that is, av is idempotent for some unit v:
+    aua = a makes au idempotent, and av = e idempotent gives a = e v^-1, so
+    a v a = e e v^-1 = a."""
+    R = S.ring
+    return R.idempotent_mask[R.mul_table[rows][:, R.unit_ids]].any(axis=1)
+
+
+def _holds_star_regular(S, rows):
+    """xR = pR for some projection p: x is in a class of a projection."""
+    cls, reps = S.ring.principal_right_ideal_classes
+    projection_class = np.zeros(len(reps), dtype=bool)
+    projection_class[cls[S.projection_ids]] = True
+    return projection_class[cls[rows]]
+
+
+def _holds_local(S, rows):
+    """a or 1 - a is a unit."""
+    R = S.ring
+    return R.units_mask[rows] | R.units_mask[R.one_minus_table[rows]]
+
+
+# name: (block kernel of the decider, per-element predicate of check_witness)
+_ELEMENT_TESTS: dict[str, tuple[Callable, Callable]] = {
+    "clean": (partial(clean_holds, mode="clean"), elem_clean),
+    "strongly-clean": (partial(clean_holds, mode="strongly-clean"), elem_strongly_clean),
+    "star-clean": (partial(clean_holds, mode="star-clean"), elem_star_clean),
+    "strongly-star-clean": (partial(clean_holds, mode="strongly-star-clean"),
+                            elem_strongly_star_clean),
+    "exchange": (_holds_exchange, elem_exchange),
+    "pi-regular": (_holds_pi_regular, elem_pi_regular),
+    "strongly-pi-regular": (lambda S, rows: strongly_pi_regular_holds(S.ring, rows),
+                            elem_strongly_pi_regular),
+    "strongly-pi-star-regular": (spsr_c1_holds, elem_spsr),
+    "regular": (lambda S, rows: regular_holds(S.ring, rows), elem_regular),
+    "strongly-regular": (_holds_strongly_regular, elem_strongly_regular),
+    "unit-regular": (_holds_unit_regular, elem_unit_regular),
+    "star-regular": (_holds_star_regular, elem_star_regular),
+    "strongly-star-regular": (strongly_star_regular_holds, elem_strongly_star_regular),
+    "boolean": (lambda S, rows: S.ring.idempotent_mask[rows], elem_boolean),
+    "local": (_holds_local, elem_local),
 }
 
 
-def _forall_elements(S: StarRing, pred) -> Verdict:
-    for a in S.ring.elements():
-        if not pred(S, a):
-            return Verdict(False, _elem_witness(S, a))
+def _forall_elements(S: StarRing, holds) -> Verdict:
+    """The first element, by id, where the block kernel fails; blocks run
+    in ascending order and the scan stops at the first that fails."""
+    n = S.ring.size
+    for rows in _row_blocks(0, n, n):
+        ok = holds(S, rows)
+        if not ok.all():
+            return Verdict(False, _elem_witness(S, rows.start + int(ok.argmin())))
     return Verdict(True)
 
 
@@ -300,7 +387,7 @@ def ring_property(S: StarRing, prop: str) -> Verdict:
     if prop in cache:
         return cache[prop]
     if prop in _ELEMENT_TESTS:
-        verdict = _forall_elements(S, _ELEMENT_TESTS[prop])
+        verdict = _forall_elements(S, _ELEMENT_TESTS[prop][0])
     elif prop in _SET_TESTS:
         verdict = _SET_TESTS[prop](S)
     elif prop in STABLE_RANGE_PROPERTIES:
@@ -316,7 +403,7 @@ def check_witness(S: StarRing, prop: str, witness: Witness) -> bool:
     R = S.ring
     ids = witness.ids
     if prop in _ELEMENT_TESTS:
-        return not _ELEMENT_TESTS[prop](S, ids[0])
+        return not _ELEMENT_TESTS[prop][1](S, ids[0])
     if prop == "abelian":
         e, x = ids
         return R.mul(e, e) == e and R.mul(e, x) != R.mul(x, e)

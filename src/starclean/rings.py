@@ -944,6 +944,10 @@ def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> Ideal:
     """
     mul = R.mul_table
     gens = np.asarray(list(generators), dtype=np.int64)
+    if (mul[gens] == R.one).any():
+        # if uv = 1 for a generator u, as for a unit (u·u⁻¹ = 1), then 1 is
+        # in the ideal and so is all of R: no table needs gathering
+        return Ideal(R, np.ones(R.size, dtype=bool), check=False)
     mask = np.zeros(R.size, dtype=bool)
     mask[R.zero] = True
     mask[mul[np.unique(mul[:, gens]), :]] = True

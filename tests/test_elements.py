@@ -15,6 +15,7 @@ from starclean.elements import (
     first_c2_witnesses,
     first_c3_witnesses,
     first_c4_witnesses,
+    first_regular_witnesses,
     first_sasr_witnesses,
     first_spr_witnesses,
     first_ssr_witnesses,
@@ -306,6 +307,11 @@ def ref_unit_regular(S, a):
     return any(R.mul(R.mul(a, u), a) == a for u in R.units())
 
 
+def ref_regular(S, a):
+    R = S.ring
+    return next((b for b in R.elements() if R.mul(R.mul(a, b), a) == a), None)
+
+
 def cert_record(cert):
     return None if cert is None else (cert.tag, cert.data)
 
@@ -403,6 +409,8 @@ BUILDERS = (
     (swept(first_c4_witnesses), ref_c4, lambda r: r["b"],
      elements_of, lambda S: S.ring.size),
     (swept(first_spr_witnesses, lambda S: S.ring), lambda S, a: ref_spr(S.ring, a), list,
+     elements_of, lambda S: S.ring.size),
+    (swept(first_regular_witnesses, lambda S: S.ring), ref_regular, lambda r: r,
      elements_of, lambda S: S.ring.size),
 )
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from idealref import fixpoint_ideal_mask
 
+import starclean.elements as elements
+import starclean.rings as rings
 from starclean.corpus import default_corpus
 from starclean.elements import is_clean_elem
 from starclean.errors import IdentityOnNoncommutative, UnknownProperty
@@ -11,7 +14,11 @@ from starclean.involutions import (
     transpose_involution,
 )
 from starclean.properties import (
+    _ELEMENT_TESTS,
     PROPERTIES,
+    Verdict,
+    _elem_witness,
+    _forall_elements,
     _stable_success,
     check_stable_range_pair,
     check_witness,
@@ -21,7 +28,7 @@ from starclean.properties import (
     ring_property,
     stable_range_checks,
 )
-from starclean.rings import MatrixSpec, ProductSpec, Zmod, build_ring
+from starclean.rings import MatrixSpec, ProductSpec, Zmod, build_ring, generated_ideal
 from starclean.specparse import build_star_ring
 from starclean.suites import _ring_equiv_c3
 
@@ -308,3 +315,82 @@ def test_j_nil_reads_the_radical(reference_rings):
         assert J.mask is R.jacobson_mask
         bad = [a for a in J.elements() if not R.nilpotent_mask[a]]
         assert ring_property(S, "J-nil").value == (not bad), S.label
+
+
+# -- element properties against the one-element-at-a-time scan they replaced -----
+
+
+def _loop_forall_elements(S, pred):
+    for a in S.ring.elements():
+        if not pred(S, a):
+            return Verdict(False, _elem_witness(S, a))
+    return Verdict(True)
+
+
+def test_block_kernels_match_the_element_predicates(reference_rings):
+    for S in reference_rings:
+        n = S.ring.size
+        for prop, (holds, pred) in _ELEMENT_TESTS.items():
+            got = np.concatenate([holds(S, rows) for rows in rings._row_blocks(0, n, n)])
+            assert got.dtype == bool and got.shape == (n,), (S.label, prop)
+            assert got.tolist() == [bool(pred(S, a)) for a in S.ring.elements()], (S.label, prop)
+
+
+def test_element_verdicts_match_the_element_loop(reference_rings):
+    failed = 0
+    for S in reference_rings:
+        for prop, (_, pred) in _ELEMENT_TESTS.items():
+            verdict = ring_property(S, prop)
+            assert verdict == _loop_forall_elements(S, pred), (S.label, prop)
+            failed += not verdict.value
+    assert failed >= 50
+
+
+def test_first_failure_in_a_later_block_stops_the_scan(monkeypatch):
+    rows = 2  # the first failures on these rings are at ids 1 to 9
+    later = set()
+    for ring, inv in _LADDER[:2] + (("M2(Z2)", "tr(id)"), ("Z2xZ4", "id")):
+        S = build_star_ring(ring, inv)
+        n = S.ring.size
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", rows * n)
+        assert len(rings._row_blocks(0, n, n)) == -(-n // rows)
+        for prop, (holds, pred) in _ELEMENT_TESTS.items():
+            asked = []
+
+            def counted(S, block, holds=holds):
+                asked.append(block.start)
+                return holds(S, block)
+
+            verdict = _forall_elements(S, counted)
+            assert verdict == _loop_forall_elements(S, pred), (S.label, prop)
+            last = n - 1 if verdict.value else verdict.witness.ids[0]
+            # every block up to the one of the first failure, and no other
+            assert asked == list(range(0, last // rows * rows + 1, rows)), (S.label, prop)
+            if last // rows:
+                later.add(prop)
+        regular = S.ring.arrays[elements._regular_blocks]
+        assert len(regular.blocks) == -(-n // rows), S.label
+    assert {"regular", "unit-regular", "strongly-regular", "star-regular", "boolean",
+            "strongly-star-regular", "strongly-star-clean", "strongly-pi-star-regular"} <= later
+
+
+def test_regular_fills_only_the_blocks_before_its_first_failure(monkeypatch):
+    S = build_star_ring("M2(Z4)", "tr(id)")
+    n = S.ring.size
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", n)  # one element per block
+    verdict = ring_property(S, "regular")
+    a = verdict.witness.ids[0]
+    assert a > 0 and not verdict.value
+    filled = S.ring.arrays[elements._regular_blocks].filled
+    assert np.flatnonzero(filled).tolist() == list(range(a + 1))
+
+
+def test_generated_ideal_of_a_unit_is_the_closure(reference_rings):
+    for S in reference_rings[:20]:
+        R = S.ring
+        units = R.unit_ids[:3].tolist()
+        nonunit = int(np.flatnonzero(~R.units_mask)[-1])
+        for gens in [[u] for u in units] + [[nonunit, units[-1]]]:
+            ideal = generated_ideal(R, gens)
+            assert ideal.mask.all(), (S.label, gens)
+            assert (ideal.mask == fixpoint_ideal_mask(R, gens)).all(), (S.label, gens)
