@@ -399,6 +399,27 @@ class FiniteRing:
     # -- derived subsets ------------------------------------------------------
 
     @cached_property
+    def additive_generators(self) -> np.ndarray:
+        """Ids generating (R, +), each the least id outside the additive span
+        of those before it; ``verify_involution`` decides on them. Each
+        generator at least doubles the span, so there are at most log2(n)."""
+        add, zero = self.add_table, self.zero
+        span = np.zeros(self.size, dtype=bool)
+        span[zero] = True
+        gens = []
+        while not span.all():
+            g = int(np.argmin(span))
+            gens.append(g)
+            # multiples 0, g, 2g, ... by doubling, up to the least m > 0 with
+            # mg in the span H; then H + <g> is the union of H + kg for k < m
+            mult = np.array([zero, g])
+            while not span[mult[1:]].any():
+                mult = np.concatenate([mult, add[mult, add[mult[-1], g]]])
+            m = 1 + int(np.argmax(span[mult[1:]]))
+            span[add[np.ix_(np.flatnonzero(span), mult[:m])]] = True
+        return np.array(gens, dtype=np.intp)
+
+    @cached_property
     def _unit_data(self) -> tuple[tuple[int, ...], np.ndarray]:
         # a unit's right inverse is unique, so the first b with ab = 1 is the
         # inverse of a if a has one; rows are searched a block at a time

@@ -7,10 +7,13 @@ them. A digit ring's product is its own ``_scalar_mul``, which the package
 calls only on single-digit pairs. ``commutant`` serves the per-element
 search loops that the element kernels are checked against, and
 ``check_ring_axioms`` checks every ring axiom on every triple of elements.
+``reference_verify_involution`` checks an involution's axioms on every
+pair, raising what the package's exact check must raise.
 """
 
 import numpy as np
 
+from starclean.errors import AxiomViolation
 from starclean.rings import CornerRing, ProductRing, QuotientRing, ZmodRing, _DigitRing
 
 
@@ -110,3 +113,25 @@ def check_ring_axioms(R) -> list[tuple[str, tuple[int, ...]]]:
             violations.append(("right-distributive", (int(b), int(c), a)))
             break
     return violations
+
+
+def reference_verify_involution(R, star) -> None:
+    """Raise AxiomViolation unless star is an involution on R, checking every
+    pair at once; the witness is the row-major first violation of the first
+    axiom that fails, in the order bijectivity, additivity,
+    anti-multiplicativity, involutivity."""
+    n = R.size
+    star = np.asarray(star)
+    if star.shape != (n,) or not (np.sort(star) == np.arange(n)).all():
+        raise AxiomViolation("bijectivity", (), "star is not a permutation of the elements")
+    add, mul = R.add_table, R.mul_table
+    for axiom, bad in (
+        ("additivity", star[add] != add[np.ix_(star, star)]),
+        ("anti-multiplicativity", star[mul] != mul[np.ix_(star, star)].T),
+    ):
+        if bad.any():
+            x, y = (int(i) for i in np.argwhere(bad)[0])
+            raise AxiomViolation(axiom, (x, y), f"x={R.render(x)}, y={R.render(y)}")
+    if not (star[star] == np.arange(n)).all():
+        x = int(np.flatnonzero(star[star] != np.arange(n))[0])
+        raise AxiomViolation("involutivity", (x,), f"x={R.render(x)}")
