@@ -7,7 +7,8 @@ projection-times-unit factorization, the four equivalent power/decomposition
 conditions bundled in ``spsr_conditions``, and the unit plus self-adjoint
 square root of 1 decomposition. Every query reads its element's entry in a
 per-ring array, which its own builder (see the end of this module) fills for
-many elements at once. Each array is kept in the ``arrays`` store of its
+many elements at once; the entry is the whole witness (or -1), so a query
+does no ring arithmetic. Each array is kept in the ``arrays`` store of its
 owner, the star ring (the ring for strong pi-regularity and regularity),
 under a key of this module: the table of every decomposition of each clean
 mode, the factorization, C2 and the unit plus root sum are built whole on
@@ -125,14 +126,12 @@ def regular_holds(R: FiniteRing, ids) -> np.ndarray:
 
 def strongly_star_regular_witness(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (p, u) with a = p u = u p, p a projection and u a unit."""
-    u = int(S.arrays[first_ssr_witnesses][a])
-    if u < 0:
-        return None
-    return S.ring.mul(a, S.ring.inverse(u)), u  # a = pu, so p = a u^-1
+    p, u = S.arrays[first_ssr_witnesses][a].tolist()
+    return None if p < 0 else (p, u)
 
 
 def strongly_star_regular_holds(S: StarRing, rows: slice) -> np.ndarray:
-    return S.arrays[first_ssr_witnesses][rows] >= 0
+    return S.arrays[first_ssr_witnesses][rows, 0] >= 0
 
 
 # -- the four equivalent conditions ---------------------------------------------
@@ -209,21 +208,14 @@ def spsr_c1_holds(S: StarRing, rows: slice) -> np.ndarray:
 
 def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """a = f + v with f a projection, v a unit, fv = vf, and a*f nilpotent."""
-    f = int(S.arrays[first_c2_witnesses][a])
-    if f < 0:
-        return None
-    return PiStarCertificate(a, "C2", {"f": f, "v": S.ring.sub(a, f)})
+    f, v = S.arrays[first_c2_witnesses][a].tolist()
+    return None if f < 0 else PiStarCertificate(a, "C2", {"f": f, "v": v})
 
 
 def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting projection p with a*p invertible in pRp and a(1-p) nilpotent."""
-    p = int(S.arrays[_c3_blocks].lookup(S, a))
-    if p < 0:
-        return None
-    R = S.ring
-    # the corner inverse of ap is p u^-1 p, with u = ap + 1 - p a unit of R
-    u = R.add(R.mul(a, p), R.one_minus(p))
-    return PiStarCertificate(a, "C3", {"p": p, "w": R.mul(R.mul(p, R.inverse(u)), p)})
+    p, w = S.arrays[_c3_blocks].lookup(S, a).tolist()
+    return None if p < 0 else PiStarCertificate(a, "C3", {"p": p, "w": w})
 
 
 def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
@@ -251,10 +243,6 @@ class SpsrVerdict:
         f = self.flags
         return all(f) or not any(f)
 
-    @property
-    def holds(self) -> bool:
-        return self.c1 is not None
-
 
 def spsr_conditions(S: StarRing, a: int) -> SpsrVerdict:
     """Evaluate the four conditions independently by exhaustive search."""
@@ -263,19 +251,17 @@ def spsr_conditions(S: StarRing, a: int) -> SpsrVerdict:
 
 def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (t, u) with a = t + u, t a self-adjoint square root of 1, u a unit."""
-    t = int(S.arrays[first_sasr_witnesses][a])
-    if t < 0:
-        return None
-    return t, S.ring.sub(a, t)
+    t, u = S.arrays[first_sasr_witnesses][a].tolist()
+    return None if t < 0 else (t, u)
 
 
 # -- per-ring arrays ---------------------------------------------------------------
 #
 # Each builder answers its kernel for many elements at once and returns, per
-# element, the first witness in the kernel's search order, or -1; the clean
-# tables return every decomposition. An array is made on first lookup in the
-# ``arrays`` store of its owner, keyed by its builder (or by a key per clean
-# mode). Two shapes:
+# element, the whole first witness in the kernel's search order as one row
+# of ids, or -1s; the clean tables return every decomposition. An array is
+# made on first lookup in the ``arrays`` store of its owner, keyed by its
+# builder (or by a key per clean mode). Two shapes:
 #
 # - the clean tables, ssr, C2 and the unit plus root sum walk their pool
 #   (idempotents, projections, or self-adjoint roots of 1) times the units,
@@ -349,7 +335,7 @@ def _c1_blocks(S: StarRing) -> WitnessBlocks:
 
 
 def _c3_blocks(S: StarRing) -> WitnessBlocks:
-    return WitnessBlocks(S.ring.size, (), first_c3_witnesses)
+    return WitnessBlocks(S.ring.size, (2,), first_c3_witnesses)
 
 
 def _c4_blocks(S: StarRing) -> WitnessBlocks:
@@ -365,11 +351,11 @@ def _regular_blocks(R: FiniteRing) -> WitnessBlocks:
 
 
 def _keep_first(out: np.ndarray, elems: np.ndarray, witnesses: np.ndarray) -> None:
-    """Give each element of elems that has no witness in out yet its first
-    witness, in the order of elems."""
+    """Give each element of elems that has no witness row in out yet its
+    first witness row, in the order of elems."""
     first = np.full(len(out), len(elems))  # position of each element's first hit
     np.minimum.at(first, elems, np.arange(len(elems)))
-    new = np.flatnonzero((first < len(elems)) & (out < 0))
+    new = np.flatnonzero((first < len(elems)) & (out[:, 0] < 0))
     out[new] = witnesses[first[new]]
 
 
@@ -404,59 +390,61 @@ def clean_decomposition_table(S: StarRing, mode: str) -> CleanTable:
 
 
 def first_ssr_witnesses(S: StarRing) -> np.ndarray:
-    """Per element a, the unit u of the first (p, u), least p then least u,
-    with a = pu = up; p is a u^-1."""
+    """Per element a, the first (p, u), least p then least u, with a = pu = up."""
     R = S.ring
     mul, units = R.mul_table, R.unit_ids
-    out = np.full(R.size, -1, dtype=np.int64)
+    out = np.full((R.size, 2), -1, dtype=np.int64)
     for block in _row_blocks(0, len(S.projection_ids), len(units)):
         p = S.projection_ids[block]
         pu = mul[np.ix_(p, units)]
         i, j = np.nonzero(pu == mul[np.ix_(units, p)].T)  # by p, then by u
-        _keep_first(out, pu[i, j], units[j])
+        _keep_first(out, pu[i, j], np.stack([p[i], units[j]], axis=1))
     return out
 
 
 def first_c2_witnesses(S: StarRing) -> np.ndarray:
-    """Per element a, the least projection f of a C2 decomposition a = f + v.
+    """Per element a, the C2 decomposition a = f + v with the least projection f.
 
     v = a - f is a unit, so the pairs (f, v) run over projections times
     units; f + v hits each element at most once per f.
     """
     R = S.ring
     mul, units = R.mul_table, R.unit_ids
-    out = np.full(R.size, -1, dtype=np.int64)
+    out = np.full((R.size, 2), -1, dtype=np.int64)
     for block in _row_blocks(0, len(S.projection_ids), len(units)):
         f = S.projection_ids[block]
         i, j = np.nonzero(mul[np.ix_(f, units)] == mul[np.ix_(units, f)].T)  # by f
         f, v = f[i], units[j]
         a = R.add_table[f, v]
         nil = R.nilpotent_mask[mul[a, f]]
-        _keep_first(out, a[nil], f[nil])
+        _keep_first(out, a[nil], np.stack([f[nil], v[nil]], axis=1))
     return out
 
 
 def first_c3_witnesses(S: StarRing, rows: slice) -> np.ndarray:
-    """Per element a of rows, the least projection p with ap = pa, a(1-p)
-    nilpotent and ap invertible in pRp.
+    """Per element a of rows, (p, w) with p the least projection such that
+    ap = pa, a(1-p) is nilpotent and ap is invertible in pRp, and w the
+    inverse of ap there.
 
     ap = pap lies in pRp, and it is invertible there iff u = ap + 1 - p is a
-    unit of R (then p u^-1 p is its inverse), so no corner is scanned.
+    unit of R; then w = p u^-1 p, so no corner is scanned.
     """
     R = S.ring
-    mul, q_of = R.mul_table, R.one_minus_table
+    mul, q_of, inverse = R.mul_table, R.one_minus_table, R._unit_data[1]
     elems = np.arange(R.size)[rows]
-    out = np.full(len(elems), -1, dtype=np.int64)
+    out = np.full((len(elems), 2), -1, dtype=np.int64)
     for block in _row_blocks(0, len(S.projection_ids), len(elems)):
-        todo = np.flatnonzero(out < 0)
+        todo = np.flatnonzero(out[:, 0] < 0)
         p = S.projection_ids[block]
         # one gather decides a(1-p) nilpotent; the other tests run on the pairs it keeps
         i, j = np.nonzero(R.nilpotent_mask[mul[np.ix_(elems[todo], q_of[p])]])  # by a, then p
         i, p = todo[i], p[j]
         a = elems[i]
         ap = mul[a, p]
-        ok = (ap == mul[p, a]) & R.units_mask[R.add_table[ap, q_of[p]]]
-        _keep_first(out, i[ok], p[ok])
+        u = R.add_table[ap, q_of[p]]
+        ok = (ap == mul[p, a]) & R.units_mask[u]
+        i, p, u = i[ok], p[ok], u[ok]
+        _keep_first(out, i, np.stack([p, mul[mul[p, inverse[u]], p]], axis=1))
     return out
 
 
@@ -528,7 +516,8 @@ def first_c4_witnesses(S: StarRing, rows: slice) -> np.ndarray:
     ok = (ab == mul[b, a]) & (S.star_table[ab] == ab)
     ok &= R.nilpotent_mask[R.add_table[a, R.neg_table[mul[mul[a, a], b]]]]
     out = np.full(len(elems), -1, dtype=np.int64)
-    _keep_first(out, i[ok], b[ok])
+    i, first = np.unique(i[ok], return_index=True)  # the least b of each a
+    out[i] = b[ok][first]
     return out
 
 
@@ -584,12 +573,14 @@ def first_regular_witnesses(R: FiniteRing, rows: slice) -> np.ndarray:
 
 
 def first_sasr_witnesses(S: StarRing) -> np.ndarray:
-    """Per element a, the least self-adjoint square root t of 1 with a - t a
-    unit; the pairs (t, u) run over roots times units, a = t + u."""
+    """Per element a, (t, u) with a = t + u, t the least self-adjoint square
+    root of 1 such that u = a - t is a unit; the pairs run over roots times
+    units."""
     R = S.ring
     roots, units = S.sasr_unit_ids, R.unit_ids
-    out = np.full(R.size, -1, dtype=np.int64)
+    out = np.full((R.size, 2), -1, dtype=np.int64)
     for block in _row_blocks(0, len(roots), len(units)):
         t = roots[block]
-        _keep_first(out, R.add_table[np.ix_(t, units)].ravel(), np.repeat(t, len(units)))
+        pairs = np.stack([np.repeat(t, len(units)), np.tile(units, len(t))], axis=1)
+        _keep_first(out, R.add_table[np.ix_(t, units)].ravel(), pairs)
     return out

@@ -36,6 +36,7 @@ from .rings import (
     ProductRing,
     QuotientRing,
     TruncatedPolyRing,
+    _row_blocks,
 )
 
 INVOLUTION_KINDS = (
@@ -49,10 +50,6 @@ INVOLUTION_KINDS = (
     "corner-restriction",
     "table",
 )
-
-
-# rows of the n x n axiom checks gathered at once in ``verify_involution``
-_VERIFY_ROWS = 256
 
 
 def _raise_first(R: FiniteRing, axiom: str, bad: np.ndarray, row0: int) -> None:
@@ -91,7 +88,7 @@ def _scan_axioms(R: FiniteRing, star: np.ndarray) -> None:
     add, mul = R.add_table, R.mul_table
     # each axiom is checked over blocks of rows x in order, so the first
     # violation found is the row-major first and memory stays O(block * n)
-    blocks = [slice(start, start + _VERIFY_ROWS) for start in range(0, n, _VERIFY_ROWS)]
+    blocks = _row_blocks(0, n, n)
     for x in blocks:
         _raise_first(R, "additivity", star[add[x]] != add[np.ix_(star[x], star)], x.start)
     for x in blocks:
@@ -128,11 +125,14 @@ class Involution:
 
 
 def identity_involution(R: FiniteRing) -> Involution:
-    witness = R.first_noncentral(np.ones(R.size, dtype=bool))
-    if witness is not None:
-        a, b = witness
-        raise IdentityOnNoncommutative((a, b), f"x={R.render(a)}, y={R.render(b)}")
-    return Involution(R, np.arange(R.size), "identity", "id")
+    # with x* = x only the reversal of products can fail, and on G x G that
+    # is commutativity; the full scan names the least non-central x and the
+    # least y it does not commute with, as ``first_noncentral`` would
+    try:
+        return Involution(R, np.arange(R.size), "identity", "id")
+    except AxiomViolation as err:
+        x, y = err.witness
+        raise IdentityOnNoncommutative((x, y), f"x={R.render(x)}, y={R.render(y)}") from err
 
 
 def swap_involution(R: FiniteRing) -> Involution:

@@ -33,9 +33,8 @@ MAX_RING_SIZE = int(np.iinfo(ID_DTYPE).max) + 1
 
 # peak bytes per pair of elements while a ring is built and its involution
 # checked, measured at n = 8192 as 4.4-5.5 above the interpreter's own RSS:
-# the uint16 add and mul tables hold 4, the tables of a product's factors or
-# of a quotient, or the n x n mask that checks an identity involution's ring
-# is commutative, up to 1.5 more; every other gather runs in row blocks
+# the uint16 add and mul tables hold 4, and the tables of a product's factors
+# or of a quotient up to 1.5 more; every other gather runs in row blocks
 TABLE_BYTES_PER_PAIR = 6
 
 # element counts stop here: every larger ring is refused anyway, and a recipe
@@ -401,23 +400,8 @@ class FiniteRing:
     @cached_property
     def additive_generators(self) -> np.ndarray:
         """Ids generating (R, +), each the least id outside the additive span
-        of those before it; ``verify_involution`` decides on them. Each
-        generator at least doubles the span, so there are at most log2(n)."""
-        add, zero = self.add_table, self.zero
-        span = np.zeros(self.size, dtype=bool)
-        span[zero] = True
-        gens = []
-        while not span.all():
-            g = int(np.argmin(span))
-            gens.append(g)
-            # multiples 0, g, 2g, ... by doubling, up to the least m > 0 with
-            # mg in the span H; then H + <g> is the union of H + kg for k < m
-            mult = np.array([zero, g])
-            while not span[mult[1:]].any():
-                mult = np.concatenate([mult, add[mult, add[mult[-1], g]]])
-            m = 1 + int(np.argmax(span[mult[1:]]))
-            span[add[np.ix_(np.flatnonzero(span), mult[:m])]] = True
-        return np.array(gens, dtype=np.intp)
+        of those before it; ``verify_involution`` decides on them."""
+        return _additive_span(self, np.ones(self.size, dtype=bool))[1]
 
     @cached_property
     def _unit_data(self) -> tuple[tuple[int, ...], np.ndarray]:
@@ -954,14 +938,36 @@ class Ideal:
         return f"<Ideal size={self.size} of {self.owner.describe()}>"
 
 
+def _additive_span(R: FiniteRing, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the additive span of the ids in the mask within, and its
+    generators: each the least id of within outside the span of those
+    before it. Each generator at least doubles the span, so there are at
+    most log2(n)."""
+    add, zero = R.add_table, R.zero
+    span = np.zeros(R.size, dtype=bool)
+    span[zero] = True
+    gens = []
+    while not span[within].all():
+        g = int(np.argmax(within & ~span))
+        gens.append(g)
+        # multiples 0, g, 2g, ... by doubling, up to the least m > 0 with
+        # mg in the span H; then H + <g> is the union of H + kg for k < m
+        mult = np.array([zero, g])
+        while not span[mult[1:]].any():
+            mult = np.concatenate([mult, add[mult, add[mult[-1], g]]])
+        m = 1 + int(np.argmax(span[mult[1:]]))
+        span[add[np.ix_(np.flatnonzero(span), mult[:m])]] = True
+    return span, np.array(gens, dtype=np.intp)
+
+
 def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> Ideal:
     """Two-sided ideal generated by the given elements.
 
     The ideal is the additive closure of R·G·R, which holds G because 1 is
     in R. R·G·R is closed under left and right multiplication, and sums of
     such a set stay closed under both, so after the one multiplication
-    gather only the additive closure remains; it runs by doubling. The
-    result is an ideal by this argument, so it is not validated.
+    gather only the additive span remains, which ``_additive_span`` walks.
+    The result is an ideal by this argument, so it is not validated.
     """
     mul = R.mul_table
     gens = np.asarray(list(generators), dtype=np.int64)
@@ -969,17 +975,9 @@ def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> Ideal:
         # if uv = 1 for a generator u, as for a unit (u·u⁻¹ = 1), then 1 is
         # in the ideal and so is all of R: no table needs gathering
         return Ideal(R, np.ones(R.size, dtype=bool), check=False)
-    mask = np.zeros(R.size, dtype=bool)
-    mask[R.zero] = True
-    mask[mul[np.unique(mul[:, gens]), :]] = True
-    while True:
-        idx = np.flatnonzero(mask)
-        new = mask.copy()
-        new[R.add_table[np.ix_(idx, idx)]] = True
-        if np.count_nonzero(new) == idx.size:
-            break
-        mask = new
-    return Ideal(R, mask, check=False)
+    rgr = np.zeros(R.size, dtype=bool)
+    rgr[mul[np.unique(mul[:, gens]), :]] = True
+    return Ideal(R, _additive_span(R, rgr)[0], check=False)
 
 
 # ---------------------------------------------------------------------------

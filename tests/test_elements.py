@@ -396,15 +396,15 @@ def swept(build, owner_of=lambda S: S):
 # (builder, reference, the witness the array holds, pool, row length of a block);
 # the whole-array builders block their pool, the row-block builders the elements
 BUILDERS = (
-    (first_ssr_witnesses, ref_ssr, lambda r: r[1],
+    (first_ssr_witnesses, ref_ssr, list,
      lambda S: S.projection_ids, lambda S: len(S.ring.unit_ids)),
-    (first_c2_witnesses, ref_c2, lambda r: r["f"],
+    (first_c2_witnesses, ref_c2, lambda r: [r["f"], r["v"]],
      lambda S: S.projection_ids, lambda S: len(S.ring.unit_ids)),
-    (first_sasr_witnesses, ref_sasr, lambda r: r[0],
+    (first_sasr_witnesses, ref_sasr, list,
      lambda S: S.sasr_unit_ids, lambda S: len(S.ring.unit_ids)),
     (swept(first_c1_witnesses), ref_c1, lambda r: [r["m"], r["e"], r["u"]],
      elements_of, lambda S: S.ring.size),
-    (swept(first_c3_witnesses), ref_c3, lambda r: r["p"],
+    (swept(first_c3_witnesses), ref_c3, lambda r: [r["p"], r["w"]],
      elements_of, lambda S: S.ring.size),
     (swept(first_c4_witnesses), ref_c4, lambda r: r["b"],
      elements_of, lambda S: S.ring.size),
@@ -424,9 +424,34 @@ def test_blocked_witness_arrays_match_loop_reference(monkeypatch):
                 monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block * row)
                 assert len(rings._row_blocks(0, size, row)) == -(-size // block)
                 got = build(S).tolist()
-                none = [-1] * 3 if isinstance(got[0], list) else -1
+                none = [-1] * len(got[0]) if isinstance(got[0], list) else -1
                 want = [none if r is None else held(r) for r in refs]
                 assert got == want, (S.label, ref.__name__, block)
+
+
+def test_element_queries_do_no_ring_arithmetic(monkeypatch):
+    def answers(S):
+        out = []
+        for a in S.ring.elements():
+            v = spsr_conditions(S, a)
+            out.append((
+                [clean_certificates(S, a, mode) for mode in CLEAN_MODES],
+                [is_clean_elem(S, a, mode) for mode in CLEAN_MODES],
+                strongly_pi_regular_witness(S.ring, a),
+                strongly_star_regular_witness(S, a),
+                [cert_record(c) for c in (v.c1, v.c2, v.c3, v.c4)],
+                unit_sasr_decomposition(S, a),
+            ))
+        return out
+
+    def arithmetic(*args):
+        raise AssertionError("an element query called scalar ring arithmetic")
+
+    for S in (build_star_ring("M2(Z4)", "tr(id)"), build_star_ring("Z2xZ2xZ2", "id")):
+        before = answers(S)  # builds every array
+        for name in ("add", "mul", "sub", "neg", "inverse", "one_minus"):
+            monkeypatch.setattr(S.ring, name, arithmetic)
+        assert answers(S) == before, S.label
 
 
 # (module the owner looks the builder up in, builder name, owner of its array)

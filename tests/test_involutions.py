@@ -34,6 +34,7 @@ from starclean.rings import (
     Zmod,
     build_ring,
 )
+from starclean.specparse import parse_ring_spec
 
 
 def _star(ring_spec, make_inv):
@@ -56,6 +57,33 @@ def test_identity_rejected_on_matrix_ring():
     R = build_ring(MatrixSpec(2, Zmod(2)))
     with pytest.raises(IdentityOnNoncommutative):
         identity_involution(R)
+
+
+NONCOMMUTATIVE = (
+    "M2(Z2)", "M2(Z3)", "M2(Z4)", "M3(Z2)", "Z2xM2(Z2)", "M2(Z2)xZ3",
+    "TP(M2(Z2),2)", "GR(M2(Z2),C2)",
+)
+
+
+@pytest.mark.parametrize("recipe", NONCOMMUTATIVE)
+def test_identity_refusal_names_the_first_noncentral_pair(recipe):
+    R = build_ring(parse_ring_spec(recipe))
+    with pytest.raises(IdentityOnNoncommutative) as err:
+        identity_involution(R)
+    a, b = R.first_noncentral(np.ones(R.size, dtype=bool))
+    assert type(err.value) is IdentityOnNoncommutative
+    assert err.value.witness == (a, b)
+    assert str(err.value) == (
+        "identity involution requires a commutative ring; "
+        f"x={R.render(a)}, y={R.render(b)} do not commute"
+    )
+
+
+@pytest.mark.parametrize("recipe", ["Z6", "Z2xZ2xZ4", "GR(Z2,C4)", "TP(Z4,3)"])
+def test_identity_on_a_commutative_ring_builds_no_center_mask(recipe):
+    R = build_ring(parse_ring_spec(recipe))
+    assert (identity_involution(R).table == np.arange(R.size)).all()
+    assert "center_mask" not in R.__dict__
 
 
 def test_swap_on_z2xz2():
@@ -299,8 +327,8 @@ def _first_violation(R, star):
 @pytest.mark.parametrize("rows", [1, 3, 256])
 def test_blocked_axiom_check_finds_the_row_major_first_violation(monkeypatch, rows):
     import starclean.involutions as inv
+    import starclean.rings as rings
 
-    monkeypatch.setattr(inv, "_VERIFY_ROWS", rows)
     rng = np.random.default_rng(0)
     cases = []
     for spec in (Zmod(9), MatrixSpec(2, Zmod(2))):
@@ -311,6 +339,8 @@ def test_blocked_axiom_check_finds_the_row_major_first_violation(monkeypatch, ro
             star[2:] = rng.permutation(star[2:])
             cases.append((R, star))
     for R, star in cases:
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", rows * R.size)
+        assert len(rings._row_blocks(0, R.size, R.size)) == -(-R.size // rows)
         expected = _first_violation(R, star)
         if expected is None:
             inv.verify_involution(R, star)
