@@ -40,10 +40,13 @@ def default_corpus() -> list[StarRing]:
 
 
 def warmup(corpus: list[StarRing]) -> None:
-    """Populate the shared caches of each ring in the corpus.
+    """Populate the shared caches of each ring in the corpus that both
+    ``suite`` and ``corpus-matrix`` read.
 
-    The comaximal pairs are left to their first reader, the stable-range
-    deciders or SRC-EQUIV: at the size cap they are the largest cache.
+    The rest are left to their first reader: the comaximal pairs to the
+    stable-range deciders or SRC-EQUIV (at the size cap they are the largest
+    cache), R/J(R) and the self-adjoint square roots of 1 to JAC-EQUIV,
+    ``lifting_checks`` and the sasr queries.
     """
     for S in corpus:
         R = S.ring
@@ -54,6 +57,3 @@ def warmup(corpus: list[StarRing]) -> None:
         R.jacobson_mask
         R.right_ideal_masks
         S.projection_mask
-        S.self_adjoint_mask
-        S.sasr_units
-        S.mod_jacobson()

@@ -52,21 +52,26 @@ INVOLUTION_KINDS = (
 )
 
 
-def _raise_first(R: FiniteRing, axiom: str, bad: np.ndarray, row0: int) -> None:
-    """Raise AxiomViolation at the first True of bad, whose row 0 is element row0."""
-    if bad.any():
-        x, y = map(int, np.argwhere(bad)[0])
-        x += row0
-        raise AxiomViolation(axiom, (x, y), f"x={R.render(x)}, y={R.render(y)}")
+def _raise_first(R: FiniteRing, axiom: str, bad_rows) -> None:
+    """Scan every pair for axiom: bad_rows(x) marks the violations in the rows
+    of the block x, and the blocks go in order, so the first violation found
+    is the row-major first and memory stays O(block * n). Raise
+    AxiomViolation at it."""
+    for x in _row_blocks(0, R.size, R.size):
+        bad = bad_rows(x)
+        if bad.any():
+            row, y = map(int, np.argwhere(bad)[0])
+            row += x.start
+            raise AxiomViolation(axiom, (row, y), f"x={R.render(row)}, y={R.render(y)}")
 
 
 def verify_involution(R: FiniteRing, star: np.ndarray) -> None:
     """Raise AxiomViolation unless star is an involution on R.
 
-    The axioms are decided on the additive generators G of R (see the module
-    docstring): additivity on n x |G| pairs, reversal of products on G x G.
-    Only when that check fails does the full scan of every pair run, which
-    raises at the row-major first violation of the first axiom that fails.
+    Each axiom is decided on the additive generators G of R (see the module
+    docstring): additivity on n x |G| pairs, then reversal of products on
+    G x G. Both checks are exact, so only an axiom that fails on them is
+    scanned on every pair, to raise at its row-major first violation.
     """
     n = R.size
     star = np.asarray(star)
@@ -74,26 +79,12 @@ def verify_involution(R: FiniteRing, star: np.ndarray) -> None:
         raise AxiomViolation("bijectivity", (), "star is not a permutation of the elements")
     add, mul, G = R.add_table, R.mul_table, R.additive_generators
     sG = star[G]
-    if not (
-        (star[add[:, G]] == add[np.ix_(star, sG)]).all()
-        and (star[mul[np.ix_(G, G)]] == mul[np.ix_(sG, sG)].T).all()
-        and (star[star] == np.arange(n)).all()
-    ):
-        _scan_axioms(R, star)
-
-
-def _scan_axioms(R: FiniteRing, star: np.ndarray) -> None:
-    """Check the three axioms on every pair; raise at the first violation."""
-    n = R.size
-    add, mul = R.add_table, R.mul_table
-    # each axiom is checked over blocks of rows x in order, so the first
-    # violation found is the row-major first and memory stays O(block * n)
-    blocks = _row_blocks(0, n, n)
-    for x in blocks:
-        _raise_first(R, "additivity", star[add[x]] != add[np.ix_(star[x], star)], x.start)
-    for x in blocks:
-        bad = star[mul[x]] != mul[np.ix_(star, star[x])].T
-        _raise_first(R, "anti-multiplicativity", bad, x.start)
+    if not (star[add[:, G]] == add[np.ix_(star, sG)]).all():
+        _raise_first(R, "additivity", lambda x: star[add[x]] != add[np.ix_(star[x], star)])
+    if not (star[mul[np.ix_(G, G)]] == mul[np.ix_(sG, sG)].T).all():
+        _raise_first(
+            R, "anti-multiplicativity", lambda x: star[mul[x]] != mul[np.ix_(star, star[x])].T
+        )
     if not (star[star] == np.arange(n)).all():
         x = int(np.flatnonzero(star[star] != np.arange(n))[0])
         raise AxiomViolation("involutivity", (x,), f"x={R.render(x)}")
@@ -146,45 +137,34 @@ def swap_involution(R: FiniteRing) -> Involution:
     return Involution(R, star, "swap", "swap")
 
 
+def _digitwise(R, base_inv: Involution, positions, kind: str, label: str) -> Involution:
+    """The involution starring each coefficient and moving the coefficient at
+    position positions[p] to position p: base involution on the coefficients,
+    a basis anti-automorphism on the positions."""
+    if base_inv.ring is not R.base:
+        raise ValidationError("base involution is not on the coefficient ring")
+    star = base_inv.table[R.digits[:, positions]] @ R._weights
+    return Involution(R, star, kind, label)
+
+
 def transpose_involution(R: FiniteRing, base_inv: Involution) -> Involution:
     if not isinstance(R, MatrixRing):
         raise ValidationError(f"star-transpose needs a matrix ring, got {R.describe()}")
-    if base_inv.ring is not R.base:
-        raise ValidationError("base involution is not on the coefficient ring")
-    k = R.k
-    d = R.digits
-    sd = np.empty_like(d)
-    bstar = base_inv.table
-    for i in range(k):
-        for j in range(k):
-            sd[:, i * k + j] = bstar[d[:, j * k + i]]
-    star = sd.astype(np.int64) @ R._weights
-    return Involution(R, star, "star-transpose", f"tr({base_inv.label})")
+    positions = np.arange(R.width).reshape(R.k, R.k).T.ravel()
+    return _digitwise(R, base_inv, positions, "star-transpose", f"tr({base_inv.label})")
 
 
 def group_ring_involution(R: FiniteRing, base_inv: Involution) -> Involution:
     if not isinstance(R, GroupRing):
         raise ValidationError(f"group-ring involution needs a group ring, got {R.describe()}")
-    if base_inv.ring is not R.base:
-        raise ValidationError("base involution is not on the coefficient ring")
-    d = R.digits
-    sd = np.empty_like(d)
-    bstar = base_inv.table
-    for g in range(R.width):
-        sd[:, g] = bstar[d[:, int(R.group.inv_table[g])]]
-    star = sd.astype(np.int64) @ R._weights
-    return Involution(R, star, "group-ring", f"grp({base_inv.label})")
+    return _digitwise(R, base_inv, R.group.inv_table, "group-ring", f"grp({base_inv.label})")
 
 
 def truncated_poly_involution(R: FiniteRing, base_inv: Involution) -> Involution:
     """Coefficientwise involution fixing the indeterminate."""
     if not isinstance(R, TruncatedPolyRing):
         raise ValidationError(f"needs a truncated polynomial ring, got {R.describe()}")
-    if base_inv.ring is not R.base:
-        raise ValidationError("base involution is not on the coefficient ring")
-    sd = base_inv.table[R.digits]
-    star = sd.astype(np.int64) @ R._weights
-    return Involution(R, star, "truncated-poly", f"tp({base_inv.label})")
+    return _digitwise(R, base_inv, np.arange(R.width), "truncated-poly", f"tp({base_inv.label})")
 
 
 def product_involution(R: FiniteRing, left_inv: Involution, right_inv: Involution) -> Involution:

@@ -7,9 +7,11 @@ left to right, and the first component is the most significant digit.  Id 0
 is always the additive zero.  The Cayley tables, built once per ring, are
 the only arithmetic.  Integers mod n compute theirs in bulk; products,
 quotients and corners gather theirs from the tables they are made from.
-Only digit rings (matrices, group rings, truncated polynomials) define a
-product elementwise, in ``_scalar_mul``, which ``_DigitRing._tables`` calls
-on pairs of single-digit elements and extends to every pair by additivity.
+Digit rings (matrices, group rings, truncated polynomials) are free modules
+over their base with a multiplicative basis, and state their product as one
+index table of that basis, ``_target``: ``_DigitRing._tables`` multiplies
+single-digit elements through it and the base's mul table, and extends the
+product to every pair by additivity.  No ring multiplies element by element.
 """
 
 from __future__ import annotations
@@ -134,13 +136,18 @@ def _pair_ids(left: np.ndarray, right: np.ndarray, nr: int) -> np.ndarray:
     return out
 
 
-def _induced_table(lookup: np.ndarray, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """lookup[table[a, b]] for a, b in ids, gathered in row blocks."""
+def _induced_tables(parent: FiniteRing, lookup: np.ndarray, ids: np.ndarray):
+    """The (add, mul, neg) tables of a ring on the parent's elements ids, in
+    which the parent's element x has the id lookup[x]: lookup[table[a, b]]
+    for a, b in ids, gathered in row blocks."""
     m = len(ids)
-    out = np.empty((m, m), dtype=ID_DTYPE)
-    for rows in _row_blocks(0, m, m):
-        out[rows] = lookup[table[np.ix_(ids[rows], ids)]]
-    return out
+    tables = []
+    for table in (parent.add_table, parent.mul_table):
+        out = np.empty((m, m), dtype=ID_DTYPE)
+        for rows in _row_blocks(0, m, m):
+            out[rows] = lookup[table[np.ix_(ids[rows], ids)]]
+        tables.append(out)
+    return *tables, lookup[parent.neg_table[ids]].astype(ID_DTYPE)
 
 
 def _group_tables(spec: GroupSpec):
@@ -604,10 +611,15 @@ class ProductRing(FiniteRing):
 
 
 class _DigitRing(FiniteRing):
-    """Shared machinery for rings whose elements are digit vectors over a base."""
+    """Shared machinery for rings whose elements are digit vectors over a base,
+    free modules with a multiplicative basis e_0, ..., e_(width-1): the digit
+    at position p is the coefficient of e_p. A subclass states its product as
+    ``_target``, a width x width table with e_p e_q = e_t for t = _target[p, q],
+    or 0 where the entry is -1."""
 
     base: FiniteRing
     width: int
+    _target: np.ndarray
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -637,10 +649,13 @@ class _DigitRing(FiniteRing):
         return acc
 
     def _tables(self):
-        """Tables from ``_scalar_mul`` on pairs of single-digit ids, by additivity.
+        """Tables from ``_target`` on pairs of single-digit ids, by additivity.
 
-        A single-digit id s = d*w has one nonzero digit d, at weight w.  Ids
-        are mixed-radix, so the block [s, s + w) holds s + r for every r < w,
+        A single-digit id s = d*w has one nonzero digit d, at weight w, so it
+        is d e_p for the position p of w.  Their products (c e_p)(d e_q) =
+        (cd) e_t, with t = _target[p, q], are one gather of the base's mul
+        table, c before d, as the base may be noncommutative.  Ids are
+        mixed-radix, so the block [s, s + w) holds s + r for every r < w,
         and walking the weights upwards each block reads only rows already
         built: add[s + r] = add[s][add[r]] and (s + r)*b = s*b + r*b.  The
         rows of the single-digit ids are filled first, column block by column
@@ -653,7 +668,9 @@ class _DigitRing(FiniteRing):
         idx = np.arange(n, dtype=np.int64)
         # (weight, digit position), least significant first
         levels = [(int(self._weights[l]), l) for l in reversed(range(self.width))]
-        singles = np.array([dg * w for w, _ in levels for dg in range(1, m)], dtype=np.int64)
+        coef = np.tile(np.arange(1, m), self.width)
+        pos = np.repeat([l for _, l in levels], m - 1)
+        singles = coef * self._weights[pos]
 
         add = np.empty((n, n), dtype=ID_DTYPE)
         add[0] = idx
@@ -665,9 +682,9 @@ class _DigitRing(FiniteRing):
                     add[s + rows.start : s + rows.stop] = add[s][add[rows]]
 
         mul = np.zeros((n, n), dtype=ID_DTYPE)
-        mul[np.ix_(singles, singles)] = [
-            [self._scalar_mul(a, b) for b in singles.tolist()] for a in singles.tolist()
-        ]
+        target = self._target[np.ix_(pos, pos)]
+        cd = self.base.mul_table[np.ix_(coef, coef)]
+        mul[np.ix_(singles, singles)] = np.where(target >= 0, cd * self._weights[target], 0)
         for w, _ in levels:
             for t in range(w, m * w, w):
                 mul[singles, t + 1 : t + w] = add[mul[singles, 1:w], mul[singles, t][:, None]]
@@ -692,17 +709,11 @@ class MatrixRing(_DigitRing):
         ]
         self.one = self.encode(one_digits)
 
-    def _scalar_mul(self, a, b):
-        da, db = self.digits_of(a), self.digits_of(b)
-        k, B = self.k, self.base
-        out = []
-        for i in range(k):
-            for j in range(k):
-                s = B.zero
-                for l in range(k):
-                    s = B.add(s, B.mul(da[i * k + l], db[l * k + j]))
-                out.append(s)
-        return self.encode(out)
+    @cached_property
+    def _target(self) -> np.ndarray:
+        # E_ij E_jl = E_il, and E_ij E_kl = 0 when j != k
+        i, j = np.divmod(np.arange(self.width), self.k)
+        return np.where(j[:, None] == i[None, :], i[:, None] * self.k + j[None, :], -1)
 
     def render(self, a):
         digs = self.digits_of(a)
@@ -718,39 +729,25 @@ class MatrixRing(_DigitRing):
         return self.encode(digs)
 
 
-class GroupRing(_DigitRing):
-    def __init__(self, spec: GroupRingSpec, base: FiniteRing):
+class _CoefficientRing(_DigitRing):
+    """Coefficient vectors over the base on a basis named by ``basis_names``,
+    whose first element is the unity."""
+
+    basis_names: Sequence[str]
+
+    def __init__(self, spec: GroupRingSpec | TruncatedPolySpec, base: FiniteRing):
         self.spec = spec
         self.base = base
-        self.group = FiniteGroup(spec.group)
-        self.width = self.group.order
+        self.width = len(self.basis_names)
         self.size = base.size**self.width
-        one_digits = [base.one] + [base.zero] * (self.width - 1)
-        self.one = self.encode(one_digits)
-
-    def _scalar_mul(self, a, b):
-        da, db = self.digits_of(a), self.digits_of(b)
-        B, G = self.base, self.group
-        out = [B.zero] * self.width
-        for g in range(self.width):
-            if da[g] == B.zero:
-                continue
-            for h in range(self.width):
-                t = int(G.mul_table[g, h])
-                out[t] = B.add(out[t], B.mul(da[g], db[h]))
-        return self.encode(out)
+        self.one = self.encode([base.one] + [base.zero] * (self.width - 1))
 
     def render(self, a):
-        digs = self.digits_of(a)
-        terms = []
-        for g, c in enumerate(digs):
-            if c == self.base.zero:
-                continue
-            name = self.group.names[g]
-            if g == 0:
-                terms.append(self.base.render(c))
-            else:
-                terms.append(f"{self.base.render(c)}*{name}")
+        terms = [
+            self.base.render(c) if p == 0 else f"{self.base.render(c)}*{self.basis_names[p]}"
+            for p, c in enumerate(self.digits_of(a))
+            if c != self.base.zero
+        ]
         return " + ".join(terms) if terms else "0"
 
     def from_value(self, value):
@@ -760,47 +757,33 @@ class GroupRing(_DigitRing):
         return self.encode(digs)
 
 
-class TruncatedPolyRing(_DigitRing):
+class GroupRing(_CoefficientRing):
+    @cached_property
+    def group(self) -> FiniteGroup:
+        return FiniteGroup(self.spec.group)
+
+    @property
+    def basis_names(self):
+        return self.group.names
+
+    @property
+    def _target(self) -> np.ndarray:
+        return self.group.mul_table
+
+
+class TruncatedPolyRing(_CoefficientRing):
     """Polynomials over the base modulo x^bound, coefficients low degree first."""
 
-    def __init__(self, spec: TruncatedPolySpec, base: FiniteRing):
-        self.spec = spec
-        self.base = base
-        self.width = spec.bound
-        self.size = base.size**self.width
-        one_digits = [base.one] + [base.zero] * (self.width - 1)
-        self.one = self.encode(one_digits)
+    @cached_property
+    def basis_names(self):
+        return ["1", "x", *(f"x^{i}" for i in range(2, self.spec.bound))][: self.spec.bound]
 
-    def _scalar_mul(self, a, b):
-        da, db = self.digits_of(a), self.digits_of(b)
-        B = self.base
-        out = [B.zero] * self.width
-        for i in range(self.width):
-            if da[i] == B.zero:
-                continue
-            for j in range(self.width - i):
-                out[i + j] = B.add(out[i + j], B.mul(da[i], db[j]))
-        return self.encode(out)
-
-    def render(self, a):
-        digs = self.digits_of(a)
-        terms = []
-        for i, c in enumerate(digs):
-            if c == self.base.zero:
-                continue
-            if i == 0:
-                terms.append(self.base.render(c))
-            elif i == 1:
-                terms.append(f"{self.base.render(c)}*x")
-            else:
-                terms.append(f"{self.base.render(c)}*x^{i}")
-        return " + ".join(terms) if terms else "0"
-
-    def from_value(self, value):
-        digs = [self.base.from_value(c) for c in value]
-        if len(digs) != self.width:
-            raise MalformedSpec(f"expected {self.width} coefficients, got {len(digs)}")
-        return self.encode(digs)
+    @cached_property
+    def _target(self) -> np.ndarray:
+        # x^i x^j = x^(i+j) below the bound, and 0 from there on
+        i = np.arange(self.width)
+        t = i[:, None] + i[None, :]
+        return np.where(t < self.width, t, -1)
 
 
 class QuotientRing(FiniteRing):
@@ -826,12 +809,7 @@ class QuotientRing(FiniteRing):
         self.one = int(self.surjection[base.one])
 
     def _tables(self):
-        B, reps, onto = self.base, self.reps, self.surjection
-        return (
-            _induced_table(onto, B.add_table, reps),
-            _induced_table(onto, B.mul_table, reps),
-            onto[B.neg_table[reps]].astype(ID_DTYPE),
-        )
+        return _induced_tables(self.base, self.surjection, self.reps)
 
     def render(self, a):
         return f"{self.base.render(int(self.reps[a]))}+I"
@@ -873,12 +851,7 @@ class CornerRing(FiniteRing):
         return p
 
     def _tables(self):
-        P, elems, pos = self.parent, self.parent_elements, self._pos
-        return (
-            _induced_table(pos, P.add_table, elems),
-            _induced_table(pos, P.mul_table, elems),
-            pos[P.neg_table[elems]].astype(ID_DTYPE),
-        )
+        return _induced_tables(self.parent, self._pos, self.parent_elements)
 
     def render(self, a):
         return self.parent.render(self.embed(a))

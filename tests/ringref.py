@@ -3,9 +3,14 @@
 The package computes with its Cayley tables only. These functions state each
 construction's add, mul and neg structurally, on top of the tables of the
 rings it is made from, so the tests can check every table entry against
-them. A digit ring's product is its own ``_scalar_mul``, which the package
-calls only on single-digit pairs. ``commutant`` serves the per-element
-search loops that the element kernels are checked against, and
+them. A digit ring's product is written out from its definition: the matrix
+product, the convolution over the group, and the truncated polynomial
+product, summed over every pair of digits; the package instead multiplies
+single-digit elements through the basis table ``_target``. The digit
+involutions are likewise written from their definitions, one element at a
+time: transpose the matrix and star each entry, move the coefficient of g to
+g^-1, star each coefficient. ``commutant`` serves the per-element search
+loops that the element kernels are checked against, and
 ``check_ring_axioms`` checks every ring axiom on every triple of elements.
 ``reference_verify_involution`` checks an involution's axioms on every
 pair, raising what the package's exact check must raise.
@@ -14,7 +19,16 @@ pair, raising what the package's exact check must raise.
 import numpy as np
 
 from starclean.errors import AxiomViolation
-from starclean.rings import CornerRing, ProductRing, QuotientRing, ZmodRing, _DigitRing
+from starclean.rings import (
+    CornerRing,
+    GroupRing,
+    MatrixRing,
+    ProductRing,
+    QuotientRing,
+    TruncatedPolyRing,
+    ZmodRing,
+    _DigitRing,
+)
 
 
 def scalar_add(R, a, b):
@@ -40,12 +54,51 @@ def scalar_mul(R, a, b):
         (al, ar), (bl, br) = R.split(a), R.split(b)
         return R.join(R.left.mul(al, bl), R.right.mul(ar, br))
     if isinstance(R, _DigitRing):
-        return R._scalar_mul(a, b)
+        return R.encode(_digit_product(R, R.digits_of(a), R.digits_of(b)))
     if isinstance(R, QuotientRing):
         return int(R.surjection[R.base.mul(int(R.reps[a]), int(R.reps[b]))])
     if isinstance(R, CornerRing):
         return R.position(R.parent.mul(R.embed(a), R.embed(b)))
     raise TypeError(f"no reference arithmetic for {R!r}")
+
+
+def _digit_product(R, da, db):
+    """Digits of the product of the digit vectors da and db, c before d."""
+    B, w = R.base, R.width
+    out = [B.zero] * w
+    for p in range(w):
+        if da[p] == B.zero:
+            continue
+        for q in range(w):
+            if isinstance(R, MatrixRing):  # entry (i, j) times entry (j, l)
+                (i, j), (j2, l) = divmod(p, R.k), divmod(q, R.k)
+                t = i * R.k + l if j == j2 else None
+            elif isinstance(R, GroupRing):
+                t = int(R.group.mul_table[p, q])
+            elif isinstance(R, TruncatedPolyRing):
+                t = p + q if p + q < w else None
+            else:
+                raise TypeError(f"no reference product for {R!r}")
+            if t is not None:
+                out[t] = B.add(out[t], B.mul(da[p], db[q]))
+    return out
+
+
+def reference_digit_involution(R, base_star, a):
+    """a* for a digit ring R whose base has the star table base_star."""
+    d = R.digits_of(a)
+    if isinstance(R, MatrixRing):
+        k = R.k
+        moved = [d[j * k + i] for i in range(k) for j in range(k)]
+    elif isinstance(R, GroupRing):
+        moved = [0] * R.width
+        for g in range(R.width):
+            moved[int(R.group.inv_table[g])] = d[g]
+    elif isinstance(R, TruncatedPolyRing):
+        moved = d
+    else:
+        raise TypeError(f"no reference involution for {R!r}")
+    return R.encode([int(base_star[c]) for c in moved])
 
 
 def scalar_neg(R, a):

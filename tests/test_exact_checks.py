@@ -14,7 +14,7 @@ from ringref import reference_verify_involution
 import starclean.involutions as inv
 import starclean.rings as rings
 from starclean.corpus import default_corpus
-from starclean.errors import AxiomViolation
+from starclean.errors import AxiomViolation, IdentityOnNoncommutative
 from starclean.involutions import corner_star_ring, verify_involution
 from starclean.rings import CornerRing, QuotientRing
 from starclean.specparse import build_star_ring
@@ -100,12 +100,32 @@ def test_star_tables_get_the_reference_verdict_and_witness(star_rings):
 
 
 def test_accepted_star_tables_skip_the_full_scan(monkeypatch, star_rings):
-    def scan(R, star):
+    def scan(R, axiom, bad_rows):
         raise AssertionError("full scan run on an involution")
 
-    monkeypatch.setattr(inv, "_scan_axioms", scan)
+    monkeypatch.setattr(inv, "_raise_first", scan)
     for S in [*star_rings, *(build_star_ring(r, i) for r, i in LADDER)]:
         verify_involution(S.ring, S.star_table)
+
+
+def test_identity_refusal_scans_only_anti_multiplicativity(monkeypatch):
+    # x* = x is additive, so the generator check passes additivity and only
+    # anti-multiplicativity, which fails on G x G, is scanned on every pair
+    R = build_star_ring("M2(Z4)", "tr(id)").ring
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 16 * R.size)
+    assert len(rings._row_blocks(0, R.size, R.size)) == 16
+    scanned = []
+    raise_first = inv._raise_first
+
+    def spy(R, axiom, *rest):
+        scanned.append(axiom)
+        return raise_first(R, axiom, *rest)
+
+    monkeypatch.setattr(inv, "_raise_first", spy)
+    with pytest.raises(IdentityOnNoncommutative) as err:
+        inv.identity_involution(R)
+    assert set(scanned) == {"anti-multiplicativity"}
+    assert err.value.witness == R.first_noncentral(np.ones(R.size, dtype=bool))
 
 
 def _span(R, gens):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from ringref import reference_digit_involution
 
 from starclean.errors import (
     AxiomViolation,
@@ -34,7 +35,7 @@ from starclean.rings import (
     Zmod,
     build_ring,
 )
-from starclean.specparse import parse_ring_spec
+from starclean.specparse import build_star_ring, parse_ring_spec
 
 
 def _star(ring_spec, make_inv):
@@ -144,6 +145,22 @@ def test_truncated_poly_involution_fixes_x():
     R = build_ring(TruncatedPolySpec(Zmod(2), 3))
     inv = truncated_poly_involution(R, identity_involution(R.base))
     assert (inv.table == np.arange(R.size)).all()
+
+
+@pytest.mark.parametrize(
+    "ring, inv, base_ring, base_inv",
+    [
+        ("M2(GR(Z2,C2))", "tr(grp(id))", "GR(Z2,C2)", "grp(id)"),
+        ("GR(M2(Z2),C2)", "grp(tr(id))", "M2(Z2)", "tr(id)"),
+        ("TP(M2(Z2),2)", "tp(tr(id))", "M2(Z2)", "tr(id)"),
+        ("GR(Z3,C2*C3)", "grp(id)", "Z3", "id"),
+    ],
+)
+def test_digit_involutions_match_the_elementwise_definition(ring, inv, base_ring, base_inv):
+    S = build_star_ring(ring, inv)
+    base_star = build_star_ring(base_ring, base_inv).star_table
+    expected = [reference_digit_involution(S.ring, base_star, a) for a in range(S.ring.size)]
+    assert S.star_table.tolist() == expected
 
 
 def test_product_involution():

@@ -295,7 +295,8 @@ def test_unit_and_nilpotent_caches_match_brute_force(monkeypatch):
 
 def test_scalar_matches_tables():
     # the structural reference in ringref against every table entry; digit
-    # rings call _scalar_mul only on single-digit pairs and extend by additivity
+    # rings multiply only single-digit pairs, through their basis table
+    # _target, and extend by additivity
     M2 = build_ring(MatrixSpec(2, Zmod(2)))
     rings = [
         build_ring(spec)
@@ -310,6 +311,10 @@ def test_scalar_matches_tables():
             TruncatedPolySpec(Zmod(4), 3),
             QuotientSpec(MatrixSpec(2, Zmod(2)), (5,)),
             QuotientSpec(MatrixSpec(2, Zmod(4)), (130,)),  # M2(Z4) mod 2*I
+            # noncommutative or nested bases: c*d and d*c differ here
+            TruncatedPolySpec(MatrixSpec(2, Zmod(2)), 2),
+            GroupRingSpec(MatrixSpec(2, Zmod(2)), Cyclic(2)),
+            MatrixSpec(2, TruncatedPolySpec(Zmod(2), 2)),
         )
     ]
     rings.append(CornerRing(M2, M2.from_value([[1, 0], [0, 0]])))

@@ -14,9 +14,13 @@ JSON line per command goes to stdout:
 The peak is ``getrusage(RUSAGE_CHILDREN).ru_maxrss``. That figure is the
 largest of all children a process has waited for, so every command is run
 by a fresh measuring process (this script with ``--measure``) whose only
-child is that command. The digest leaves out the one line of stdout that
-differs from run to run, the ``elapsed_ms`` of ``check``, so equal digests
-mean equal output. A command that exits non-zero also reports the last
+child is that command. That child gets a fixed environment, ``PATH``,
+``PYTHONPATH=DIR`` and ``PYTHONDONTWRITEBYTECODE=1``, and nothing else of
+the caller's: ``STARCLEAN_CAP`` does not leak into a measured command, and
+a row's peak does not depend on the environment of the shell that ran the
+script. The digest leaves out the one line of stdout that differs from run
+to run, the ``elapsed_ms`` of ``check``, so equal digests mean equal
+output. A command that exits non-zero also reports the last
 line of its stderr. Corpus files for the ``suite`` and ``corpus-matrix``
 commands are written to a temporary directory.
 
@@ -95,8 +99,9 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
 
 
 def measure(src: str, argv: list[str]) -> dict:
-    """Run starclean once as this process's only child."""
-    env = dict(os.environ, PYTHONPATH=src)
+    """Run starclean once as this process's only child, in a fixed environment."""
+    env = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": src,
+           "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "starclean", *argv], env=env, capture_output=True)
     wall = time.perf_counter() - start
