@@ -1,9 +1,10 @@
 """Numeric decision of the power-factorization property for complex matrices.
 
-The check runs through the group/Drazin inverse: compute the index k of A,
-split space into the column space and null space of A^k, invert the core
-block, and test whether A times its Drazin inverse is fixed by the chosen
-involution (plain transpose by default, conjugate transpose optionally).
+The check runs through the group/Drazin inverse and tests whether A times
+its Drazin inverse is fixed by the chosen involution (plain transpose by
+default, conjugate transpose optionally). First the index k of A is found.
+An invertible A (k = 0) is inverted directly. For k >= 1, space is split
+into the column space and null space of A^k and the core block is inverted.
 Rank decisions use singular values with a relative threshold and an explicit
 ambiguity band; decisions inside the band raise ``IllConditioned`` instead of
 guessing.
@@ -49,17 +50,31 @@ class DenseMatrix:
         return M.T if self.involution == "transpose" else M.conj().T
 
 
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm of a complex array, as ``np.linalg.norm(x)`` takes it.
+
+    The same ravel, dot products and square root, bit for bit, without the
+    wrapper's argument handling, which costs more than the sum on these sizes.
+    """
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _rank_from_singular_values(s: np.ndarray, n: int, tol: float) -> int:
-    if s.size == 0 or s[0] == 0:
+    values = s.tolist()  # at most n values: plain floats beat per-call numpy ops
+    if not values or values[0] == 0:
         return 0
-    thresh = tol * float(s[0]) * n
-    band = (s > thresh / 10) & (s < thresh * 10)
-    if band.any():
-        sigma = float(s[np.flatnonzero(band)[0]])
-        raise IllConditioned(
-            f"singular value {sigma:.3e} is within 10x of the rank threshold {thresh:.3e}"
-        )
-    return int((s > thresh).sum())
+    thresh = tol * values[0] * n
+    low, high = thresh / 10, thresh * 10
+    rank = 0
+    for sigma in values:
+        if low < sigma < high:
+            raise IllConditioned(
+                f"singular value {sigma:.3e} is within 10x of the rank threshold {thresh:.3e}"
+            )
+        rank += sigma > thresh
+    return rank
 
 
 def numerical_rank(A: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -77,17 +92,17 @@ def matrix_index(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> int:
 def _index_and_power(M: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     """The index k of M, and M^k scaled to unit norm (the identity for k = 0)."""
     n = M.shape[0]
-    prev, prev_power = n, np.eye(n, dtype=complex)  # rank of M^0, and M^0
-    for k in range(1, n + 1):
-        power = prev_power @ M
-        norm = np.linalg.norm(power)
+    k, prev, prev_power = 0, n, None  # rank of M^0 = I; I is built only to be returned
+    while k < n:  # in exact arithmetic the index is at most n
+        power = M if k == 0 else prev_power @ M
+        norm = _norm(power)
         if norm > 0:
             power = power / norm  # rank is scale-invariant; keep powers finite
         rank = numerical_rank(power, tol)
         if rank == prev:
-            return k - 1, prev_power
-        prev, prev_power = rank, power
-    return n, prev_power  # in exact arithmetic the index is at most n
+            break
+        k, prev, prev_power = k + 1, rank, power
+    return k, np.eye(n, dtype=complex) if k == 0 else prev_power
 
 
 @dataclass(frozen=True)
@@ -105,34 +120,43 @@ def drazin_inverse(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> Dra
     M = A.data if isinstance(A, DenseMatrix) else np.asarray(A, dtype=complex)
     n = M.shape[0]
     k, power = _index_and_power(M, tol)
-    U, s, Vh = np.linalg.svd(power)
-    r = _rank_from_singular_values(s, n, tol)
-    core = U[:, :r]
-    null = Vh[r:, :].conj().T
-    P = np.hstack([core, null])
-    if r in (0, n):
-        Pinv = P.conj().T  # unitary
-    else:
-        if np.linalg.cond(P) > 1e12:
-            raise IllConditioned("core/null bases are nearly dependent")
-        Pinv = np.linalg.inv(P)
-    blocks = Pinv @ M @ P
-    middle = np.zeros((n, n), dtype=complex)
-    if r > 0:
+    if k == 0:
+        # power = A^0 = I has rank n at this tol (k = 0 forces 10·tol·n <= 1),
+        # so the split is trivial: core = I, no null space, and B = A^-1
+        r, core, null = n, power, np.empty((n, 0), dtype=complex)
         try:
-            middle[:r, :r] = np.linalg.inv(blocks[:r, :r])
+            B = np.linalg.inv(M)
         except np.linalg.LinAlgError as exc:  # a tol near 0 let noise count as rank
             raise IllConditioned("the core block of A is singular") from exc
-    B = P @ middle @ Pinv
+    else:
+        U, s, Vh = np.linalg.svd(power)
+        r = _rank_from_singular_values(s, n, tol)
+        core = U[:, :r]
+        null = Vh[r:, :].conj().T
+        P = np.hstack([core, null])
+        if r in (0, n):
+            Pinv = P.conj().T  # unitary
+        else:
+            if np.linalg.cond(P) > 1e12:
+                raise IllConditioned("core/null bases are nearly dependent")
+            Pinv = np.linalg.inv(P)
+        blocks = Pinv @ M @ P
+        middle = np.zeros((n, n), dtype=complex)
+        if r > 0:
+            try:
+                middle[:r, :r] = np.linalg.inv(blocks[:r, :r])
+            except np.linalg.LinAlgError as exc:  # as for k = 0
+                raise IllConditioned("the core block of A is singular") from exc
+        B = P @ middle @ Pinv
 
-    scale_a = max(1.0, float(np.linalg.norm(M)))
-    scale_b = max(1.0, float(np.linalg.norm(B)))
+    scale_a = max(1.0, _norm(M))
+    scale_b = max(1.0, _norm(B))
     nil_part = M - M @ M @ B
     nil_power = np.linalg.matrix_power(nil_part, n)
     residuals = {
-        "commute": float(np.linalg.norm(M @ B - B @ M)) / (scale_a * scale_b),
-        "inner": float(np.linalg.norm(B @ M @ B - B)) / scale_b,
-        "nilpotent": float(np.linalg.norm(nil_power)) / scale_a**n,
+        "commute": _norm(M @ B - B @ M) / (scale_a * scale_b),
+        "inner": _norm(B @ M @ B - B) / scale_b,
+        "nilpotent": _norm(nil_power) / scale_a**n,
     }
     return DrazinResult(B, k, r, residuals, core, null)
 
@@ -164,7 +188,7 @@ def is_spsr_matrix(
     M = _unit_scaled(A.data)
     res = drazin_inverse(M, tol)
     AB = M @ res.drazin
-    sym_residual = float(np.linalg.norm(AB - A.star(AB))) / max(1.0, float(np.linalg.norm(AB)))
+    sym_residual = _norm(AB - A.star(AB)) / max(1.0, _norm(AB))
     verdict = sym_residual <= tol
     if res.core_basis.shape[1] and res.null_basis.shape[1]:
         gram = A.star(res.core_basis) @ res.null_basis

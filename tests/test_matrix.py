@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import matrixref
 from matrixgen import random_split_nonorthogonal, random_symmetric
 from starclean.errors import IllConditioned, MalformedSpec
 from starclean.matrixops import (
     DenseMatrix,
+    _norm,
+    _rank_from_singular_values,
+    _unit_scaled,
     drazin_inverse,
     is_spsr_matrix,
     load_matrix_csv,
@@ -168,10 +172,104 @@ def test_ill_conditioned_raises():
         numerical_rank(np.diag([1.0, 1e-8]))
     with pytest.raises(IllConditioned):
         matrix_index(dm([[1, 0], [0, 1e-8]]))
-    # at tol = 0 rounding noise counts toward the rank, so the core block of
-    # this singular matrix is taken to be all of it
-    with pytest.raises(IllConditioned):
-        is_spsr_matrix(dm([[0, 0], [2, 5]]), tol=0)
+    # at tol = 0 rounding noise counts toward the rank, so this singular
+    # matrix is taken to have index 0, and inverting it fails
+    A = dm([[0, 0], [2, 5]])
+    assert matrix_index(A, tol=0) == 0
+    with pytest.raises(IllConditioned, match="^the core block of A is singular$"):
+        is_spsr_matrix(A, tol=0)
+
+
+def test_invertible_split_is_trivial():
+    rng = np.random.default_rng(23)
+    for n in range(1, 7):
+        A = rng.uniform(-1, 1, (n, n)) + np.eye(n) * 3
+        res = drazin_inverse(DenseMatrix(A))
+        assert res.index == 0 and res.rank == n
+        assert np.array_equal(res.core_basis, np.eye(n))
+        assert res.null_basis.shape == (n, 0)
+        assert np.array_equal(res.drazin, np.linalg.inv(A.astype(complex)))
+        assert is_spsr_matrix(DenseMatrix(A))[1]["cross_gram_max"] == 0.0
+
+
+def test_norm_is_numpys_frobenius_norm():
+    rng = np.random.default_rng(29)
+    arrays = [np.array([[3 - 4j]]), np.zeros((3, 3), dtype=complex)]
+    for n in range(1, 9):
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        arrays += [X, X.T, X.conj().T, X[::2, ::-1], X[:1, :1], X * 1e-170, X * 1e150]
+    for X in arrays:
+        expected = np.linalg.norm(X)
+        assert type(_norm(X)) is float
+        assert np.float64(_norm(X)).tobytes() == expected.tobytes(), X.shape
+
+
+def test_rank_band_is_open_at_both_ends():
+    # tol·s0·n = 0.1 exactly, so the band is the open interval (0.01, 1.0)
+    assert _rank_from_singular_values(np.array([1.0, 1.0]), 2, 0.05) == 2
+    assert _rank_from_singular_values(np.array([1.0, 0.01]), 2, 0.05) == 1
+    assert _rank_from_singular_values(np.array([0.0, 0.0]), 2, 0.05) == 0
+    assert _rank_from_singular_values(np.array([]), 0, 0.05) == 0
+    with pytest.raises(IllConditioned) as info:
+        _rank_from_singular_values(np.array([1.0, 0.5, 0.05]), 2, 0.05)
+    assert str(info.value) == (
+        "singular value 5.000e-01 is within 10x of the rank threshold 1.000e-01"
+    )
+
+
+def _reference_battery(rng):
+    """Integer, complex-integer, triangular and matrixgen matrices, n = 1..8."""
+    yield from ([[0, 0], [2, 5]], [[0, 1], [0, 0]], [[1e300, 1e300], [0, 0]])
+    for n in range(1, 9):
+        for _ in range(5):
+            yield rng.integers(-3, 4, (n, n))
+            yield rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))
+            yield np.triu(rng.integers(-3, 4, (n, n)), 1)
+            yield np.triu(rng.integers(-3, 4, (n, n)))
+            yield rng.integers(0, 2, (n, n))
+            if n >= 2:
+                yield random_symmetric(rng, n)
+                yield random_split_nonorthogonal(rng, n)
+
+
+def _answer(decide, *args):
+    try:
+        return decide(*args)
+    except IllConditioned as exc:
+        return f"IllConditioned: {exc}"
+
+
+def test_decisions_match_the_general_path_reference():
+    """Verdicts, diagnostics and refusals equal the reference's bit for bit.
+
+    The Drazin inverse itself may differ in the sign of a zero entry for an
+    invertible A: the general path multiplies A^-1 by P = I on both sides,
+    which turns some -0.0 into 0.0.
+    """
+    rng = np.random.default_rng(31)
+    cases = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for A in _reference_battery(rng):
+            M = np.asarray(A, dtype=complex)
+            for tol in (0.0, 1e-8, 1e-3, 0.3):
+                for involution in ("transpose", "conjugate-transpose"):
+                    D = DenseMatrix(M, involution)
+                    got = _answer(is_spsr_matrix, D, tol)
+                    assert repr(got) == repr(_answer(matrixref.is_spsr_matrix, D, tol))
+                    cases += 1
+                # the input is_spsr_matrix hands on; raw 1e300 would overflow
+                got = _answer(drazin_inverse, _unit_scaled(M), tol)
+                want = _answer(matrixref.drazin_inverse, _unit_scaled(M), tol)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert (got.index, got.rank) == (want.index, want.rank)
+                assert repr(got.residuals) == repr(want.residuals)
+                for field in ("drazin", "core_basis", "null_basis"):
+                    x, y = getattr(got, field), getattr(want, field)
+                    assert x.shape == y.shape and np.array_equal(x, y), field
+    assert cases >= 2000
 
 
 def _outcome(A):
