@@ -430,7 +430,7 @@ def first_c3_witnesses(S: StarRing, rows: slice) -> np.ndarray:
     unit of R; then w = p u^-1 p, so no corner is scanned.
     """
     R = S.ring
-    mul, q_of, inverse = R.mul_table, R.one_minus_table, R._unit_data[1]
+    mul, q_of, inverse = R.mul_table, R.one_minus_table, R.inverse_ids
     elems = np.arange(R.size)[rows]
     out = np.full((len(elems), 2), -1, dtype=np.int64)
     for block in _row_blocks(0, len(S.projection_ids), len(elems)):

@@ -7,8 +7,9 @@ G of the ring: (x + g)* = x* + g* for all x and all g in G gives additivity
 by induction on sums of generators, and then (ab)* - b*a* is additive in a
 and in b, so it vanishes once it does on G x G.  ``StarRing`` pairs a ring
 with a validated involution and caches the projection and self-adjoint
-subsets; its ``arrays`` store holds the per-ring arrays of the element
-kernels, which ``elements`` builds.
+subsets and the principal right ideal classes that hold a projection; its
+``arrays`` store holds the per-ring arrays of the element kernels, which
+``elements`` builds.
 """
 
 from __future__ import annotations
@@ -221,12 +222,18 @@ class StarRing:
         """Ids of the projections, ascending."""
         return np.flatnonzero(self.projection_mask)
 
-    @cached_property
-    def _projections(self) -> tuple[int, ...]:
+    def projections(self) -> tuple[int, ...]:
         return tuple(self.projection_ids.tolist())
 
-    def projections(self) -> tuple[int, ...]:
-        return self._projections
+    @cached_property
+    def projection_class_mask(self) -> np.ndarray:
+        """Per class of the ring's ``principal_right_ideal_classes``, whether
+        it holds a projection: xR = pR for a projection p iff the class of x
+        is marked."""
+        cls, reps = self.ring.principal_right_ideal_classes
+        mask = np.zeros(len(reps), dtype=bool)
+        mask[cls[self.projection_ids]] = True
+        return mask
 
     @cached_property
     def sasr_unit_ids(self) -> np.ndarray:

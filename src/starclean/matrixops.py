@@ -183,7 +183,9 @@ def is_spsr_matrix(
 
     The cross-gram check pairs the core basis vectors against the null basis
     vectors under the chosen involution; it must agree with the main verdict
-    whenever no rank decision was ill-conditioned.
+    whenever no rank decision was ill-conditioned. A residual that is not
+    finite (an inverse that overflowed at a tol near 0) decides nothing, so
+    it raises ``IllConditioned`` naming every such residual.
     """
     M = _unit_scaled(A.data)
     res = drazin_inverse(M, tol)
@@ -195,6 +197,11 @@ def is_spsr_matrix(
         gram_max = float(np.abs(gram).max())
     else:
         gram_max = 0.0
+    # every decision runs this test, so the names are gathered only to refuse
+    if not all(map(math.isfinite, (*res.residuals.values(), sym_residual, gram_max))):
+        residuals = {**res.residuals, "symmetry": sym_residual, "cross_gram_max": gram_max}
+        overflowed = sorted(k for k, v in residuals.items() if not math.isfinite(v))
+        raise IllConditioned(f"non-finite residuals: {', '.join(overflowed)}")
     diagnostics = {
         "index": res.index,
         "rank": res.rank,

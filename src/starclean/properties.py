@@ -3,7 +3,10 @@
 A property quantified over elements is decided from row-block masks: one
 kernel answers a whole block of ``_row_blocks(0, n, n)`` at once, the
 blocks run in ascending order, and the first block with a failing element
-ends the scan. Set-shaped and pair properties read ring-level caches. A
+ends the scan. Set-shaped and pair properties read ring-level caches:
+idempotents-are-projections and J-nil name the least id of a mask (the
+idempotents that are not self-adjoint, the radical elements that are not
+nilpotent), and directly-finite reads the ring's one right-inverse scan. A
 False verdict always carries the first counterexample in canonical element
 order, the same one a scan of one element at a time finds, and
 ``check_witness`` re-validates any witness against the property it refutes
@@ -23,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .elements import (
+    CLEAN_MODES,
     clean_holds,
     is_clean_elem,
     regular_holds,
@@ -69,22 +73,6 @@ def _pair_witness(S: StarRing, a: int, b: int) -> Witness:
 
 
 # -- per-element predicates, the re-checks of check_witness ---------------------
-
-
-def elem_clean(S, a):
-    return is_clean_elem(S, a, "clean")
-
-
-def elem_strongly_clean(S, a):
-    return is_clean_elem(S, a, "strongly-clean")
-
-
-def elem_star_clean(S, a):
-    return is_clean_elem(S, a, "star-clean")
-
-
-def elem_strongly_star_clean(S, a):
-    return is_clean_elem(S, a, "strongly-star-clean")
 
 
 def elem_exchange(S, a):
@@ -205,10 +193,7 @@ def _holds_unit_regular(S, rows):
 
 def _holds_star_regular(S, rows):
     """xR = pR for some projection p: x is in a class of a projection."""
-    cls, reps = S.ring.principal_right_ideal_classes
-    projection_class = np.zeros(len(reps), dtype=bool)
-    projection_class[cls[S.projection_ids]] = True
-    return projection_class[cls[rows]]
+    return S.projection_class_mask[S.ring.principal_right_ideal_classes[0][rows]]
 
 
 def _holds_local(S, rows):
@@ -219,11 +204,8 @@ def _holds_local(S, rows):
 
 # name: (block kernel of the decider, per-element predicate of check_witness)
 _ELEMENT_TESTS: dict[str, tuple[Callable, Callable]] = {
-    "clean": (partial(clean_holds, mode="clean"), elem_clean),
-    "strongly-clean": (partial(clean_holds, mode="strongly-clean"), elem_strongly_clean),
-    "star-clean": (partial(clean_holds, mode="star-clean"), elem_star_clean),
-    "strongly-star-clean": (partial(clean_holds, mode="strongly-star-clean"),
-                            elem_strongly_star_clean),
+    **{mode: (partial(clean_holds, mode=mode), partial(is_clean_elem, mode=mode))
+       for mode in CLEAN_MODES},
     "exchange": (_holds_exchange, elem_exchange),
     "pi-regular": (_holds_pi_regular, elem_pi_regular),
     "strongly-pi-regular": (lambda S, rows: strongly_pi_regular_holds(S.ring, rows),
@@ -267,17 +249,18 @@ def _prop_star_abelian(S: StarRing) -> Verdict:
     return _central_verdict(S, S.projection_mask)
 
 
+def _none_in(S: StarRing, mask: np.ndarray) -> Verdict:
+    """True iff mask marks no element; else the least marked id is the witness."""
+    bad = np.flatnonzero(mask)
+    return Verdict(True) if bad.size == 0 else Verdict(False, _elem_witness(S, int(bad[0])))
+
+
 def _prop_idempotents_are_projections(S: StarRing) -> Verdict:
-    for e in S.ring.idempotents():
-        if S.star(e) != e:
-            return Verdict(False, _elem_witness(S, e))
-    return Verdict(True)
+    return _none_in(S, S.ring.idempotent_mask & ~S.self_adjoint_mask)
 
 
 def _prop_j_nil(S: StarRing) -> Verdict:
-    R = S.ring
-    bad = np.flatnonzero(R.jacobson_mask & ~R.nilpotent_mask)
-    return Verdict(True) if bad.size == 0 else Verdict(False, _elem_witness(S, int(bad[0])))
+    return _none_in(S, S.ring.jacobson_mask & ~S.ring.nilpotent_mask)
 
 
 def _prop_directly_finite(S: StarRing) -> Verdict:
@@ -445,7 +428,7 @@ def psr_onesided_equiv(S: StarRing) -> OneSidedResult:
     """Compare two-sided, right-invertible, and left-invertible variants of
     the projection stable-range condition; in a finite ring all three agree."""
     R = S.ring
-    rinv_mask = (R.mul_table == R.one).any(axis=1)
+    rinv_mask = R.right_inverse_ids >= 0
     linv_mask = (R.mul_table == R.one).any(axis=0)
     pool = _stable_pool(S, "psr1")
     collapse = bool((rinv_mask == R.units_mask).all() and (linv_mask == R.units_mask).all())

@@ -308,7 +308,9 @@ class FiniteRing:
     else (units, idempotents, nilpotents, center, the Jacobson radical,
     right-ideal masks and their classes) is derived here from the tables and
     cached, once per ring fact: the deciders and suites that need centrality,
-    aR = bR or J(R) read these caches. J(R) is kept as a mask; it is an ideal
+    aR = bR or J(R) read these caches. Units, inverses and direct finiteness
+    read one scan, ``right_inverse_ids``; a tuple such as ``units()`` is made
+    from its id array on each call. J(R) is kept as a mask; it is an ideal
     by the quasi-regularity theorem, so it is never validated (see ``Ideal``).
     """
 
@@ -362,7 +364,7 @@ class FiniteRing:
         return self.add_table[self.one][self.neg_table]
 
     def one_minus(self, a: int) -> int:
-        return self.sub(self.one, a)
+        return int(self.one_minus_table[a])
 
     # -- rendering ----------------------------------------------------------
 
@@ -411,23 +413,28 @@ class FiniteRing:
         return _additive_span(self, np.ones(self.size, dtype=bool))[1]
 
     @cached_property
-    def _unit_data(self) -> tuple[tuple[int, ...], np.ndarray]:
-        # a unit's right inverse is unique, so the first b with ab = 1 is the
-        # inverse of a if a has one; rows are searched a block at a time
+    def right_inverse_ids(self) -> np.ndarray:
+        """Per a, the least b with ab = 1, or -1; rows are searched a block
+        at a time."""
         mul, n = self.mul_table, self.size
         b = np.empty(n, dtype=np.intp)
         for rows in _row_blocks(0, n, n):
             b[rows] = (mul[rows] == self.one).argmax(axis=1)
-        a = np.arange(n)
-        inv = np.where((mul[a, b] == self.one) & (mul[b, a] == self.one), b, -1)
-        return tuple(np.flatnonzero(inv >= 0).tolist()), inv
+        return np.where(mul[np.arange(n), b] == self.one, b, -1)
+
+    @cached_property
+    def inverse_ids(self) -> np.ndarray:
+        """Per a, its inverse, or -1 for a non-unit: a unit's right inverse is
+        unique, so it is the b of ``right_inverse_ids`` if also ba = 1."""
+        b = self.right_inverse_ids
+        return np.where((b >= 0) & (self.mul_table[b, np.arange(self.size)] == self.one), b, -1)
 
     def units(self) -> tuple[int, ...]:
-        return self._unit_data[0]
+        return tuple(self.unit_ids.tolist())
 
     @cached_property
     def units_mask(self) -> np.ndarray:
-        return self._unit_data[1] >= 0
+        return self.inverse_ids >= 0
 
     @cached_property
     def unit_ids(self) -> np.ndarray:
@@ -435,7 +442,7 @@ class FiniteRing:
         return np.flatnonzero(self.units_mask)
 
     def inverse(self, a: int) -> int:
-        b = int(self._unit_data[1][a])
+        b = int(self.inverse_ids[a])
         if b < 0:
             raise ValueError(f"{self.render(a)} is not a unit")
         return b
@@ -449,12 +456,8 @@ class FiniteRing:
         """Ids of the idempotents, ascending."""
         return np.flatnonzero(self.idempotent_mask)
 
-    @cached_property
-    def _idempotents(self) -> tuple[int, ...]:
-        return tuple(self.idempotent_ids.tolist())
-
     def idempotents(self) -> tuple[int, ...]:
-        return self._idempotents
+        return tuple(self.idempotent_ids.tolist())
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
@@ -525,13 +528,14 @@ class FiniteRing:
         return (counts > 0)[np.ix_(cls, cls)]
 
     def directly_finite_witness(self) -> tuple[int, int] | None:
-        """Pair (a, b) with ab = 1 but ba != 1, or None."""
-        pos = np.argwhere(self.mul_table == self.one)
-        bad = self.mul_table[pos[:, 1], pos[:, 0]] != self.one
-        if bad.any():
-            a, b = pos[np.flatnonzero(bad)[0]]
-            return int(a), int(b)
-        return None
+        """The row-major first pair (a, b) with ab = 1 but ba != 1, or None:
+        a the least right-invertible non-unit, b its least right inverse, as
+        a unit's one right inverse is two-sided, and ba = 1 makes a a unit."""
+        bad = np.flatnonzero((self.right_inverse_ids >= 0) & ~self.units_mask)
+        if bad.size == 0:
+            return None
+        a = int(bad[0])
+        return a, int(self.right_inverse_ids[a])
 
 
 def group_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,14 @@ Ring grammar (whitespace ignored, products left-associative)::
 
 Involution grammar::
 
-    involution := "id" | "swap" | "tr(" involution ")" | "grp(" involution ")"
+    involution := "id" | "swap" | digitwise "(" involution ")"
                 | "prod(" involution "," involution ")" | "table:" filename
+    digitwise := "tr" | "grp" | "tp"
+
+Each recipe shape has one spec class and one branch in parsing, printing
+and building: ``NamedInv`` (id, swap) reads ``_NAMED``, and ``DigitwiseInv``
+(tr, grp, tp: the coefficient ring's involution, digit by digit) reads
+``_DIGITWISE``.
 
 An involution recipe for a quotient ring is interpreted on the pre-quotient
 ring and pushed through the surjection, which requires the defining ideal to
@@ -175,28 +181,14 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 @dataclass(frozen=True)
-class IdInv:
-    pass
+class NamedInv:
+    name: str  # a key of _NAMED
 
 
 @dataclass(frozen=True)
-class SwapInv:
-    pass
-
-
-@dataclass(frozen=True)
-class TrInv:
-    inner: "InvSpec"
-
-
-@dataclass(frozen=True)
-class GrpInv:
-    inner: "InvSpec"
-
-
-@dataclass(frozen=True)
-class TpInv:
-    inner: "InvSpec"
+class DigitwiseInv:
+    name: str  # a key of _DIGITWISE
+    inner: "InvSpec"  # the involution of the coefficient ring
 
 
 @dataclass(frozen=True)
@@ -210,26 +202,26 @@ class TableInv:
     path: str
 
 
-InvSpec = Union[IdInv, SwapInv, TrInv, GrpInv, TpInv, ProdInv, TableInv]
+InvSpec = Union[NamedInv, DigitwiseInv, ProdInv, TableInv]
+
+_NAMED = {"id": identity_involution, "swap": swap_involution}
+# name: (ring class it needs, that ring in words, constructor)
+_DIGITWISE = {
+    "tr": (MatrixRing, "a matrix ring", transpose_involution),
+    "grp": (GroupRing, "a group ring", group_ring_involution),
+    "tp": (TruncatedPolyRing, "a truncated polynomial ring", truncated_poly_involution),
+}
 
 
 def _inv(sc: _Scanner) -> InvSpec:
-    if sc.eat("id"):
-        return IdInv()
-    if sc.eat("swap"):
-        return SwapInv()
-    if sc.eat("tr("):
-        inner = _inv(sc)
-        sc.expect(")")
-        return TrInv(inner)
-    if sc.eat("grp("):
-        inner = _inv(sc)
-        sc.expect(")")
-        return GrpInv(inner)
-    if sc.eat("tp("):
-        inner = _inv(sc)
-        sc.expect(")")
-        return TpInv(inner)
+    for name in _NAMED:
+        if sc.eat(name):
+            return NamedInv(name)
+    for name in _DIGITWISE:
+        if sc.eat(f"{name}("):
+            inner = _inv(sc)
+            sc.expect(")")
+            return DigitwiseInv(name, inner)
     if sc.eat("prod("):
         left = _inv(sc)
         sc.expect(",")
@@ -252,16 +244,10 @@ def parse_involution_spec(text: str) -> InvSpec:
 
 
 def involution_spec_string(spec: InvSpec) -> str:
-    if isinstance(spec, IdInv):
-        return "id"
-    if isinstance(spec, SwapInv):
-        return "swap"
-    if isinstance(spec, TrInv):
-        return f"tr({involution_spec_string(spec.inner)})"
-    if isinstance(spec, GrpInv):
-        return f"grp({involution_spec_string(spec.inner)})"
-    if isinstance(spec, TpInv):
-        return f"tp({involution_spec_string(spec.inner)})"
+    if isinstance(spec, NamedInv):
+        return spec.name
+    if isinstance(spec, DigitwiseInv):
+        return f"{spec.name}({involution_spec_string(spec.inner)})"
     if isinstance(spec, ProdInv):
         return (
             f"prod({involution_spec_string(spec.left)},{involution_spec_string(spec.right)})"
@@ -276,22 +262,14 @@ def make_involution(R: FiniteRing, spec: InvSpec, base_dir: Path | None = None) 
     if isinstance(R, QuotientRing):
         base_inv = make_involution(R.base, spec, base_dir)
         return quotient_involution(R, base_inv, involution_spec_string(spec))
-    if isinstance(spec, IdInv):
-        return identity_involution(R)
-    if isinstance(spec, SwapInv):
-        return swap_involution(R)
-    if isinstance(spec, TrInv):
-        if not isinstance(R, MatrixRing):
-            raise ValidationError(f"tr(...) needs a matrix ring, got {R.describe()}")
-        return transpose_involution(R, make_involution(R.base, spec.inner, base_dir))
-    if isinstance(spec, GrpInv):
-        if not isinstance(R, GroupRing):
-            raise ValidationError(f"grp(...) needs a group ring, got {R.describe()}")
-        return group_ring_involution(R, make_involution(R.base, spec.inner, base_dir))
-    if isinstance(spec, TpInv):
-        if not isinstance(R, TruncatedPolyRing):
-            raise ValidationError(f"tp(...) needs a truncated polynomial ring, got {R.describe()}")
-        return truncated_poly_involution(R, make_involution(R.base, spec.inner, base_dir))
+    if isinstance(spec, NamedInv):
+        return _NAMED[spec.name](R)
+    if isinstance(spec, DigitwiseInv):
+        ring_class, needed, construct = _DIGITWISE[spec.name]
+        # checked before the recursion, which reads R.base
+        if not isinstance(R, ring_class):
+            raise ValidationError(f"{spec.name}(...) needs {needed}, got {R.describe()}")
+        return construct(R, make_involution(R.base, spec.inner, base_dir))
     if isinstance(spec, ProdInv):
         if not isinstance(R, ProductRing):
             raise ValidationError(f"prod(...) needs a product ring, got {R.describe()}")

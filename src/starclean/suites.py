@@ -92,10 +92,7 @@ def _suite_elem_equiv(S: StarRing) -> SuiteRow:
 
 def _ring_equiv_c3(S: StarRing) -> bool:
     R = S.ring
-    cls, reps = R.principal_right_ideal_classes
-    # the classes of the principal right ideals pR of the projections
-    proj_class = np.zeros(len(reps), dtype=bool)
-    proj_class[cls[S.projection_ids]] = True
+    cls, proj_class = R.principal_right_ideal_classes[0], S.projection_class_mask
     for a in R.elements():
         powers, _ = R.distinct_powers(a)
         if not proj_class[cls[powers]].any():
@@ -114,14 +111,14 @@ def _ring_equiv_c4(S: StarRing) -> bool:
 
 def _ring_equiv_c5(S: StarRing) -> bool:
     R = S.ring
-    proj = S.projections()
+    proj, units = S.projections(), R.units()
     for a in R.elements():
         if not any(
             R.units_mask[R.sub(a, p)] and R.is_nilpotent(R.mul(a, p)) for p in proj
         ):
             return False
     for q in proj:
-        for v in R.units():
+        for v in units:
             conj = R.mul(R.mul(R.inverse(v), q), v)
             if not S.projection_mask[conj]:
                 return False

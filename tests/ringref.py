@@ -14,6 +14,9 @@ loops that the element kernels are checked against, and
 ``check_ring_axioms`` checks every ring axiom on every triple of elements.
 ``reference_verify_involution`` checks an involution's axioms on every
 pair, raising what the package's exact check must raise.
+``reference_inverse_ids`` finds each element's two-sided inverses row by
+row, and ``reference_directly_finite_witness`` scans every pair with ab = 1,
+where the package reads both from one scan for least right inverses.
 """
 
 import numpy as np
@@ -188,3 +191,26 @@ def reference_verify_involution(R, star) -> None:
     if not (star[star] == np.arange(n)).all():
         x = int(np.flatnonzero(star[star] != np.arange(n))[0])
         raise AxiomViolation("involutivity", (x,), f"x={R.render(x)}")
+
+
+def reference_inverse_ids(R) -> np.ndarray:
+    """Per a, the least b with ab = 1 = ba, or -1, one row of mul at a time."""
+    mul, one = R.mul_table, R.one
+    out = np.full(R.size, -1, dtype=np.int64)
+    for a in range(R.size):
+        right = np.flatnonzero(mul[a] == one)
+        two_sided = right[mul[right, a] == one]
+        if two_sided.size:
+            out[a] = two_sided[0]
+    return out
+
+
+def reference_directly_finite_witness(R) -> tuple[int, int] | None:
+    """The row-major first (a, b) with ab = 1 but ba != 1, or None, from
+    every pair with ab = 1 at once."""
+    pos = np.argwhere(R.mul_table == R.one)
+    bad = R.mul_table[pos[:, 1], pos[:, 0]] != R.one
+    if bad.any():
+        a, b = pos[np.flatnonzero(bad)[0]]
+        return int(a), int(b)
+    return None

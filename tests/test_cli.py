@@ -104,6 +104,13 @@ def test_numeric_verdicts(capsys, tmp_path):
     code, out = run_cli(capsys, "numeric", str(ill))
     assert code == 0 and json.loads(out)["verdict"] == "ill-conditioned"
 
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text("[[1,0],[0,1e-310]]")
+    code, out = run_cli(capsys, "numeric", str(tiny), "--tol", "0")
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "ill-conditioned"
+    assert payload["reason"] == "non-finite residuals: commute, inner, nilpotent, symmetry"
+
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")
     code, _ = run_cli(capsys, "numeric", str(bad))

@@ -180,6 +180,14 @@ def test_ill_conditioned_raises():
         is_spsr_matrix(A, tol=0)
 
 
+def test_non_finite_residuals_are_refused():
+    # at tol 0 the rank counts 1e-310, and its inverse overflows
+    A = DenseMatrix(np.array([[1, 0], [0, 1e-310]]))
+    with np.errstate(all="ignore"), pytest.raises(IllConditioned) as info:
+        is_spsr_matrix(A, tol=0)
+    assert str(info.value) == "non-finite residuals: commute, inner, nilpotent, symmetry"
+
+
 def test_invertible_split_is_trivial():
     rng = np.random.default_rng(23)
     for n in range(1, 7):

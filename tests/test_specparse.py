@@ -69,6 +69,26 @@ def test_involution_parse_roundtrip():
         assert parse_involution_spec(involution_spec_string(spec)) == spec
 
 
+@pytest.mark.parametrize(
+    "ring, inv, error",
+    [
+        ("Z4", "tr(id)", "tr(...) needs a matrix ring, got Z4"),
+        ("Z4", "grp(id)", "grp(...) needs a group ring, got Z4"),
+        ("Z4", "tp(id)", "tp(...) needs a truncated polynomial ring, got Z4"),
+        ("Z4", "prod(id,id)", "prod(...) needs a product ring, got Z4"),
+        ("Z4", "swap", "swap needs a product of two copies of the same ring, got Z4"),
+        ("M2(Z2)", "tr(tr(id))", "tr(...) needs a matrix ring, got Z2"),
+    ],
+)
+def test_recipe_round_trip_and_shape_refusal(ring, inv, error):
+    spec = parse_involution_spec(inv)
+    assert involution_spec_string(spec) == inv
+    assert parse_involution_spec(involution_spec_string(spec)) == spec
+    with pytest.raises((ValidationError, SwapShapeMismatch)) as err:
+        build_star_ring(ring, inv)
+    assert str(err.value) == error
+
+
 def test_build_star_ring_examples():
     S = build_star_ring("M2(Z3)", "tr(id)")
     assert S.ring.size == 81 and len(S.projections()) == 6

@@ -75,7 +75,7 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
     one = {ring: _corpus_file(folder, ring, [(ring, inv)]) for ring, inv in CAP_RINGS}
     m2z8 = ["--ring", "M2(Z8)", "--inv", "tr(id)"]
     checks = ("sr1", "isr1", "psr1", "strongly-pi-star-regular", "strongly-pi-regular",
-              "regular", "pi-regular", "exchange", "unit-regular")
+              "regular", "pi-regular", "exchange", "unit-regular", "directly-finite")
     table = [(f"check {p} M2(Z8)", ["check", *m2z8, "--prop", p]) for p in checks]
     table += [(f"corpus-matrix {ring}", ["corpus-matrix", "--corpus", one[ring]]) for ring in one]
     named = [(ring, ring, inv) for ring, inv in CAP_RINGS] + [("Z2^12", *BOOLEAN_CAP_RING)]
