@@ -68,8 +68,6 @@ from .matrixops import (
 from .properties import (
     PROPERTIES,
     STABLE_RANGE_PROPERTIES,
-    LiftingResult,
-    OneSidedResult,
     Verdict,
     Witness,
     check_stable_range_pair,
@@ -77,12 +75,10 @@ from .properties import (
     lifting_checks,
     psr_onesided_equiv,
     ring_property,
-    stable_range_checks,
 )
 from .report import (
     PropertyReport,
     corpus_matrix,
-    evaluate_properties,
     json_dumps,
     matrix_to_csv,
     matrix_to_text,

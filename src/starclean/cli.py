@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fixtures import FIXTURES, run_fixture
 from .involutions import StarRing
-from .matrixops import INVOLUTION_MODES, is_spsr_matrix, load_matrix
+from .matrixops import INVOLUTION_MODES, is_spsr_matrix, load_matrix, named_residuals
 from .properties import PROPERTIES, ring_property
 from .report import (
     corpus_matrix,
@@ -227,11 +227,6 @@ def _cmd_numeric(args) -> int:
         raise MalformedSpec(f"cannot read matrix file {args.matrix}: {exc}") from exc
     try:
         verdict, diag = is_spsr_matrix(M, args.tol)
-        residuals = {
-            **diag["residuals"],
-            "symmetry": diag["symmetry_residual"],
-            "cross_gram_max": diag["cross_gram_max"],
-        }
         payload = {
             "command": "numeric",
             "matrix": str(args.matrix),
@@ -240,7 +235,7 @@ def _cmd_numeric(args) -> int:
             "verdict": "true" if verdict else "false",
             "index": diag["index"],
             "rank": diag["rank"],
-            "residuals": residuals,
+            "residuals": named_residuals(diag),
             "gram_verdict": diag["gram_verdict"],
         }
     except IllConditioned as exc:

@@ -197,11 +197,6 @@ def is_spsr_matrix(
         gram_max = float(np.abs(gram).max())
     else:
         gram_max = 0.0
-    # every decision runs this test, so the names are gathered only to refuse
-    if not all(map(math.isfinite, (*res.residuals.values(), sym_residual, gram_max))):
-        residuals = {**res.residuals, "symmetry": sym_residual, "cross_gram_max": gram_max}
-        overflowed = sorted(k for k, v in residuals.items() if not math.isfinite(v))
-        raise IllConditioned(f"non-finite residuals: {', '.join(overflowed)}")
     diagnostics = {
         "index": res.index,
         "rank": res.rank,
@@ -210,7 +205,22 @@ def is_spsr_matrix(
         "cross_gram_max": gram_max,
         "gram_verdict": gram_max <= tol,
     }
+    # every decision runs this test, so the names are gathered only to refuse
+    if not all(map(math.isfinite, (*res.residuals.values(), sym_residual, gram_max))):
+        residuals = named_residuals(diagnostics)
+        overflowed = sorted(k for k, v in residuals.items() if not math.isfinite(v))
+        raise IllConditioned(f"non-finite residuals: {', '.join(overflowed)}")
     return verdict, diagnostics
+
+
+def named_residuals(diagnostics: dict) -> dict[str, float]:
+    """The five residuals of an ``is_spsr_matrix`` decision by name: commute,
+    inner, nilpotent, symmetry and cross_gram_max."""
+    return {
+        **diagnostics["residuals"],
+        "symmetry": diagnostics["symmetry_residual"],
+        "cross_gram_max": diagnostics["cross_gram_max"],
+    }
 
 
 # -- matrix input ---------------------------------------------------------------

@@ -1,26 +1,30 @@
 """Ring-level property deciders with re-checkable witnesses.
 
-A property quantified over elements is decided from row-block masks: one
-kernel answers a whole block of ``_row_blocks(0, n, n)`` at once, the
-blocks run in ascending order, and the first block with a failing element
-ends the scan. Set-shaped and pair properties read ring-level caches:
-idempotents-are-projections and J-nil name the least id of a mask (the
-idempotents that are not self-adjoint, the radical elements that are not
-nilpotent), and directly-finite reads the ring's one right-inverse scan. A
-False verdict always carries the first counterexample in canonical element
-order, the same one a scan of one element at a time finds, and
-``check_witness`` re-validates any witness against the property it refutes
-with a per-element predicate. Those of exchange, the five regularities
-without "strongly-*-star" or "strongly-pi", boolean and local share no
-kernel with their block deciders; the four clean modes, strongly-pi-regular,
-strongly-pi-star-regular and strongly-star-regular read the same
-first-witness arrays as their deciders.
+Each property is one entry of ``_PROPERTY_TABLE``, its decider and its
+checker side by side: ``ring_property`` runs the decider once per star
+ring and caches the verdict, and ``check_witness`` hands a witness's ids
+to the checker. A property quantified over elements is decided from
+row-block masks: one kernel answers a whole block of
+``_row_blocks(0, n, n)`` at once, the blocks run in ascending order, and
+the first block with a failing element ends the scan. Set-shaped and pair
+properties read ring-level caches: idempotents-are-projections and J-nil
+name the least id of a mask (the idempotents that are not self-adjoint,
+the radical elements that are not nilpotent), and directly-finite reads
+the ring's one right-inverse scan. A False verdict always carries the
+first counterexample in canonical element order, the same one a scan of
+one element at a time finds. An element property's checker re-validates
+its witness with a per-element predicate. Those of exchange, the five
+regularities without "strongly-*-star" or "strongly-pi", boolean and local
+share no kernel with their block deciders; the four clean modes,
+strongly-pi-regular, strongly-pi-star-regular and strongly-star-regular
+read the same first-witness arrays as their deciders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -232,55 +236,59 @@ def _forall_elements(S: StarRing, holds) -> Verdict:
     return Verdict(True)
 
 
+def _refutes_element(pred, S, a) -> bool:
+    return not pred(S, a)
+
+
 # -- set-shaped properties -------------------------------------------------------
+#
+# The deciders read ring-level masks, each named by a getter of the star
+# ring; the checkers take the witness's ids.
 
 
-def _central_verdict(S: StarRing, mask: np.ndarray) -> Verdict:
-    """True iff every element of mask is central; witness (x, y), xy != yx."""
-    witness = S.ring.first_noncentral(mask)
+def _central_verdict(S: StarRing, mask) -> Verdict:
+    """True iff every element of mask(S) is central; witness (x, y), xy != yx."""
+    witness = S.ring.first_noncentral(mask(S))
     return Verdict(True) if witness is None else Verdict(False, _pair_witness(S, *witness))
 
 
-def _prop_abelian(S: StarRing) -> Verdict:
-    return _central_verdict(S, S.ring.idempotent_mask)
-
-
-def _prop_star_abelian(S: StarRing) -> Verdict:
-    return _central_verdict(S, S.projection_mask)
-
-
-def _none_in(S: StarRing, mask: np.ndarray) -> Verdict:
-    """True iff mask marks no element; else the least marked id is the witness."""
-    bad = np.flatnonzero(mask)
+def _subset_verdict(S: StarRing, mask, within) -> Verdict:
+    """True iff every element of mask(S) is in within(S); else the least
+    id outside is the witness."""
+    bad = np.flatnonzero(mask(S) & ~within(S))
     return Verdict(True) if bad.size == 0 else Verdict(False, _elem_witness(S, int(bad[0])))
 
 
-def _prop_idempotents_are_projections(S: StarRing) -> Verdict:
-    return _none_in(S, S.ring.idempotent_mask & ~S.self_adjoint_mask)
-
-
-def _prop_j_nil(S: StarRing) -> Verdict:
-    return _none_in(S, S.ring.jacobson_mask & ~S.ring.nilpotent_mask)
-
-
-def _prop_directly_finite(S: StarRing) -> Verdict:
+def _directly_finite(S: StarRing) -> Verdict:
     witness = S.ring.directly_finite_witness()
     if witness is None:
         return Verdict(True)
     return Verdict(False, _pair_witness(S, *witness))
 
 
-_SET_TESTS: dict[str, Callable[[StarRing], Verdict]] = {
-    "abelian": _prop_abelian,
-    "star-abelian": _prop_star_abelian,
-    "idempotents-are-projections": _prop_idempotents_are_projections,
-    "J-nil": _prop_j_nil,
-    "directly-finite": _prop_directly_finite,
-}
+def _refutes_abelian(S, e, x) -> bool:
+    R = S.ring
+    return R.mul(e, e) == e and R.mul(e, x) != R.mul(x, e)
 
-STABLE_RANGE_PROPERTIES = ("sr1", "isr1", "psr1")
 
-PROPERTIES = tuple(_ELEMENT_TESTS) + tuple(_SET_TESTS) + STABLE_RANGE_PROPERTIES
+def _refutes_star_abelian(S, p, x) -> bool:
+    R = S.ring
+    return bool(S.projection_mask[p]) and R.mul(p, x) != R.mul(x, p)
+
+
+def _refutes_idempotents_are_projections(S, e) -> bool:
+    R = S.ring
+    return R.mul(e, e) == e and S.star(e) != e
+
+
+def _refutes_j_nil(S, a) -> bool:
+    R = S.ring
+    return bool(R.jacobson_mask[a]) and not R.is_nilpotent(a)
+
+
+def _refutes_directly_finite(S, a, b) -> bool:
+    R = S.ring
+    return R.mul(a, b) == R.one and R.mul(b, a) != R.one
 
 
 # -- stable range ---------------------------------------------------------------
@@ -345,11 +353,6 @@ def _stable_range_verdict(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) ->
     return Verdict(False, _pair_witness(S, a, int(viol[a].argmax())))
 
 
-def stable_range_checks(S: StarRing) -> dict[str, Verdict]:
-    """Verdicts for stable range one over R, over idempotents, over projections."""
-    return {name: ring_property(S, name) for name in STABLE_RANGE_PROPERTIES}
-
-
 def check_stable_range_pair(S: StarRing, prop: str, a: int, b: int) -> bool:
     """True iff (a, b) really is a counterexample for the given stable-range flavor."""
     R = S.ring
@@ -361,124 +364,111 @@ def check_stable_range_pair(S: StarRing, prop: str, a: int, b: int) -> bool:
     return True
 
 
-# -- the umbrella decider ---------------------------------------------------------
+def _decide_stable_range(prop: str, S: StarRing) -> Verdict:
+    return _stable_range_verdict(S, _stable_pool(S, prop), S.ring.units_mask)
+
+
+def _refutes_stable_range(prop: str, S, a, b) -> bool:
+    return check_stable_range_pair(S, prop, a, b)
+
+
+# -- the property table -------------------------------------------------------------
+
+STABLE_RANGE_PROPERTIES = ("sr1", "isr1", "psr1")
+
+# name: (decider of the star ring, checker of a witness's ids); the key order
+# is the order of PROPERTIES
+_PROPERTY_TABLE: dict[str, tuple[Callable, Callable]] = {
+    **{name: (partial(_forall_elements, holds=holds), partial(_refutes_element, pred))
+       for name, (holds, pred) in _ELEMENT_TESTS.items()},
+    "abelian": (partial(_central_verdict, mask=attrgetter("ring.idempotent_mask")),
+                _refutes_abelian),
+    "star-abelian": (partial(_central_verdict, mask=attrgetter("projection_mask")),
+                     _refutes_star_abelian),
+    "idempotents-are-projections": (
+        partial(_subset_verdict, mask=attrgetter("ring.idempotent_mask"),
+                within=attrgetter("self_adjoint_mask")),
+        _refutes_idempotents_are_projections,
+    ),
+    "J-nil": (
+        partial(_subset_verdict, mask=attrgetter("ring.jacobson_mask"),
+                within=attrgetter("ring.nilpotent_mask")),
+        _refutes_j_nil,
+    ),
+    "directly-finite": (_directly_finite, _refutes_directly_finite),
+    **{prop: (partial(_decide_stable_range, prop), partial(_refutes_stable_range, prop))
+       for prop in STABLE_RANGE_PROPERTIES},
+}
+
+PROPERTIES = tuple(_PROPERTY_TABLE)
+
+
+def _entry(prop: str) -> tuple[Callable, Callable]:
+    if prop not in _PROPERTY_TABLE:
+        raise UnknownProperty(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
+    return _PROPERTY_TABLE[prop]
 
 
 def ring_property(S: StarRing, prop: str) -> Verdict:
     """Decide a named ring-level property; verdicts are cached per star ring."""
     cache = S._prop_cache
-    if prop in cache:
-        return cache[prop]
-    if prop in _ELEMENT_TESTS:
-        verdict = _forall_elements(S, _ELEMENT_TESTS[prop][0])
-    elif prop in _SET_TESTS:
-        verdict = _SET_TESTS[prop](S)
-    elif prop in STABLE_RANGE_PROPERTIES:
-        verdict = _stable_range_verdict(S, _stable_pool(S, prop), S.ring.units_mask)
-    else:
-        raise UnknownProperty(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
-    cache[prop] = verdict
-    return verdict
+    if prop not in cache:
+        cache[prop] = _entry(prop)[0](S)
+    return cache[prop]
 
 
 def check_witness(S: StarRing, prop: str, witness: Witness) -> bool:
     """Re-validate that a witness really refutes the property."""
-    R = S.ring
-    ids = witness.ids
-    if prop in _ELEMENT_TESTS:
-        return not _ELEMENT_TESTS[prop][1](S, ids[0])
-    if prop == "abelian":
-        e, x = ids
-        return R.mul(e, e) == e and R.mul(e, x) != R.mul(x, e)
-    if prop == "star-abelian":
-        p, x = ids
-        return bool(S.projection_mask[p]) and R.mul(p, x) != R.mul(x, p)
-    if prop == "idempotents-are-projections":
-        (e,) = ids
-        return R.mul(e, e) == e and S.star(e) != e
-    if prop == "J-nil":
-        (a,) = ids
-        return bool(R.jacobson_mask[a]) and not R.is_nilpotent(a)
-    if prop == "directly-finite":
-        a, b = ids
-        return R.mul(a, b) == R.one and R.mul(b, a) != R.one
-    if prop in STABLE_RANGE_PROPERTIES:
-        return check_stable_range_pair(S, prop, *ids)
-    raise UnknownProperty(prop)
+    return _entry(prop)[1](S, *witness.ids)
 
 
 # -- one-sided stable range comparison ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneSidedResult:
-    two_sided: Verdict
-    right: Verdict
-    left: Verdict
-    collapse_ok: bool  # right/left invertible elements coincide with units
-
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.two_sided.value == self.right.value == self.left.value
-        ) and self.collapse_ok
-
-
-def psr_onesided_equiv(S: StarRing) -> OneSidedResult:
-    """Compare two-sided, right-invertible, and left-invertible variants of
-    the projection stable-range condition; in a finite ring all three agree."""
+def psr_onesided_equiv(S: StarRing) -> dict[str, bool]:
+    """Two-sided, right-invertible and left-invertible variants of the
+    projection stable-range condition, and whether right- and
+    left-invertible elements coincide with units; in a finite ring all
+    three variants agree."""
     R = S.ring
+    n = R.size
     rinv_mask = R.right_inverse_ids >= 0
-    linv_mask = (R.mul_table == R.one).any(axis=0)
+    linv_mask = np.zeros(n, dtype=bool)  # b with ab = 1 for some a
+    for rows in _row_blocks(0, n, n):
+        linv_mask |= (R.mul_table[rows] == R.one).any(axis=0)
     pool = _stable_pool(S, "psr1")
-    collapse = bool((rinv_mask == R.units_mask).all() and (linv_mask == R.units_mask).all())
-    return OneSidedResult(
-        two_sided=_stable_range_verdict(S, pool, R.units_mask),
-        right=_stable_range_verdict(S, pool, rinv_mask),
-        left=_stable_range_verdict(S, pool, linv_mask),
-        collapse_ok=collapse,
-    )
+    return {
+        "two_sided": ring_property(S, "psr1").value,
+        "right": _stable_range_verdict(S, pool, rinv_mask).value,
+        "left": _stable_range_verdict(S, pool, linv_mask).value,
+        "collapse_ok": bool(
+            (rinv_mask == R.units_mask).all() and (linv_mask == R.units_mask).all()
+        ),
+    }
 
 
 # -- lifting ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftingResult:
-    idempotents_lift_to_central_projections: Verdict
-    projections_lift: Verdict
-    projections_central: Verdict
-
-    def to_dict(self) -> dict:
-        return {
-            "idempotents_lift_to_central_projections": (
-                self.idempotents_lift_to_central_projections.to_dict()
-            ),
-            "projections_lift": self.projections_lift.to_dict(),
-            "projections_central": self.projections_central.to_dict(),
-        }
+def _every_coset_meets(targets: np.ndarray, pi: np.ndarray, mask: np.ndarray, size: int) -> bool:
+    """Whether every target id of the quotient has a preimage under pi in mask."""
+    hit = np.zeros(size, dtype=bool)
+    hit[pi[mask]] = True
+    return bool(hit[targets].all())
 
 
-def lifting_checks(S: StarRing) -> LiftingResult:
-    """Inspect idempotent and projection lifting along R -> R/J(R)."""
+def lifting_checks(S: StarRing) -> dict[str, bool]:
+    """Whether idempotents of R/J(R) lift to central projections of R, whether
+    projections of R/J(R) lift to projections, and whether projections are
+    central."""
     QS, pi = S.mod_jacobson()
     R = S.ring
-    central_proj = S.projection_mask & R.center_mask
     proj = S.projection_mask
-
-    def lift_verdict(targets, mask) -> Verdict:
-        for t in targets:
-            fiber = np.flatnonzero(pi == t)
-            if not mask[fiber].any():
-                # fiber[0] is the coset's least element, the id R/J renders it by
-                text = f"coset of {R.render(int(fiber[0]))}+I"
-                return Verdict(False, Witness("element", (int(t),), text))
-        return Verdict(True)
-
-    return LiftingResult(
-        idempotents_lift_to_central_projections=lift_verdict(
-            QS.ring.idempotents(), central_proj
+    size = QS.ring.size
+    return {
+        "idempotents_lift_to_central_projections": _every_coset_meets(
+            QS.ring.idempotent_ids, pi, proj & R.center_mask, size
         ),
-        projections_lift=lift_verdict(QS.projections(), proj),
-        projections_central=_prop_star_abelian(S),
-    )
+        "projections_lift": _every_coset_meets(QS.projection_ids, pi, proj, size),
+        "projections_central": ring_property(S, "star-abelian").value,
+    }

@@ -12,30 +12,13 @@ import io
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .involutions import StarRing
 from .properties import PROPERTIES, Verdict, ring_property
 from .suites import SuiteResult
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars and containers to plain Python."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def json_dumps(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
 @dataclass
@@ -52,16 +35,14 @@ class PropertyReport:
         }
 
 
-def evaluate_properties(S: StarRing, props: tuple[str, ...] = PROPERTIES) -> PropertyReport:
-    verdicts = {prop: ring_property(S, prop) for prop in props}
-    return PropertyReport(S.label, S.ring.size, verdicts)
-
-
 def corpus_matrix(
     corpus: list[StarRing], props: tuple[str, ...] = PROPERTIES, jobs: int = 1
 ):
     """One report per ring, in corpus order; ``jobs`` is accepted and ignored."""
-    return [evaluate_properties(S, props) for S in corpus]
+    return [
+        PropertyReport(S.label, S.ring.size, {prop: ring_property(S, prop) for prop in props})
+        for S in corpus
+    ]
 
 
 def matrix_to_csv(reports: list[PropertyReport], props: tuple[str, ...] = PROPERTIES) -> str:

@@ -150,13 +150,13 @@ def _suite_jac_equiv(S: StarRing) -> SuiteRow:
     c2 = (
         all(spsr_c2(QS, x) is not None for x in QS.ring.elements())
         and jnil
-        and lift.projections_central.value
-        and lift.projections_lift.value
+        and lift["projections_central"]
+        and lift["projections_lift"]
     )
     c3 = (
         ring_property(QS, "strongly-star-regular").value
         and jnil
-        and lift.idempotents_lift_to_central_projections.value
+        and lift["idempotents_lift_to_central_projections"]
     )
     detail = _flags_detail(c1=c1, c2=c2, c3=c3)
     ok = len({c1, c2, c3}) == 1
@@ -460,18 +460,9 @@ def _suite_final_equiv(S: StarRing) -> SuiteRow:
 
 
 def _suite_psr_onesided(S: StarRing) -> SuiteRow:
-    res = psr_onesided_equiv(S)
-    return SuiteRow(
-        S.label,
-        res.consistent,
-        "one-sided and two-sided variants agree",
-        {
-            "two_sided": bool(res.two_sided.value),
-            "right": bool(res.right.value),
-            "left": bool(res.left.value),
-            "collapse_ok": bool(res.collapse_ok),
-        },
-    )
+    flags = psr_onesided_equiv(S)
+    ok = flags["two_sided"] == flags["right"] == flags["left"] and flags["collapse_ok"]
+    return SuiteRow(S.label, ok, "one-sided and two-sided variants agree", flags)
 
 
 SUITES = {

@@ -17,6 +17,10 @@ pair, raising what the package's exact check must raise.
 ``reference_inverse_ids`` finds each element's two-sided inverses row by
 row, and ``reference_directly_finite_witness`` scans every pair with ab = 1,
 where the package reads both from one scan for least right inverses.
+``reference_refutations`` decides, from the definitions, whether a
+witness refutes a set-shaped or stable-range property, and
+``reference_lifting_flags`` checks the lifting along R -> R/J(R) one coset
+at a time, where the package scatters the surjection once per flag.
 """
 
 import numpy as np
@@ -214,3 +218,65 @@ def reference_directly_finite_witness(R) -> tuple[int, int] | None:
         a, b = pos[np.flatnonzero(bad)[0]]
         return int(a), int(b)
     return None
+
+
+def reference_refutations(S) -> dict:
+    """Per set-shaped and stable-range property, whether a witness's ids
+    refute it, from the definitions and the add, mul and star tables alone."""
+    R = S.ring
+    add, mul, star, one = R.add_table, R.mul_table, S.star_table, R.one
+    ids = range(R.size)
+    unit = [bool(((mul[a] == one) & (mul[:, a] == one)).any()) for a in ids]
+    idempotent = [mul[a, a] == a for a in ids]
+    projection = [idempotent[a] and star[a] == a for a in ids]
+    one_minus = [int(np.flatnonzero(add[a] == one)[0]) for a in ids]
+
+    def nilpotent(a):
+        power = a
+        for _ in ids:
+            power = mul[power, a]
+        return power == R.zero
+
+    def in_radical(a):  # 1 - ra is a unit for every r
+        return all(unit[one_minus[mul[r, a]]] for r in ids)
+
+    def no_stable_y(pool):
+        def refutes(a, b):  # aR + bR = R, and a + by is a unit for no y of the pool
+            comaximal = (add[np.ix_(mul[a], mul[b])] == one).any()
+            return bool(comaximal) and not any(unit[add[a, mul[b, y]]] for y in pool)
+        return refutes
+
+    return {
+        "abelian": lambda e, x: idempotent[e] and mul[e, x] != mul[x, e],
+        "star-abelian": lambda p, x: projection[p] and mul[p, x] != mul[x, p],
+        "idempotents-are-projections": lambda e: idempotent[e] and star[e] != e,
+        "J-nil": lambda a: in_radical(a) and not nilpotent(a),
+        "directly-finite": lambda a, b: mul[a, b] == one and mul[b, a] != one,
+        "sr1": no_stable_y(list(ids)),
+        "isr1": no_stable_y([y for y in ids if idempotent[y]]),
+        "psr1": no_stable_y([y for y in ids if projection[y]]),
+    }
+
+
+def reference_lifting_flags(S) -> dict[str, bool]:
+    """The flags of ``lifting_checks``, one coset of J(R) at a time: a target
+    of R/J(R) lifts when its fiber under the surjection holds an element of
+    the mask."""
+    QS, pi = S.mod_jacobson()
+    R = S.ring
+
+    def every_coset_meets(targets, mask):
+        for t in targets:
+            if not mask[np.flatnonzero(pi == t)].any():
+                return False
+        return True
+
+    return {
+        "idempotents_lift_to_central_projections": every_coset_meets(
+            QS.ring.idempotents(), S.projection_mask & R.center_mask
+        ),
+        "projections_lift": every_coset_meets(QS.projections(), S.projection_mask),
+        "projections_central": all(
+            (R.mul_table[p] == R.mul_table[:, p]).all() for p in S.projections()
+        ),
+    }

@@ -18,7 +18,6 @@ from starclean.properties import (
     check_stable_range_pair,
     check_witness,
     ring_property,
-    stable_range_checks,
 )
 from starclean.specparse import build_star_ring
 from starclean.suites import run_suites
@@ -82,14 +81,13 @@ def test_criterion_1c_m2z2():
         R.from_value(v)
         for v in ([[0, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]])
     }
-    sr = stable_range_checks(S)
     e11 = R.from_value([[1, 0], [0, 0]])
     e21 = R.from_value([[0, 0], [1, 0]])
     ok = (
         set(S.projections()) == expected
         and ring_property(S, "unit-regular").value is True
-        and sr["isr1"].value is True
-        and sr["psr1"].value is False
+        and ring_property(S, "isr1").value is True
+        and ring_property(S, "psr1").value is False
         and check_stable_range_pair(S, "psr1", e11, e21)
         and ring_property(S, "star-clean").value is True
     )
@@ -121,7 +119,7 @@ def test_criterion_1d_m2z3():
     ok = (
         set(S.projections()) == expected
         and ring_property(S, "strongly-star-clean").value is False
-        and stable_range_checks(S)["psr1"].value is True
+        and ring_property(S, "psr1").value is True
         and oracle_count == 14
         and len(R.idempotents()) == 14
     )
@@ -150,19 +148,19 @@ def test_criterion_2_suites(corpus):
 def test_criterion_3_implication_chain(corpus):
     chain_ok = True
     for S in corpus:
-        checks = stable_range_checks(S)
-        if checks["psr1"].value and not checks["isr1"].value:
+        sr1, isr1, psr1 = (ring_property(S, p).value for p in ("sr1", "isr1", "psr1"))
+        if psr1 and not isr1:
             chain_ok = False
-        if checks["isr1"].value and not checks["sr1"].value:
+        if isr1 and not sr1:
             chain_ok = False
     m2z2 = next(S for S in corpus if S.label == "M2(Z2)/tr(id)")
     m2z3 = next(S for S in corpus if S.label == "M2(Z3)/tr(id)")
     sep1 = (
-        stable_range_checks(m2z2)["isr1"].value
-        and not stable_range_checks(m2z2)["psr1"].value
+        ring_property(m2z2, "isr1").value
+        and not ring_property(m2z2, "psr1").value
     )
     sep2 = (
-        stable_range_checks(m2z3)["psr1"].value
+        ring_property(m2z3, "psr1").value
         and not ring_property(m2z3, "strongly-star-clean").value
     )
     _report("3 psr1 => isr1 => sr1 with both strictness witnesses", chain_ok and sep1 and sep2)

@@ -133,6 +133,84 @@ def test_numeric_conjugate_mode(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verdict"] == "true"
 
 
+# -- the text format of each command, pinned on one small input --------------------
+
+
+def test_check_text(capsys):
+    args = ("check", "--ring", "M2(Z3)", "--inv", "tr(id)", "--format", "text", "--prop")
+    assert run_cli(capsys, *args, "star-clean") == (0, "M2(Z3)/tr(id) star-clean: True\n")
+    assert run_cli(capsys, *args, "strongly-star-clean") == (
+        0,
+        "M2(Z3)/tr(id) strongly-star-clean: False\nwitness: [[0,0],[1,1]]\n",
+    )
+
+
+def test_element_text(capsys):
+    code, out = run_cli(
+        capsys, "element", "--ring", "M2(Z4)", "--inv", "tr(id)", "--elem", "5", "--format", "text"
+    )
+    assert code == 0
+    assert out == (
+        "M2(Z4)/tr(id) element [[0,0],[1,1]] (star: [[0,1],[0,1]])\n"
+        "  clean: True (12 certificates)\n"
+        "  strongly-clean: True (1 certificates)\n"
+        "  star-clean: True (2 certificates)\n"
+        "  strongly-star-clean: False (0 certificates)\n"
+        "  strongly-pi-regular: True\n"
+        "  strongly-star-regular: False\n"
+        "  power-conditions: c1=False, c2=False, c3=False, c4=False\n"
+    )
+
+
+def test_numeric_text(capsys, tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text("[[2,1],[1,2]]")
+    assert run_cli(capsys, "numeric", str(matrix), "--format", "text") == (
+        0,
+        "verdict: true\nindex: 0, rank: 2\n",
+    )
+
+
+_MATRIX_TEXT = (
+    "ring           "
+    "                   clean            strongly-clean                star-clean  "
+    "     strongly-star-clean                  exchange                pi-regular  "
+    "     strongly-pi-regular  strongly-pi-star-regular                   regular  "
+    "        strongly-regular              unit-regular              star-regular  "
+    "   strongly-star-regular                   boolean                     local  "
+    "                 abelian              star-abelian  idempotents-are-projections  "
+    "                   J-nil           directly-finite                       sr1  "
+    "                    isr1                      psr1\n"
+    "M2(Z2)/tr(id)  "
+    "                    True                      True                      True  "
+    "                   False                      True                      True  "
+    "                    True                     False                      True  "
+    "                   False                      True                     False  "
+    "                   False                     False                     False  "
+    "                   False                     False                     False  "
+    "                    True                      True                      True  "
+    "                    True                     False\n"
+    "Z2xZ2/swap     "
+    "                    True                      True                     False  "
+    "                   False                      True                      True  "
+    "                    True                     False                      True  "
+    "                    True                      True                     False  "
+    "                   False                      True                     False  "
+    "                    True                      True                     False  "
+    "                    True                      True                      True  "
+    "                    True                     False\n"
+)
+
+
+def test_corpus_matrix_text(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(
+        json.dumps([{"ring": "M2(Z2)", "inv": "tr(id)"}, {"ring": "Z2xZ2", "inv": "swap"}])
+    )
+    code, out = run_cli(capsys, "corpus-matrix", "--corpus", str(corpus), "--format", "text")
+    assert (code, out) == (0, _MATRIX_TEXT)
+
+
 def test_corpus_matrix_csv(capsys):
     code, out = run_cli(capsys, "corpus-matrix", "--format", "csv")
     assert code == 0

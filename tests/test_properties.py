@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from idealref import fixpoint_ideal_mask
+from ringref import reference_lifting_flags, reference_refutations
 
 import starclean.elements as elements
+import starclean.properties as properties
 import starclean.rings as rings
 from starclean.corpus import default_corpus
 from starclean.elements import is_clean_elem
@@ -16,7 +20,9 @@ from starclean.involutions import (
 from starclean.properties import (
     _ELEMENT_TESTS,
     PROPERTIES,
+    STABLE_RANGE_PROPERTIES,
     Verdict,
+    Witness,
     _elem_witness,
     _forall_elements,
     _stable_success,
@@ -26,7 +32,6 @@ from starclean.properties import (
     lifting_checks,
     psr_onesided_equiv,
     ring_property,
-    stable_range_checks,
 )
 from starclean.rings import MatrixSpec, ProductSpec, Zmod, build_ring, generated_ideal
 from starclean.specparse import build_star_ring
@@ -112,11 +117,10 @@ def test_spsr_ring_level():
 
 def test_stable_range_m2z2():
     S = m2(2)
-    checks = stable_range_checks(S)
-    assert checks["sr1"].value is True
-    assert checks["isr1"].value is True
-    assert checks["psr1"].value is False
-    a, b = checks["psr1"].witness.ids
+    assert ring_property(S, "sr1").value is True
+    assert ring_property(S, "isr1").value is True
+    assert ring_property(S, "psr1").value is False
+    a, b = ring_property(S, "psr1").witness.ids
     assert check_stable_range_pair(S, "psr1", a, b)
     # the canonical counterexample pair is accepted among valid witnesses
     R = S.ring
@@ -126,23 +130,22 @@ def test_stable_range_m2z2():
 
 
 def test_stable_range_m2z3_and_local():
-    assert stable_range_checks(m2(3))["psr1"].value is True
-    assert stable_range_checks(ident(Zmod(4)))["psr1"].value is True
+    assert ring_property(m2(3), "psr1").value is True
+    assert ring_property(ident(Zmod(4)), "psr1").value is True
 
 
 def test_stable_range_swap_ring():
-    checks = stable_range_checks(swap_ring())
-    assert checks["isr1"].value is True
-    assert checks["psr1"].value is False
+    S = swap_ring()
+    assert ring_property(S, "isr1").value is True
+    assert ring_property(S, "psr1").value is False
 
 
 def test_implication_chain_psr_isr_sr():
     for S in (m2(2), m2(3), ident(Zmod(6)), swap_ring(), ident(Zmod(16))):
-        checks = stable_range_checks(S)
-        if checks["psr1"].value:
-            assert checks["isr1"].value
-        if checks["isr1"].value:
-            assert checks["sr1"].value
+        if ring_property(S, "psr1").value:
+            assert ring_property(S, "isr1").value
+        if ring_property(S, "isr1").value:
+            assert ring_property(S, "sr1").value
 
 
 def _reference_comaximal(R):
@@ -174,7 +177,6 @@ def test_stable_range_matches_pairwise_reference():
         R = S.ring
         comax = _reference_comaximal(R)
         assert (R.comaximal_pairs == comax).all(), S.label
-        checks = stable_range_checks(S)
         for prop, pool in pools.items():
             success = _reference_success(R, pool(S))
             assert (_stable_success(S, pool(S), R.units_mask) == success).all(), (S.label, prop)
@@ -182,7 +184,7 @@ def test_stable_range_matches_pairwise_reference():
                 (a, b) for a in R.elements() for b in R.elements()
                 if comax[a, b] and not success[a, b]
             ]
-            verdict = checks[prop]
+            verdict = ring_property(S, prop)
             assert verdict.value == (not violations), (S.label, prop)
             if violations:
                 assert verdict.witness.ids == violations[0], (S.label, prop)
@@ -202,33 +204,102 @@ def test_blocked_stable_success_matches_pairwise_reference(monkeypatch):
                 assert (got == want).all(), (S.label, rows, len(pool))
 
 
-def test_psr_onesided():
-    res = psr_onesided_equiv(m2(2))
-    assert res.consistent
-    assert not res.two_sided.value and not res.right.value and not res.left.value
-    res = psr_onesided_equiv(m2(3))
-    assert res.consistent and res.two_sided.value
-    res = psr_onesided_equiv(ident(Zmod(4)))
-    assert res.consistent and res.two_sided.value
+def test_psr_onesided(monkeypatch):
+    flags = dict(two_sided=False, right=False, left=False, collapse_ok=True)
+    assert psr_onesided_equiv(m2(2)) == flags
+    flags = dict(two_sided=True, right=True, left=True, collapse_ok=True)
+    assert psr_onesided_equiv(m2(3)) == flags
+    assert psr_onesided_equiv(ident(Zmod(4))) == flags
+    # the left-invertible scan over many row blocks, three rows each
+    S = m2(3)
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 3 * S.ring.size)
+    assert psr_onesided_equiv(S) == flags
 
 
 def test_lifting_z4():
-    res = lifting_checks(ident(Zmod(4)))
-    assert res.idempotents_lift_to_central_projections.value
-    assert res.projections_lift.value
-    assert res.projections_central.value
+    assert lifting_checks(ident(Zmod(4))) == {
+        "idempotents_lift_to_central_projections": True,
+        "projections_lift": True,
+        "projections_central": True,
+    }
 
 
 def test_lifting_m2z2_projections_not_central():
-    res = lifting_checks(m2(2))
-    assert res.projections_central.value is False
+    assert lifting_checks(m2(2))["projections_central"] is False
 
 
 def test_lifting_swap_ring():
-    res = lifting_checks(swap_ring())
-    assert res.idempotents_lift_to_central_projections.value is False
-    assert res.projections_lift.value is True
-    assert res.projections_central.value is True
+    assert lifting_checks(swap_ring()) == {
+        "idempotents_lift_to_central_projections": False,
+        "projections_lift": True,
+        "projections_central": True,
+    }
+
+
+def test_psr_onesided_reads_the_cached_two_sided_verdict(monkeypatch):
+    S = m2(2)
+    ring_property(S, "psr1")
+    masks = []
+    real = properties._stable_range_verdict
+
+    def counted(S, pool, ok_mask):
+        masks.append(ok_mask)
+        return real(S, pool, ok_mask)
+
+    monkeypatch.setattr(properties, "_stable_range_verdict", counted)
+    flags = psr_onesided_equiv(S)
+    # the right- and left-invertible sides; the two-sided one is psr1's verdict
+    assert len(masks) == 2
+    assert flags["two_sided"] is False
+    assert all(mask is not S.ring.units_mask for mask in masks)
+
+
+def test_lifting_flags_match_the_coset_loop(reference_rings):
+    seen = set()
+    for S in reference_rings:
+        flags = lifting_checks(S)
+        assert flags == reference_lifting_flags(S), S.label
+        seen |= set(flags.items())
+    assert len(seen) == 5  # every flag holds somewhere, and all but projections_lift fail
+
+
+def test_properties_keep_their_names_and_order():
+    assert PROPERTIES == (
+        "clean", "strongly-clean", "star-clean", "strongly-star-clean", "exchange",
+        "pi-regular", "strongly-pi-regular", "strongly-pi-star-regular", "regular",
+        "strongly-regular", "unit-regular", "star-regular", "strongly-star-regular",
+        "boolean", "local", "abelian", "star-abelian", "idempotents-are-projections",
+        "J-nil", "directly-finite", "sr1", "isr1", "psr1",
+    )
+    assert PROPERTIES[-3:] == STABLE_RANGE_PROPERTIES
+
+
+_PAIR_PROPERTIES = ("abelian", "star-abelian", "directly-finite", *STABLE_RANGE_PROPERTIES)
+
+
+def test_checkers_reject_the_witnesses_that_do_not_refute():
+    rejected = set()
+    for S in default_corpus():
+        R = S.ring
+        n = R.size
+        if n > 16:
+            continue
+        refutes = reference_refutations(S)
+        for prop in PROPERTIES:
+            if prop in _ELEMENT_TESTS:
+                holds = _ELEMENT_TESTS[prop][0]
+                fails = ~np.concatenate([holds(S, rows) for rows in rings._row_blocks(0, n, n)])
+                cases = [((a,), bool(fails[a])) for a in range(n)]
+            else:
+                arity = 2 if prop in _PAIR_PROPERTIES else 1
+                cases = [(ids, refutes[prop](*ids))
+                         for ids in itertools.product(range(n), repeat=arity)]
+            for ids, want in cases:
+                witness = Witness("pair" if len(ids) == 2 else "element", ids, "")
+                assert check_witness(S, prop, witness) == want, (S.label, prop, ids)
+                if not want:
+                    rejected.add(prop)
+    assert rejected == set(PROPERTIES)
 
 
 def test_all_false_verdicts_revalidate():
@@ -241,8 +312,13 @@ def test_all_false_verdicts_revalidate():
 
 
 def test_unknown_property():
-    with pytest.raises(UnknownProperty):
-        ring_property(ident(Zmod(4)), "frobnicated")
+    S = ident(Zmod(4))
+    with pytest.raises(UnknownProperty) as decided:
+        ring_property(S, "frobnicated")
+    with pytest.raises(UnknownProperty) as checked:
+        check_witness(S, "frobnicated", Witness("element", (0,), "0"))
+    assert str(checked.value) == str(decided.value)
+    assert str(decided.value).startswith("unknown property 'frobnicated'; known: clean, ")
 
 
 # -- centrality, aR = pR and J(R) against the row-by-row loops they replaced ------

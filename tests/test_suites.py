@@ -9,7 +9,7 @@ from idealref import fixpoint_ideal_mask
 from starclean import suites
 from starclean.corpus import default_corpus
 from starclean.errors import UnknownProperty
-from starclean.properties import lifting_checks, ring_property, stable_range_checks
+from starclean.properties import lifting_checks, ring_property
 from starclean.report import json_dumps, suites_to_dict
 from starclean.rings import Ideal
 from starclean.specparse import build_star_ring
@@ -61,11 +61,10 @@ def test_parallel_matches_serial(corpus):
 
 def test_strictness_witnesses(corpus):
     m2z2 = _by_label(corpus, "M2(Z2)/tr(id)")
-    checks = stable_range_checks(m2z2)
-    assert checks["isr1"].value and not checks["psr1"].value
+    assert ring_property(m2z2, "isr1").value and not ring_property(m2z2, "psr1").value
 
     m2z3 = _by_label(corpus, "M2(Z3)/tr(id)")
-    assert stable_range_checks(m2z3)["psr1"].value
+    assert ring_property(m2z3, "psr1").value
     assert not ring_property(m2z3, "strongly-star-clean").value
 
 
@@ -134,9 +133,12 @@ def test_quot_computes_one_closure_per_unit_orbit(corpus, monkeypatch, label, cl
 
 
 def _corner_quot_jac(corpus):
-    rows = {tag: run_suite(corpus, tag).rows for tag in ("CORNER", "QUOT", "JAC-EQUIV")}
-    rows["lifting"] = [lifting_checks(S) for S in corpus]
-    return {tag: [r.to_dict() for r in found] for tag, found in rows.items()}
+    found = {
+        tag: [r.to_dict() for r in run_suite(corpus, tag).rows]
+        for tag in ("CORNER", "QUOT", "JAC-EQUIV")
+    }
+    found["lifting"] = [lifting_checks(S) for S in corpus]
+    return found
 
 
 def test_corner_and_quot_rows_match_full_copies(quot_corpus, monkeypatch):
