@@ -14,15 +14,18 @@ under a key of this module: the table of every decomposition of each clean
 mode, the factorization, C2 and the unit plus root sum are built whole on
 first use, and C1, C3, C4, strong pi-regularity and regularity one row
 block of elements at a time, the block of the element asked about. The
-``*_holds`` functions answer a whole block of elements from the same
-arrays, for the ring-level deciders of ``properties``.
+certificates of a clean mode are built from that mode's table in the same
+row blocks, once per block, and kept in the same store under a second key
+per mode; a query returns a fresh list of its element's certificates, the
+same objects at every query. The ``*_holds`` functions answer a
+whole block of elements from the same arrays, for the ring-level deciders
+of ``properties``; they and ``is_clean_elem`` build no certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -38,8 +41,9 @@ _COMMUTING_MODES = ("strongly-clean", "strongly-star-clean")
 class CleanCertificate(NamedTuple):
     """A decomposition a = e + u with e idempotent and u a unit.
 
-    A named tuple: an element query builds one per decomposition, and a
-    tuple is about three times cheaper to build than a frozen dataclass.
+    A named tuple, built once per decomposition, with the other
+    certificates of its row block of elements, and shared by every query
+    that asks for it: certificates are immutable.
     """
 
     subject: int
@@ -71,7 +75,9 @@ _new_certificate = partial(tuple.__new__, CleanCertificate)
 class CleanTable(NamedTuple):
     """Every decomposition a = e + u of one clean mode, grouped by a: those of
     a are parts[offsets[a]:offsets[a + 1]] and the units at the same
-    positions, by ascending e."""
+    positions, by ascending e. The mode's certificates are built from it one
+    row block of elements at a time (see ``CertificateBlocks``); the
+    ``*_holds`` and ``is_clean_elem`` answers read only the offsets."""
 
     offsets: np.ndarray
     parts: np.ndarray
@@ -79,17 +85,9 @@ class CleanTable(NamedTuple):
 
 
 def clean_certificates(S: StarRing, a: int, mode: str) -> list[CleanCertificate]:
-    """All decompositions of a in the given mode, ordered by the idempotent id."""
-    table = S.arrays[_CLEAN_TABLES[mode]]
-    lo, hi = table.offsets[a : a + 2].tolist()
-    k = hi - lo
-    return list(map(_new_certificate, zip(
-        repeat(a, k),
-        table.parts[lo:hi].tolist(),
-        table.units[lo:hi].tolist(),
-        repeat(mode in _PROJECTION_MODES, k),
-        repeat(mode in _COMMUTING_MODES, k),
-    )))
+    """All decompositions of a in the given mode, ordered by the idempotent id:
+    a fresh list of the certificates its row block holds."""
+    return S.arrays[_CLEAN_CERTIFICATES[mode]].lookup(S, a)
 
 
 def is_clean_elem(S: StarRing, a: int, mode: str) -> bool:
@@ -137,13 +135,17 @@ def strongly_star_regular_holds(S: StarRing, rows: slice) -> np.ndarray:
 # -- the four equivalent conditions ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiStarCertificate:
-    """Witness for one of the four conditions; fields depend on the tag."""
+class PiStarCertificate(NamedTuple):
+    """Witness for one of the four conditions; fields depend on the tag.
+
+    A named tuple, as one is built per query and a tuple is cheaper to
+    build than a frozen dataclass. Its data dict takes part in equality and
+    makes it unhashable.
+    """
 
     subject: int
     tag: str  # C1 | C2 | C3 | C4
-    data: dict = field(compare=False)
+    data: dict
 
     def holds(self, S: StarRing) -> bool:
         R = S.ring
@@ -226,8 +228,7 @@ def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     return PiStarCertificate(a, "C4", {"b": b})
 
 
-@dataclass(frozen=True)
-class SpsrVerdict:
+class SpsrVerdict(NamedTuple):
     subject: int
     c1: Optional[PiStarCertificate]
     c2: Optional[PiStarCertificate]
@@ -275,36 +276,49 @@ def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
 #   temporary holds more than _BLOCK_ENTRIES entries, so a lone query at the
 #   size cap pays for one block, not for the whole ring.
 #
+# The certificates of each clean mode are built from that mode's table in
+# the same row blocks, and the store holds their ``CertificateBlocks``
+# under a second key per mode.
+#
 # Builders read only ring-level caches and share no condition: the sides of
 # a suite that compare these kernels keep their own code.
 
 
-class _CleanTableKeys(dict):
-    """The store key of each clean mode's table, by mode."""
+class _ModeKeys(dict):
+    """Store keys by clean mode."""
 
     def __missing__(self, mode: str):
         raise ValueError(f"unknown mode {mode!r}; expected one of {CLEAN_MODES}")
 
 
-_CLEAN_TABLES = _CleanTableKeys(
-    (mode, lambda S, mode=mode: clean_decomposition_table(S, mode)) for mode in CLEAN_MODES
-)
-
-
-class WitnessBlocks:
-    """The first witnesses of one row-block builder, filled one block of
-    ``_row_blocks(0, size, size)`` at a time: looking an element up fills
-    its block with ``fill(owner, rows)``, each witness of shape ``tail``, and
-    taking many fills every block they meet. The owner is passed at each
+class RowBlocks:
+    """The answers of one row-block builder, filled one block of
+    ``_row_blocks(0, size, size)`` at a time with ``fill(owner, rows)``:
+    looking an element up fills its block. The owner is passed at each
     lookup, so the blocks keep no reference to it.
     """
 
-    def __init__(self, size: int, tail: tuple[int, ...], fill):
+    def __init__(self, size: int, fill):
         self.blocks = _row_blocks(0, size, size)
         self.rows = self.blocks[0].stop  # rows per block
         self.filled = np.zeros(len(self.blocks), dtype=bool)
-        self.values = np.full((size, *tail), -1, dtype=np.int64)
         self._fill = fill
+
+    def _block(self, owner, a: int) -> int:
+        """The index of a's block, filled."""
+        k = a // self.rows
+        if not self.filled[k]:
+            self._fill_block(owner, k)
+        return k
+
+
+class WitnessBlocks(RowBlocks):
+    """The first witnesses of one row-block builder, each of shape ``tail``;
+    taking many fills every block they meet."""
+
+    def __init__(self, size: int, tail: tuple[int, ...], fill):
+        super().__init__(size, fill)
+        self.values = np.full((size, *tail), -1, dtype=np.int64)
 
     def _fill_block(self, owner, k: int) -> None:
         rows = self.blocks[k]
@@ -312,9 +326,7 @@ class WitnessBlocks:
         self.filled[k] = True
 
     def lookup(self, owner, a: int) -> np.ndarray:
-        k = a // self.rows
-        if not self.filled[k]:
-            self._fill_block(owner, k)
+        self._block(owner, a)
         return self.values[a]
 
     def take(self, owner, ids) -> np.ndarray:
@@ -325,6 +337,37 @@ class WitnessBlocks:
         for k in np.flatnonzero(met & ~self.filled).tolist():
             self._fill_block(owner, k)
         return self.values[ids]
+
+
+class CertificateBlocks(RowBlocks):
+    """The certificates of one clean mode, one list per row block: ``fill``
+    gives the block's certificates in element order, and where those of each
+    element of the block start in the list, with the end last."""
+
+    def __init__(self, size: int, fill):
+        super().__init__(size, fill)
+        self.lists = [None] * len(self.blocks)
+
+    def _fill_block(self, owner, k: int) -> None:
+        self.lists[k] = self._fill(owner, self.blocks[k])
+        self.filled[k] = True
+
+    def lookup(self, owner, a: int) -> list:
+        starts, certs = self.lists[self._block(owner, a)]
+        i = a % self.rows
+        return certs[starts[i] : starts[i + 1]]
+
+
+# the store keys of the clean tables and of their certificates, per mode
+
+_CLEAN_TABLES = _ModeKeys(
+    (mode, lambda S, mode=mode: clean_decomposition_table(S, mode)) for mode in CLEAN_MODES
+)
+_CLEAN_CERTIFICATES = _ModeKeys(
+    (mode, lambda S, mode=mode: CertificateBlocks(
+        S.ring.size, partial(clean_certificate_block, mode=mode)))
+    for mode in CLEAN_MODES
+)
 
 
 # the store keys of the row-block builders
@@ -387,6 +430,27 @@ def clean_decomposition_table(S: StarRing, mode: str) -> CleanTable:
     offsets = np.zeros(R.size + 1, dtype=np.min_scalar_type(len(a)))
     offsets[1:] = np.cumsum(np.bincount(a, minlength=R.size))
     return CleanTable(offsets, np.concatenate(parts)[order], np.concatenate(us)[order])
+
+
+def clean_certificate_block(
+    S: StarRing, rows: slice, mode: str
+) -> tuple[list[int], list[CleanCertificate]]:
+    """The certificates of the elements of rows in the mode, read from its
+    own table in the table's order, and where those of each element start
+    in the list, with the end last."""
+    table = S.arrays[_CLEAN_TABLES[mode]]
+    offsets = table.offsets[rows.start : rows.stop + 1]
+    lo, hi = offsets[[0, -1]].tolist()
+    # one int object per element, shared by its certificates
+    counts = np.diff(offsets).tolist()
+    certs = list(map(_new_certificate, zip(
+        chain.from_iterable(map(repeat, range(rows.start, rows.stop), counts)),
+        table.parts[lo:hi].tolist(),
+        table.units[lo:hi].tolist(),
+        repeat(mode in _PROJECTION_MODES),
+        repeat(mode in _COMMUTING_MODES),
+    )))
+    return (offsets - lo).tolist(), certs
 
 
 def first_ssr_witnesses(S: StarRing) -> np.ndarray:

@@ -162,6 +162,65 @@ def test_element_text(capsys):
     )
 
 
+# the text of every element that element 21 of M2(Z4)/tr(id) names
+_M2Z4_TEXT = {
+    0: "[[0,0],[0,0]]", 1: "[[0,0],[0,1]]", 9: "[[0,0],[2,1]]", 20: "[[0,1],[1,0]]",
+    21: "[[0,1],[1,1]]", 28: "[[0,1],[3,0]]", 33: "[[0,2],[0,1]]", 41: "[[0,2],[2,1]]",
+    52: "[[0,3],[1,0]]", 60: "[[0,3],[3,0]]", 65: "[[1,0],[0,1]]", 68: "[[1,0],[1,0]]",
+    76: "[[1,0],[3,0]]", 79: "[[1,0],[3,3]]", 80: "[[1,1],[0,0]]", 111: "[[1,2],[3,3]]",
+    112: "[[1,3],[0,0]]", 115: "[[1,3],[0,3]]", 123: "[[1,3],[2,3]]", 197: "[[3,0],[1,1]]",
+    209: "[[3,1],[0,1]]", 212: "[[3,1],[1,0]]", 217: "[[3,1],[2,1]]", 218: "[[3,1],[2,2]]",
+    229: "[[3,2],[1,1]]", 230: "[[3,2],[1,2]]", 238: "[[3,2],[3,2]]", 250: "[[3,3],[2,2]]",
+}
+# (part, unit) of each certificate of element 21, per clean mode
+_ELEMENT_21_CERTIFICATES = {
+    "clean": [(0, 21), (1, 20), (9, 28), (33, 52), (41, 60), (65, 212), (68, 209),
+              (76, 217), (80, 197), (112, 229), (218, 79), (230, 115), (238, 123), (250, 111)],
+    "strongly-clean": [(0, 21), (65, 212)],
+    "star-clean": [(0, 21), (1, 20), (41, 60), (65, 212)],
+    "strongly-star-clean": [(0, 21), (65, 212)],
+}
+
+
+def test_element_json_pins_every_certificate(capsys):
+    def elem(a):
+        return {"id": a, "text": _M2Z4_TEXT[a]}
+
+    expected = {
+        "command": "element",
+        "ring": "M2(Z4)",
+        "involution": "tr(id)",
+        "element": elem(21),
+        "star": elem(21),
+        **{
+            mode: {
+                "holds": True,
+                "certificates": [
+                    {"part": elem(e), "unit": elem(u),
+                     "projection": mode in ("star-clean", "strongly-star-clean"),
+                     "commuting": mode in ("strongly-clean", "strongly-star-clean")}
+                    for e, u in certs
+                ],
+            }
+            for mode, certs in _ELEMENT_21_CERTIFICATES.items()
+        },
+        "strongly-pi-regular": {"holds": True, "n": 1, "x": elem(212), "y": elem(212)},
+        "strongly-star-regular": {"holds": True, "p": elem(65), "u": elem(21)},
+        "power-conditions": {
+            "c1": {"holds": True, "m": 1, "e": elem(65), "u": elem(21)},
+            "c2": {"holds": True, "f": elem(0), "v": elem(21)},
+            "c3": {"holds": True, "p": elem(65), "w": elem(212)},
+            "c4": {"holds": True, "b": elem(212)},
+        },
+        "unit-plus-self-adjoint-root": {"holds": True, "t": elem(65), "u": elem(212)},
+    }
+    code, out = run_cli(
+        capsys, "element", "--ring", "M2(Z4)", "--inv", "tr(id)", "--elem", "21", "--format", "json"
+    )
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_numeric_text(capsys, tmp_path):
     matrix = tmp_path / "m.json"
     matrix.write_text("[[2,1],[1,2]]")

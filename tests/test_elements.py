@@ -31,7 +31,7 @@ from starclean.involutions import (
     swap_involution,
     transpose_involution,
 )
-from starclean.properties import elem_unit_regular
+from starclean.properties import elem_unit_regular, ring_property
 from starclean.rings import MatrixSpec, ProductSpec, Zmod, build_ring
 from starclean.specparse import build_star_ring
 
@@ -379,6 +379,56 @@ def test_clean_tables_over_many_pool_blocks_match_loop_reference(monkeypatch):
                 is_clean_elem(S, 0, bad)
     # each mode's table is built once, on first use
     assert sorted(built) == sorted((S.label, mode) for S in cases for mode in CLEAN_MODES)
+
+
+def certificate_blocks(S):
+    """The certificate blocks of each mode that S's store holds."""
+    keys = elements._CLEAN_CERTIFICATES
+    return {mode: S.arrays[keys[mode]] for mode in CLEAN_MODES if keys[mode] in S.arrays}
+
+
+def test_certificate_blocks_match_loop_reference_and_are_shared(monkeypatch):
+    def fresh():
+        return build_star_ring("M2(Z4)", "tr(id)")
+
+    n = fresh().ring.size
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 60 * n)  # blocks of 60, 60, 60, 60, 16 rows
+    assert len(rings._row_blocks(0, n, n)) == 5
+
+    S = fresh()
+    for a in S.ring.elements():
+        for mode in CLEAN_MODES:
+            certs = clean_certificates(S, a, mode)
+            assert [(c.part, c.unit) for c in certs] == ref_clean(S, a, mode), (a, mode)
+            flags = (mode in ("star-clean", "strongly-star-clean"),
+                     mode in ("strongly-clean", "strongly-star-clean"))
+            assert all((c.subject, c.projection, c.commuting) == (a, *flags) for c in certs)
+    assert all(blocks.filled.all() for blocks in certificate_blocks(S).values())
+
+    # a lone query builds one block of its own mode, and no other mode's table
+    S = fresh()
+    clean_certificates(S, 130, "star-clean")
+    blocks = certificate_blocks(S)
+    assert list(blocks) == ["star-clean"]
+    assert blocks["star-clean"].filled.tolist() == [False, False, True, False, False]
+    assert [elements._CLEAN_TABLES[m] in S.arrays for m in CLEAN_MODES] == [False, False, True, False]
+
+    # every call returns a fresh list of the same certificate objects
+    for mode in CLEAN_MODES:
+        first = clean_certificates(S, 21, mode)
+        kept = list(first)
+        first.append(first[0])
+        first.reverse()
+        second = clean_certificates(S, 21, mode)
+        assert second == kept and second is not first, mode
+        assert all(x is y for x, y in zip(second, clean_certificates(S, 21, mode))), mode
+
+    # the ring-level deciders and is_clean_elem read the tables' offsets only
+    S = fresh()
+    for mode in CLEAN_MODES:
+        ring_property(S, mode)
+        is_clean_elem(S, 130, mode)
+    assert certificate_blocks(S) == {}
 
 
 def elements_of(S):
