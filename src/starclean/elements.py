@@ -17,7 +17,11 @@ block of elements at a time, the block of the element asked about. The
 certificates of a clean mode are built from that mode's table in the same
 row blocks, once per block, and kept in the same store under a second key
 per mode; a query returns a fresh list of its element's certificates, the
-same objects at every query. The ``*_holds`` functions answer a
+same objects at every query. In the same way the verdicts of
+``spsr_conditions`` are built once per row block, each condition's
+certificates from that condition's own array, and a query returns the same
+verdict every time; ``spsr_c1`` to ``spsr_c4`` read only their own array
+and build no verdict. The ``*_holds`` functions answer a
 whole block of elements from the same arrays, for the ring-level deciders
 of ``properties``; they and ``is_clean_elem`` build no certificate.
 """
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, repeat
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -138,14 +143,15 @@ def strongly_star_regular_holds(S: StarRing, rows: slice) -> np.ndarray:
 class PiStarCertificate(NamedTuple):
     """Witness for one of the four conditions; fields depend on the tag.
 
-    A named tuple, as one is built per query and a tuple is cheaper to
-    build than a frozen dataclass. Its data dict takes part in equality and
-    makes it unhashable.
+    A named tuple whose data is a read-only mapping of the tag's fields
+    (see ``_PI_STAR_FIELDS``), so one certificate can be shared by every
+    query that asks for it. The data takes part in equality, compares equal
+    to a dict of the same items, and makes the certificate unhashable.
     """
 
     subject: int
     tag: str  # C1 | C2 | C3 | C4
-    data: dict
+    data: Mapping[str, int]
 
     def holds(self, S: StarRing) -> bool:
         R = S.ring
@@ -196,12 +202,21 @@ class PiStarCertificate(NamedTuple):
         return False
 
 
+# the fields of each condition's certificate, in the order of its witness row
+_PI_STAR_FIELDS = {"C1": ("m", "e", "u"), "C2": ("f", "v"), "C3": ("p", "w"), "C4": ("b",)}
+
+
+def _pi_star_certificate(tag: str, a: int, witness: list) -> Optional[PiStarCertificate]:
+    """a's certificate for the condition from its witness row, or None where
+    the row holds -1s."""
+    if witness[0] < 0:
+        return None
+    return PiStarCertificate(a, tag, MappingProxyType(dict(zip(_PI_STAR_FIELDS[tag], witness))))
+
+
 def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Some power of a equals e*u with a, e, u pairwise commuting, e a projection."""
-    m, e, u = S.arrays[_c1_blocks].lookup(S, a).tolist()
-    if m < 0:
-        return None
-    return PiStarCertificate(a, "C1", {"m": m, "e": e, "u": u})
+    return _pi_star_certificate("C1", a, S.arrays[_c1_blocks].lookup(S, a).tolist())
 
 
 def spsr_c1_holds(S: StarRing, rows: slice) -> np.ndarray:
@@ -210,22 +225,17 @@ def spsr_c1_holds(S: StarRing, rows: slice) -> np.ndarray:
 
 def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """a = f + v with f a projection, v a unit, fv = vf, and a*f nilpotent."""
-    f, v = S.arrays[first_c2_witnesses][a].tolist()
-    return None if f < 0 else PiStarCertificate(a, "C2", {"f": f, "v": v})
+    return _pi_star_certificate("C2", a, S.arrays[first_c2_witnesses][a].tolist())
 
 
 def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting projection p with a*p invertible in pRp and a(1-p) nilpotent."""
-    p, w = S.arrays[_c3_blocks].lookup(S, a).tolist()
-    return None if p < 0 else PiStarCertificate(a, "C3", {"p": p, "w": w})
+    return _pi_star_certificate("C3", a, S.arrays[_c3_blocks].lookup(S, a).tolist())
 
 
 def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Commuting b with (ab)* = ab, b = bab, and a - a^2 b nilpotent."""
-    b = int(S.arrays[_c4_blocks].lookup(S, a))
-    if b < 0:
-        return None
-    return PiStarCertificate(a, "C4", {"b": b})
+    return _pi_star_certificate("C4", a, [S.arrays[_c4_blocks].lookup(S, a).tolist()])
 
 
 class SpsrVerdict(NamedTuple):
@@ -246,8 +256,9 @@ class SpsrVerdict(NamedTuple):
 
 
 def spsr_conditions(S: StarRing, a: int) -> SpsrVerdict:
-    """Evaluate the four conditions independently by exhaustive search."""
-    return SpsrVerdict(a, spsr_c1(S, a), spsr_c2(S, a), spsr_c3(S, a), spsr_c4(S, a))
+    """The four conditions on a, each found by its own exhaustive search: the
+    verdict its row block holds, the same object at every call."""
+    return S.arrays[_spsr_verdicts].lookup(S, a)
 
 
 def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
@@ -278,7 +289,9 @@ def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
 #
 # The certificates of each clean mode are built from that mode's table in
 # the same row blocks, and the store holds their ``CertificateBlocks``
-# under a second key per mode.
+# under a second key per mode; the verdicts of ``spsr_conditions`` are
+# built from the C1 to C4 arrays in the same row blocks too, and the store
+# holds their ``ListBlocks``.
 #
 # Builders read only ring-level caches and share no condition: the sides of
 # a suite that compare these kernels keep their own code.
@@ -314,11 +327,12 @@ class RowBlocks:
 
 class WitnessBlocks(RowBlocks):
     """The first witnesses of one row-block builder, each of shape ``tail``;
-    taking many fills every block they meet."""
+    taking many fills every block they meet. Every entry is an element id,
+    a power count of at most the size, or -1, so int32 holds it."""
 
     def __init__(self, size: int, tail: tuple[int, ...], fill):
         super().__init__(size, fill)
-        self.values = np.full((size, *tail), -1, dtype=np.int64)
+        self.values = np.full((size, *tail), -1, dtype=np.int32)
 
     def _fill_block(self, owner, k: int) -> None:
         rows = self.blocks[k]
@@ -339,10 +353,9 @@ class WitnessBlocks(RowBlocks):
         return self.values[ids]
 
 
-class CertificateBlocks(RowBlocks):
-    """The certificates of one clean mode, one list per row block: ``fill``
-    gives the block's certificates in element order, and where those of each
-    element of the block start in the list, with the end last."""
+class ListBlocks(RowBlocks):
+    """The answers of one row-block builder, one Python list per block, as
+    ``fill`` gives it: looking an element up gives its item of the list."""
 
     def __init__(self, size: int, fill):
         super().__init__(size, fill)
@@ -351,6 +364,16 @@ class CertificateBlocks(RowBlocks):
     def _fill_block(self, owner, k: int) -> None:
         self.lists[k] = self._fill(owner, self.blocks[k])
         self.filled[k] = True
+
+    def lookup(self, owner, a: int):
+        return self.lists[self._block(owner, a)][a % self.rows]
+
+
+class CertificateBlocks(ListBlocks):
+    """The certificates of one clean mode: ``fill`` gives a block's
+    certificates in element order, and where those of each element of the
+    block start in the list, with the end last; looking an element up gives
+    a fresh list, a slice of its block's."""
 
     def lookup(self, owner, a: int) -> list:
         starts, certs = self.lists[self._block(owner, a)]
@@ -393,13 +416,20 @@ def _regular_blocks(R: FiniteRing) -> WitnessBlocks:
     return WitnessBlocks(R.size, (), first_regular_witnesses)
 
 
-def _keep_first(out: np.ndarray, elems: np.ndarray, witnesses: np.ndarray) -> None:
+def _spsr_verdicts(S: StarRing) -> ListBlocks:
+    return ListBlocks(S.ring.size, spsr_verdict_block)
+
+
+def _keep_first(
+    out: np.ndarray, elems: np.ndarray, witnesses: Callable[[np.ndarray], np.ndarray]
+) -> None:
     """Give each element of elems that has no witness row in out yet its
-    first witness row, in the order of elems."""
+    first witness row, in the order of elems. ``witnesses(k)`` gives the
+    rows of the positions k of elems, so only the rows kept are built."""
     first = np.full(len(out), len(elems))  # position of each element's first hit
     np.minimum.at(first, elems, np.arange(len(elems)))
     new = np.flatnonzero((first < len(elems)) & (out[:, 0] < 0))
-    out[new] = witnesses[first[new]]
+    out[new] = witnesses(first[new])
 
 
 def clean_decomposition_table(S: StarRing, mode: str) -> CleanTable:
@@ -453,6 +483,25 @@ def clean_certificate_block(
     return (offsets - lo).tolist(), certs
 
 
+def spsr_verdict_block(S: StarRing, rows: slice) -> list[SpsrVerdict]:
+    """The verdicts of the elements of rows, in element order. Each
+    condition's certificates are read from the rows of its own array, which
+    this fills for the block; one int object per element is shared by its
+    verdict and certificates."""
+    elems = list(range(rows.start, rows.stop))
+    witnesses = (
+        ("C1", S.arrays[_c1_blocks].take(S, rows)),
+        ("C2", S.arrays[first_c2_witnesses][rows]),
+        ("C3", S.arrays[_c3_blocks].take(S, rows)),
+        ("C4", S.arrays[_c4_blocks].take(S, rows)),
+    )
+    columns = [
+        map(partial(_pi_star_certificate, tag), elems, w.reshape(len(elems), -1).tolist())
+        for tag, w in witnesses
+    ]
+    return list(map(SpsrVerdict, elems, *columns))
+
+
 def first_ssr_witnesses(S: StarRing) -> np.ndarray:
     """Per element a, the first (p, u), least p then least u, with a = pu = up."""
     R = S.ring
@@ -462,7 +511,7 @@ def first_ssr_witnesses(S: StarRing) -> np.ndarray:
         p = S.projection_ids[block]
         pu = mul[np.ix_(p, units)]
         i, j = np.nonzero(pu == mul[np.ix_(units, p)].T)  # by p, then by u
-        _keep_first(out, pu[i, j], np.stack([p[i], units[j]], axis=1))
+        _keep_first(out, pu[i, j], lambda k: np.stack([p[i[k]], units[j[k]]], axis=1))
     return out
 
 
@@ -481,7 +530,8 @@ def first_c2_witnesses(S: StarRing) -> np.ndarray:
         f, v = f[i], units[j]
         a = R.add_table[f, v]
         nil = R.nilpotent_mask[mul[a, f]]
-        _keep_first(out, a[nil], np.stack([f[nil], v[nil]], axis=1))
+        f, v = f[nil], v[nil]
+        _keep_first(out, a[nil], lambda k: np.stack([f[k], v[k]], axis=1))
     return out
 
 
@@ -508,7 +558,7 @@ def first_c3_witnesses(S: StarRing, rows: slice) -> np.ndarray:
         u = R.add_table[ap, q_of[p]]
         ok = (ap == mul[p, a]) & R.units_mask[u]
         i, p, u = i[ok], p[ok], u[ok]
-        _keep_first(out, i, np.stack([p, mul[mul[p, inverse[u]], p]], axis=1))
+        _keep_first(out, i, lambda k: np.stack([p[k], mul[mul[p[k], inverse[u[k]]], p[k]]], axis=1))
     return out
 
 
@@ -645,6 +695,6 @@ def first_sasr_witnesses(S: StarRing) -> np.ndarray:
     out = np.full((R.size, 2), -1, dtype=np.int64)
     for block in _row_blocks(0, len(roots), len(units)):
         t = roots[block]
-        pairs = np.stack([np.repeat(t, len(units)), np.tile(units, len(t))], axis=1)
-        _keep_first(out, R.add_table[np.ix_(t, units)].ravel(), pairs)
+        _keep_first(out, R.add_table[np.ix_(t, units)].ravel(),
+                    lambda k: np.stack([t[k // len(units)], units[k % len(units)]], axis=1))
     return out

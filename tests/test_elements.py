@@ -10,6 +10,7 @@ import starclean.rings as rings
 from starclean.corpus import default_corpus, warmup
 from starclean.elements import (
     CLEAN_MODES,
+    SpsrVerdict,
     clean_certificates,
     first_c1_witnesses,
     first_c2_witnesses,
@@ -20,6 +21,10 @@ from starclean.elements import (
     first_spr_witnesses,
     first_ssr_witnesses,
     is_clean_elem,
+    spsr_c1,
+    spsr_c2,
+    spsr_c3,
+    spsr_c4,
     spsr_conditions,
     strongly_pi_regular_witness,
     strongly_star_regular_witness,
@@ -431,6 +436,54 @@ def test_certificate_blocks_match_loop_reference_and_are_shared(monkeypatch):
     assert certificate_blocks(S) == {}
 
 
+def test_spsr_verdict_blocks_match_each_condition_and_are_shared(monkeypatch):
+    def fresh():
+        return build_star_ring("M2(Z4)", "tr(id)")
+
+    def each_condition(S, a):
+        return SpsrVerdict(a, spsr_c1(S, a), spsr_c2(S, a), spsr_c3(S, a), spsr_c4(S, a))
+
+    n = fresh().ring.size
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 60 * n)  # blocks of 60, 60, 60, 60, 16 rows
+    assert len(rings._row_blocks(0, n, n)) == 5
+
+    # the verdicts are built before any condition is asked for alone
+    S = fresh()
+    verdicts = [spsr_conditions(S, a) for a in S.ring.elements()]
+    assert S.arrays[elements._spsr_verdicts].filled.all()
+    for a, v in enumerate(verdicts):
+        assert v == each_condition(S, a), a
+        assert type(v.subject) is int and all(c.subject is v.subject for c in v[1:] if c), a
+        assert spsr_conditions(S, a) is v, a
+    held = [c for v in verdicts for c in v[1:] if c is not None]
+    assert {c.tag for c in held} == {"C1", "C2", "C3", "C4"}
+
+    # a certificate's data reads like a dict and cannot be written
+    for cert in held:
+        assert cert.data == dict(cert.data.items())
+        with pytest.raises(TypeError):
+            cert.data["m"] = 0
+        with pytest.raises(AttributeError):
+            cert.data.clear()
+    assert verdicts == [each_condition(S, a) for a in S.ring.elements()]
+
+    # a lone query builds one verdict block, and only that block of C1, C3, C4
+    S = fresh()
+    spsr_conditions(S, 130)
+    blocks = S.arrays[elements._spsr_verdicts]
+    assert blocks.filled.tolist() == [False, False, True, False, False]
+    assert [x is not None for x in blocks.lists] == blocks.filled.tolist()
+    for key in (elements._c1_blocks, elements._c3_blocks, elements._c4_blocks):
+        assert S.arrays[key].filled.tolist() == blocks.filled.tolist(), key.__name__
+
+    # the ring-level decider and the lone conditions build no verdict block
+    S = fresh()
+    ring_property(S, "strongly-pi-star-regular")
+    for a in (0, 21, 130, 255):
+        each_condition(S, a)
+    assert elements._spsr_verdicts not in S.arrays
+
+
 def elements_of(S):
     return np.arange(S.ring.size)
 
@@ -513,6 +566,7 @@ LAZY_BUILDERS = (
     (elements, "first_c3_witnesses", lambda S: S),
     (elements, "first_c4_witnesses", lambda S: S),
     (elements, "first_spr_witnesses", lambda S: S.ring),
+    (elements, "spsr_verdict_block", lambda S: S),
 )
 
 
