@@ -20,10 +20,13 @@ per mode; a query returns a fresh list of its element's certificates, the
 same objects at every query. In the same way the verdicts of
 ``spsr_conditions`` are built once per row block, each condition's
 certificates from that condition's own array, and a query returns the same
-verdict every time; ``spsr_c1`` to ``spsr_c4`` read only their own array
-and build no verdict. The ``*_holds`` functions answer a
-whole block of elements from the same arrays, for the ring-level deciders
-of ``properties``; they and ``is_clean_elem`` build no certificate.
+verdict every time. ``_SPSR_WITNESSES`` states once where each of C1 to C4
+keeps its witness rows; the verdict blocks and ``spsr_holds`` both read it.
+``spsr_c1``, the one lone-element condition, serves the checker of
+strong pi-star-regularity; it reads only C1's array and builds no verdict.
+The ``*_holds`` functions answer a whole block of elements from the same
+arrays as the queries, for the ring-level deciders of ``properties`` and for
+the suites; they and ``is_clean_elem`` build no certificate.
 """
 
 from __future__ import annotations
@@ -216,26 +219,17 @@ def _pi_star_certificate(tag: str, a: int, witness: list) -> Optional[PiStarCert
 
 def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
     """Some power of a equals e*u with a, e, u pairwise commuting, e a projection."""
-    return _pi_star_certificate("C1", a, S.arrays[_c1_blocks].lookup(S, a).tolist())
+    return _pi_star_certificate("C1", a, _SPSR_WITNESSES["C1"](S, slice(a, a + 1))[0].tolist())
 
 
-def spsr_c1_holds(S: StarRing, rows: slice) -> np.ndarray:
-    return S.arrays[_c1_blocks].take(S, rows)[:, 0] >= 0
-
-
-def spsr_c2(S: StarRing, a: int) -> Optional[PiStarCertificate]:
-    """a = f + v with f a projection, v a unit, fv = vf, and a*f nilpotent."""
-    return _pi_star_certificate("C2", a, S.arrays[first_c2_witnesses][a].tolist())
-
-
-def spsr_c3(S: StarRing, a: int) -> Optional[PiStarCertificate]:
-    """Commuting projection p with a*p invertible in pRp and a(1-p) nilpotent."""
-    return _pi_star_certificate("C3", a, S.arrays[_c3_blocks].lookup(S, a).tolist())
-
-
-def spsr_c4(S: StarRing, a: int) -> Optional[PiStarCertificate]:
-    """Commuting b with (ab)* = ab, b = bab, and a - a^2 b nilpotent."""
-    return _pi_star_certificate("C4", a, [S.arrays[_c4_blocks].lookup(S, a).tolist()])
+def spsr_holds(S: StarRing, rows: slice, tag: str) -> np.ndarray:
+    """Per element of rows, whether the condition holds, read from its own
+    array. C1: some power of a is eu, with a, e and u pairwise commuting, e
+    a projection and u a unit. C2: a = f + v, f a projection, v a unit,
+    fv = vf, af nilpotent. C3: a commuting projection p with ap invertible in
+    pRp and a(1-p) nilpotent. C4: a commuting b with (ab)* = ab, b = bab and
+    a - a^2 b nilpotent."""
+    return _SPSR_WITNESSES[tag](S, rows)[:, 0] >= 0
 
 
 class SpsrVerdict(NamedTuple):
@@ -265,6 +259,10 @@ def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (t, u) with a = t + u, t a self-adjoint square root of 1, u a unit."""
     t, u = S.arrays[first_sasr_witnesses][a].tolist()
     return None if t < 0 else (t, u)
+
+
+def unit_sasr_holds(S: StarRing, rows: slice) -> np.ndarray:
+    return S.arrays[first_sasr_witnesses][rows, 0] >= 0
 
 
 # -- per-ring arrays ---------------------------------------------------------------
@@ -420,6 +418,16 @@ def _spsr_verdicts(S: StarRing) -> ListBlocks:
     return ListBlocks(S.ring.size, spsr_verdict_block)
 
 
+# where each of C1 to C4 keeps its witness rows: per condition, the rows of
+# a block of elements from its own array, one row of ids per element
+_SPSR_WITNESSES = {
+    "C1": lambda S, rows: S.arrays[_c1_blocks].take(S, rows),
+    "C2": lambda S, rows: S.arrays[first_c2_witnesses][rows],
+    "C3": lambda S, rows: S.arrays[_c3_blocks].take(S, rows),
+    "C4": lambda S, rows: S.arrays[_c4_blocks].take(S, rows)[:, None],
+}
+
+
 def _keep_first(
     out: np.ndarray, elems: np.ndarray, witnesses: Callable[[np.ndarray], np.ndarray]
 ) -> None:
@@ -485,19 +493,13 @@ def clean_certificate_block(
 
 def spsr_verdict_block(S: StarRing, rows: slice) -> list[SpsrVerdict]:
     """The verdicts of the elements of rows, in element order. Each
-    condition's certificates are read from the rows of its own array, which
-    this fills for the block; one int object per element is shared by its
-    verdict and certificates."""
+    condition's certificates are read from the rows of its own array (see
+    ``_SPSR_WITNESSES``), which this fills for the block; one int object per
+    element is shared by its verdict and certificates."""
     elems = list(range(rows.start, rows.stop))
-    witnesses = (
-        ("C1", S.arrays[_c1_blocks].take(S, rows)),
-        ("C2", S.arrays[first_c2_witnesses][rows]),
-        ("C3", S.arrays[_c3_blocks].take(S, rows)),
-        ("C4", S.arrays[_c4_blocks].take(S, rows)),
-    )
     columns = [
-        map(partial(_pi_star_certificate, tag), elems, w.reshape(len(elems), -1).tolist())
-        for tag, w in witnesses
+        map(partial(_pi_star_certificate, tag), elems, witnesses(S, rows).tolist())
+        for tag, witnesses in _SPSR_WITNESSES.items()
     ]
     return list(map(SpsrVerdict, elems, *columns))
 

@@ -55,7 +55,7 @@ def _psr1_counterexample_e11_e21(S: StarRing) -> bool:
 
 
 def _idempotent_count(S: StarRing) -> int:
-    return len(S.ring.idempotents())
+    return len(S.ring.idempotent_ids)
 
 
 class RingFixture(NamedTuple):

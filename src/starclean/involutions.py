@@ -210,9 +210,6 @@ class StarRing:
     def self_adjoint_mask(self) -> np.ndarray:
         return self.involution.table == np.arange(self.ring.size)
 
-    def self_adjoint(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.flatnonzero(self.self_adjoint_mask))
-
     @cached_property
     def projection_mask(self) -> np.ndarray:
         return self.ring.idempotent_mask & self.self_adjoint_mask

@@ -35,7 +35,7 @@ from .elements import (
     is_clean_elem,
     regular_holds,
     spsr_c1,
-    spsr_c1_holds,
+    spsr_holds,
     strongly_pi_regular_holds,
     strongly_pi_regular_witness,
     strongly_star_regular_holds,
@@ -214,7 +214,7 @@ _ELEMENT_TESTS: dict[str, tuple[Callable, Callable]] = {
     "pi-regular": (_holds_pi_regular, elem_pi_regular),
     "strongly-pi-regular": (lambda S, rows: strongly_pi_regular_holds(S.ring, rows),
                             elem_strongly_pi_regular),
-    "strongly-pi-star-regular": (spsr_c1_holds, elem_spsr),
+    "strongly-pi-star-regular": (partial(spsr_holds, tag="C1"), elem_spsr),
     "regular": (lambda S, rows: regular_holds(S.ring, rows), elem_regular),
     "strongly-regular": (_holds_strongly_regular, elem_strongly_regular),
     "unit-regular": (_holds_unit_regular, elem_unit_regular),

@@ -456,9 +456,6 @@ class FiniteRing:
         """Ids of the idempotents, ascending."""
         return np.flatnonzero(self.idempotent_mask)
 
-    def idempotents(self) -> tuple[int, ...]:
-        return tuple(self.idempotent_ids.tolist())
-
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
         # a nilpotent a has a^k = 0 for some k <= n < 2^(n.bit_length()), so
@@ -467,9 +464,6 @@ class FiniteRing:
         for _ in range(self.size.bit_length()):
             p = self.mul_table[p, p]
         return p == self.zero
-
-    def nilpotents(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.flatnonzero(self.nilpotent_mask))
 
     @cached_property
     def center_mask(self) -> np.ndarray:

@@ -8,6 +8,15 @@ do not meet a suite's hypothesis are reported as consistent with a note.
 A suite is a function of one star ring that returns that ring's row;
 ``run_suite`` is the one loop over the rings.  A suite runs over the corpus
 unless ``_INSTANCES`` gives it its own ring list.
+
+A side quantified over the elements reads a mask of its own per-ring array,
+a row block of elements at a time (in one read where the array is built
+whole): ELEM-EQUIV reads four columns, one per condition's array, and
+reports the first element where they split.  Five sides still loop over the
+elements in Python: RING-EQUIV's c3 and c4, which walk each element's powers
+in milliseconds on the default corpus (a block power walk for both came to
+more code than the two loops), and RING-EQUIV's c5, SRC-EQUIV's c2 and
+QUOT's ideal search, which wait for their own rework.
 """
 
 from __future__ import annotations
@@ -17,12 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import warmup
-from .elements import (
-    spsr_c2,
-    spsr_conditions,
-    strongly_star_regular_witness,
-    unit_sasr_decomposition,
-)
+from .elements import spsr_holds, strongly_star_regular_witness, unit_sasr_holds
 from .errors import UnknownProperty
 from .involutions import StarRing, corner_star_ring, induce_quotient_involution
 from .properties import (
@@ -30,7 +34,7 @@ from .properties import (
     psr_onesided_equiv,
     ring_property,
 )
-from .rings import MatrixSpec, generated_ideal
+from .rings import MatrixSpec, _row_blocks, generated_ideal
 from .specparse import build_star_ring
 
 
@@ -75,14 +79,17 @@ def _flags_detail(**kwargs) -> dict:
 
 
 def _suite_elem_equiv(S: StarRing) -> SuiteRow:
-    for a in S.ring.elements():
-        v = spsr_conditions(S, a)
-        if not v.consistent:
+    n = S.ring.size
+    for rows in _row_blocks(0, n, n):
+        flags = np.stack([spsr_holds(S, rows, tag) for tag in ("C1", "C2", "C3", "C4")], axis=1)
+        split = flags.any(axis=1) & ~flags.all(axis=1)
+        if split.any():
+            i = int(split.argmax())
             return SuiteRow(
                 S.label,
                 False,
-                f"conditions disagree on {S.ring.render(a)}",
-                {"element": int(a), "flags": list(v.flags)},
+                f"conditions disagree on {S.ring.render(rows.start + i)}",
+                {"element": rows.start + i, "flags": flags[i].tolist()},
             )
     return SuiteRow(S.label, True, "four conditions agree on every element")
 
@@ -148,7 +155,7 @@ def _suite_jac_equiv(S: StarRing) -> SuiteRow:
     lift = lifting_checks(S)
     c1 = ring_property(S, "strongly-pi-star-regular").value
     c2 = (
-        all(spsr_c2(QS, x) is not None for x in QS.ring.elements())
+        spsr_holds(QS, slice(0, QS.ring.size), "C2").all()
         and jnil
         and lift["projections_central"]
         and lift["projections_lift"]
@@ -205,13 +212,14 @@ def _suite_corner(S: StarRing) -> SuiteRow:
         return SuiteRow(S.label, True, "hypothesis not met; skipped")
     R = S.ring
     tested = 0
-    for e in R.idempotents():
+    for e in R.idempotent_ids.tolist():
         if S.star(e) != e:
             return SuiteRow(S.label, False, f"idempotent {R.render(e)} is not a projection")
         CS = _corner(S, e)
         tested += 1
-        bad = next((x for x in CS.ring.elements() if spsr_c2(CS, x) is None), None)
-        if bad is not None:
+        ok = spsr_holds(CS, slice(0, CS.ring.size), "C2")
+        if not ok.all():
+            bad = int(ok.argmin())
             return SuiteRow(
                 S.label, False, f"corner at {R.render(e)} fails on {CS.ring.render(bad)}"
             )
@@ -230,7 +238,7 @@ def _suite_groupring(SG: StarRing) -> SuiteRow:
     hyp_two = bool(base.jacobson_mask[two])
     hyp_group = RG.group.is_two_group()
     lhs = ring_property(S, "strongly-pi-star-regular").value
-    rhs = all(spsr_c2(SG, x) is not None for x in RG.elements())
+    rhs = bool(spsr_holds(SG, slice(0, RG.size), "C2").all())
     ok = hyp_two and hyp_group and lhs == rhs
     return SuiteRow(
         SG.label,
@@ -271,12 +279,10 @@ def _src_c2(S: StarRing) -> bool:
 def _src_c7(S: StarRing) -> bool:
     """Every a has a projection p in aR with 1-p in (1-a)R."""
     R = S.ring
-    proj = np.flatnonzero(S.projection_mask)
-    for a in R.elements():
-        in_aR = R.right_ideal(a)
-        in_caR = R.right_ideal(R.one_minus(a))
-        cand = proj[in_aR[proj]]
-        if not in_caR[R.one_minus_table[cand]].any():
+    masks, q, p = R.right_ideal_masks, R.one_minus_table, S.projection_ids
+    for rows in _row_blocks(0, R.size, len(p)):
+        a = np.arange(R.size)[rows]
+        if not (masks[np.ix_(a, p)] & masks[np.ix_(q[a], q[p])]).any(axis=1).all():
             return False
     return True
 
@@ -320,8 +326,8 @@ def _suite_psr_sc(S: StarRing) -> SuiteRow:
 def _suite_local_equiv(S: StarRing) -> SuiteRow:
     R = S.ring
     trivial = {R.zero, R.one}
-    c1 = ring_property(S, "star-clean").value and set(S.projections()) == trivial
-    c2 = ring_property(S, "clean").value and set(R.idempotents()) == trivial
+    c1 = ring_property(S, "star-clean").value and set(S.projection_ids.tolist()) == trivial
+    c2 = ring_property(S, "clean").value and set(R.idempotent_ids.tolist()) == trivial
     c3 = ring_property(S, "local").value
     ok = len({c1, c2, c3}) == 1
     return SuiteRow(S.label, ok, "", _flags_detail(c1=c1, c2=c2, c3=c3))
@@ -335,12 +341,12 @@ def _suite_two_unit(S: StarRing) -> SuiteRow:
     two = R.add(R.one, R.one)
     if not R.units_mask[two]:
         return SuiteRow(S.label, True, "2 is not a unit; skipped")
-    sqrt1 = [u for u in R.elements() if R.mul(u, u) == R.one]
-    lemma_lhs = all(S.star(u) == u for u in sqrt1)
+    sqrt1 = R.mul_table.diagonal() == R.one
+    lemma_lhs = bool(S.self_adjoint_mask[sqrt1].all())
     lemma_rhs = ring_property(S, "idempotents-are-projections").value
     thm_lhs = ring_property(S, "star-clean").value
-    thm_rhs = all(unit_sasr_decomposition(S, a) is not None for a in R.elements())
-    cor_lhs = ring_property(S, "clean").value and all(S.star(u) == u for u in R.units())
+    thm_rhs = bool(unit_sasr_holds(S, slice(0, R.size)).all())
+    cor_lhs = ring_property(S, "clean").value and bool(S.self_adjoint_mask[R.unit_ids].all())
     cor_rhs = ring_property(S, "star-clean").value and S.is_identity_involution()
     ok = lemma_lhs == lemma_rhs and thm_lhs == thm_rhs and cor_lhs == cor_rhs
     return SuiteRow(
@@ -423,17 +429,11 @@ def _suite_proper_nil(S: StarRing) -> SuiteRow:
     if not ring_property(S, "strongly-pi-star-regular").value:
         return SuiteRow(S.label, True, "hypothesis not met; skipped")
     R = S.ring
-    bad = next(
-        (
-            x
-            for x in R.elements()
-            if R.mul(S.star(x), x) == R.zero and not R.nilpotent_mask[x]
-        ),
-        None,
-    )
-    if bad is None:
+    x = np.arange(R.size)
+    bad = np.flatnonzero((R.mul_table[S.star_table, x] == R.zero) & ~R.nilpotent_mask)
+    if bad.size == 0:
         return SuiteRow(S.label, True, "x*x = 0 forces x nilpotent")
-    return SuiteRow(S.label, False, f"x={R.render(bad)} breaks the rule")
+    return SuiteRow(S.label, False, f"x={R.render(int(bad[0]))} breaks the rule")
 
 
 def _suite_idproj_abelian(S: StarRing) -> SuiteRow:

@@ -21,11 +21,18 @@ where the package reads both from one scan for least right inverses.
 witness refutes a set-shaped or stable-range property, and
 ``reference_lifting_flags`` checks the lifting along R -> R/J(R) one coset
 at a time, where the package scatters the surjection once per flag.
+``REFERENCE_SUITES`` and ``reference_src_c7`` are the suites whose sides
+loop over the elements one at a time, asking each element's verdict,
+witness or right ideal, where the package reads a mask of the same array
+for a block of elements.
 """
 
 import numpy as np
 
+from starclean import suites
+from starclean.elements import first_c2_witnesses, spsr_conditions, unit_sasr_decomposition
 from starclean.errors import AxiomViolation
+from starclean.properties import lifting_checks, ring_property
 from starclean.rings import (
     CornerRing,
     GroupRing,
@@ -273,10 +280,174 @@ def reference_lifting_flags(S) -> dict[str, bool]:
 
     return {
         "idempotents_lift_to_central_projections": every_coset_meets(
-            QS.ring.idempotents(), S.projection_mask & R.center_mask
+            QS.ring.idempotent_ids.tolist(), S.projection_mask & R.center_mask
         ),
         "projections_lift": every_coset_meets(QS.projections(), S.projection_mask),
         "projections_central": all(
             (R.mul_table[p] == R.mul_table[:, p]).all() for p in S.projections()
         ),
     }
+
+
+# -- the suites one element at a time ---------------------------------------------
+
+
+def c2_witness(S, a):
+    """a's C2 witness (f, v), or None: one element's entry of the C2 array."""
+    f, v = S.arrays[first_c2_witnesses][a].tolist()
+    return None if f < 0 else (f, v)
+
+
+def reference_elem_equiv(S):
+    for a in S.ring.elements():
+        v = spsr_conditions(S, a)
+        if not v.consistent:
+            return suites.SuiteRow(
+                S.label,
+                False,
+                f"conditions disagree on {S.ring.render(a)}",
+                {"element": int(a), "flags": list(v.flags)},
+            )
+    return suites.SuiteRow(S.label, True, "four conditions agree on every element")
+
+
+def reference_jac_equiv(S):
+    QS, _ = S.mod_jacobson()
+    jnil = ring_property(S, "J-nil").value
+    lift = lifting_checks(S)
+    c1 = ring_property(S, "strongly-pi-star-regular").value
+    c2 = (
+        all(c2_witness(QS, x) is not None for x in QS.ring.elements())
+        and jnil
+        and lift["projections_central"]
+        and lift["projections_lift"]
+    )
+    c3 = (
+        ring_property(QS, "strongly-star-regular").value
+        and jnil
+        and lift["idempotents_lift_to_central_projections"]
+    )
+    detail = suites._flags_detail(c1=c1, c2=c2, c3=c3)
+    ok = len({c1, c2, c3}) == 1
+    return suites.SuiteRow(S.label, ok, "radical-factor conditions compared", detail)
+
+
+def reference_corner(S):
+    if not ring_property(S, "strongly-pi-star-regular").value:
+        return suites.SuiteRow(S.label, True, "hypothesis not met; skipped")
+    R = S.ring
+    tested = 0
+    for e in R.idempotent_ids.tolist():
+        if S.star(e) != e:
+            return suites.SuiteRow(S.label, False, f"idempotent {R.render(e)} is not a projection")
+        CS = suites._corner(S, e)
+        tested += 1
+        bad = next((x for x in CS.ring.elements() if c2_witness(CS, x) is None), None)
+        if bad is not None:
+            return suites.SuiteRow(
+                S.label, False, f"corner at {R.render(e)} fails on {CS.ring.render(bad)}"
+            )
+    return suites.SuiteRow(S.label, True, f"{tested} corners verified")
+
+
+def reference_groupring(SG):
+    RG = SG.ring
+    S = suites.build_star_ring(f"Z{RG.base.size}", "id")
+    base = S.ring
+    two = base.add(base.one, base.one)
+    hyp_two = bool(base.jacobson_mask[two])
+    hyp_group = RG.group.is_two_group()
+    lhs = ring_property(S, "strongly-pi-star-regular").value
+    rhs = all(c2_witness(SG, x) is not None for x in RG.elements())
+    ok = hyp_two and hyp_group and lhs == rhs
+    return suites.SuiteRow(
+        SG.label,
+        ok,
+        "finite coefficient ring grants the artinian-prime-factor hypothesis",
+        suites._flags_detail(
+            two_in_radical=hyp_two,
+            two_group=hyp_group,
+            base=lhs,
+            group_ring=rhs,
+        ),
+    )
+
+
+def reference_src_c7(S):
+    """Every a has a projection p in aR with 1-p in (1-a)R."""
+    R = S.ring
+    proj = np.flatnonzero(S.projection_mask)
+    for a in R.elements():
+        in_aR = R.right_ideal(a)
+        in_caR = R.right_ideal(R.one_minus(a))
+        cand = proj[in_aR[proj]]
+        if not in_caR[R.one_minus_table[cand]].any():
+            return False
+    return True
+
+
+def reference_local_equiv(S):
+    R = S.ring
+    trivial = {R.zero, R.one}
+    c1 = ring_property(S, "star-clean").value and set(S.projections()) == trivial
+    c2 = ring_property(S, "clean").value and set(R.idempotent_ids.tolist()) == trivial
+    c3 = ring_property(S, "local").value
+    ok = len({c1, c2, c3}) == 1
+    return suites.SuiteRow(S.label, ok, "", suites._flags_detail(c1=c1, c2=c2, c3=c3))
+
+
+def reference_two_unit(S):
+    R = S.ring
+    two = R.add(R.one, R.one)
+    if not R.units_mask[two]:
+        return suites.SuiteRow(S.label, True, "2 is not a unit; skipped")
+    sqrt1 = [u for u in R.elements() if R.mul(u, u) == R.one]
+    lemma_lhs = all(S.star(u) == u for u in sqrt1)
+    lemma_rhs = ring_property(S, "idempotents-are-projections").value
+    thm_lhs = ring_property(S, "star-clean").value
+    thm_rhs = all(unit_sasr_decomposition(S, a) is not None for a in R.elements())
+    cor_lhs = ring_property(S, "clean").value and all(S.star(u) == u for u in R.units())
+    cor_rhs = ring_property(S, "star-clean").value and S.is_identity_involution()
+    ok = lemma_lhs == lemma_rhs and thm_lhs == thm_rhs and cor_lhs == cor_rhs
+    return suites.SuiteRow(
+        S.label,
+        ok,
+        "square-root lemma, decomposition theorem, self-adjoint-unit corollary",
+        suites._flags_detail(
+            lemma_lhs=lemma_lhs,
+            lemma_rhs=lemma_rhs,
+            theorem_lhs=thm_lhs,
+            theorem_rhs=thm_rhs,
+            corollary_lhs=cor_lhs,
+            corollary_rhs=cor_rhs,
+        ),
+    )
+
+
+def reference_proper_nil(S):
+    if not ring_property(S, "strongly-pi-star-regular").value:
+        return suites.SuiteRow(S.label, True, "hypothesis not met; skipped")
+    R = S.ring
+    bad = next(
+        (
+            x
+            for x in R.elements()
+            if R.mul(S.star(x), x) == R.zero and not R.nilpotent_mask[x]
+        ),
+        None,
+    )
+    if bad is None:
+        return suites.SuiteRow(S.label, True, "x*x = 0 forces x nilpotent")
+    return suites.SuiteRow(S.label, False, f"x={R.render(bad)} breaks the rule")
+
+
+# tag: the suite with every side one element at a time, its row as the suite's
+REFERENCE_SUITES = {
+    "ELEM-EQUIV": reference_elem_equiv,
+    "JAC-EQUIV": reference_jac_equiv,
+    "CORNER": reference_corner,
+    "GROUPRING": reference_groupring,
+    "LOCAL-EQUIV": reference_local_equiv,
+    "TWO-UNIT": reference_two_unit,
+    "PROPER-NIL": reference_proper_nil,
+}

@@ -121,7 +121,7 @@ def test_criterion_1d_m2z3():
         and ring_property(S, "strongly-star-clean").value is False
         and ring_property(S, "psr1").value is True
         and oracle_count == 14
-        and len(R.idempotents()) == 14
+        and len(R.idempotent_ids) == 14
     )
     _report("1d M2(Z3): six projections, not strongly star-clean, psr1, 14 idempotents", ok)
 

@@ -10,6 +10,7 @@ import starclean.rings as rings
 from starclean.corpus import default_corpus, warmup
 from starclean.elements import (
     CLEAN_MODES,
+    PiStarCertificate,
     SpsrVerdict,
     clean_certificates,
     first_c1_witnesses,
@@ -22,10 +23,8 @@ from starclean.elements import (
     first_ssr_witnesses,
     is_clean_elem,
     spsr_c1,
-    spsr_c2,
-    spsr_c3,
-    spsr_c4,
     spsr_conditions,
+    spsr_holds,
     strongly_pi_regular_witness,
     strongly_star_regular_witness,
     unit_sasr_decomposition,
@@ -173,10 +172,8 @@ def test_unit_sasr_z4_exhaustive():
 def test_units_radical_nilpotents_are_star_clean():
     for S in (ident(Zmod(8)), m2(2), m2(3), swap_ring()):
         R = S.ring
-        special = set(R.units()) | set(R.nilpotents()) | set(
-            R.jacobson_radical().elements()
-        )
-        for a in special:
+        special = R.units_mask | R.nilpotent_mask | R.jacobson_mask
+        for a in np.flatnonzero(special).tolist():
             assert is_clean_elem(S, a, "star-clean"), (S.label, R.render(a))
 
 
@@ -441,18 +438,21 @@ def test_spsr_verdict_blocks_match_each_condition_and_are_shared(monkeypatch):
         return build_star_ring("M2(Z4)", "tr(id)")
 
     def each_condition(S, a):
-        return SpsrVerdict(a, spsr_c1(S, a), spsr_c2(S, a), spsr_c3(S, a), spsr_c4(S, a))
+        """The verdict of the four loop references, one condition each."""
+        refs = {"C1": ref_c1(S, a), "C2": ref_c2(S, a), "C3": ref_c3(S, a), "C4": ref_c4(S, a)}
+        certs = (None if r is None else PiStarCertificate(a, tag, r) for tag, r in refs.items())
+        return SpsrVerdict(a, *certs)
 
     n = fresh().ring.size
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 60 * n)  # blocks of 60, 60, 60, 60, 16 rows
     assert len(rings._row_blocks(0, n, n)) == 5
 
-    # the verdicts are built before any condition is asked for alone
     S = fresh()
+    want = [each_condition(S, a) for a in S.ring.elements()]
     verdicts = [spsr_conditions(S, a) for a in S.ring.elements()]
     assert S.arrays[elements._spsr_verdicts].filled.all()
     for a, v in enumerate(verdicts):
-        assert v == each_condition(S, a), a
+        assert v == want[a], a
         assert type(v.subject) is int and all(c.subject is v.subject for c in v[1:] if c), a
         assert spsr_conditions(S, a) is v, a
     held = [c for v in verdicts for c in v[1:] if c is not None]
@@ -465,7 +465,7 @@ def test_spsr_verdict_blocks_match_each_condition_and_are_shared(monkeypatch):
             cert.data["m"] = 0
         with pytest.raises(AttributeError):
             cert.data.clear()
-    assert verdicts == [each_condition(S, a) for a in S.ring.elements()]
+    assert verdicts == want
 
     # a lone query builds one verdict block, and only that block of C1, C3, C4
     S = fresh()
@@ -476,11 +476,14 @@ def test_spsr_verdict_blocks_match_each_condition_and_are_shared(monkeypatch):
     for key in (elements._c1_blocks, elements._c3_blocks, elements._c4_blocks):
         assert S.arrays[key].filled.tolist() == blocks.filled.tolist(), key.__name__
 
-    # the ring-level decider and the lone conditions build no verdict block
+    # the ring-level decider, the block masks and C1 alone build no verdict block
     S = fresh()
     ring_property(S, "strongly-pi-star-regular")
+    for rows in rings._row_blocks(0, n, n):
+        flags = np.stack([spsr_holds(S, rows, tag) for tag in ("C1", "C2", "C3", "C4")], axis=1)
+        assert flags.tolist() == [list(v.flags) for v in verdicts[rows]]
     for a in (0, 21, 130, 255):
-        each_condition(S, a)
+        assert spsr_c1(S, a) == verdicts[a].c1
     assert elements._spsr_verdicts not in S.arrays
 
 

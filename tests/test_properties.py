@@ -89,7 +89,7 @@ def test_star_regular_matrix_rings():
 def test_star_regular_rings_have_star_clean_idempotents():
     S = m2(3)
     assert ring_property(S, "star-regular").value
-    for e in S.ring.idempotents():
+    for e in S.ring.idempotent_ids.tolist():
         assert is_clean_elem(S, e, "star-clean")
 
 
@@ -361,7 +361,7 @@ def test_centrality_witnesses_match_the_row_loops(reference_rings):
     noncommutative = 0
     for S in reference_rings:
         R = S.ring
-        for prop, ids in (("abelian", R.idempotents()), ("star-abelian", S.projections())):
+        for prop, ids in (("abelian", R.idempotent_ids.tolist()), ("star-abelian", S.projections())):
             verdict = ring_property(S, prop)
             want = _loop_first_noncentral(R, ids)
             assert (None if verdict.value else verdict.witness.ids) == want, (S.label, prop)

@@ -6,14 +6,23 @@ import numpy as np
 import pytest
 
 from idealref import fixpoint_ideal_mask
+from ringref import (
+    REFERENCE_SUITES,
+    reference_corner,
+    reference_elem_equiv,
+    reference_proper_nil,
+    reference_src_c7,
+)
+import starclean.elements as elements
+import starclean.rings as rings
 from starclean import suites
 from starclean.corpus import default_corpus
 from starclean.errors import UnknownProperty
 from starclean.properties import lifting_checks, ring_property
 from starclean.report import json_dumps, suites_to_dict
-from starclean.rings import Ideal
+from starclean.rings import FiniteRing, GroupRing, Ideal
 from starclean.specparse import build_star_ring
-from starclean.suites import run_suite, run_suites
+from starclean.suites import SUITE_TAGS, run_suite, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +170,102 @@ def test_corner_and_quot_rows_match_full_copies(quot_corpus, monkeypatch):
     # both suites reach e = 1 and I = {0} on some member
     assert any(r["note"].endswith("corners verified") for r in rows["CORNER"])
     assert any(r["note"].endswith("quotients verified") for r in rows["QUOT"])
+
+
+# -- the suites that read element masks against their one-element loops ------------------
+
+LADDER = (
+    ("M2(Z4)", "tr(id)"),
+    ("M3(Z2)", "tr(id)"),
+    ("M2(Z5)", "tr(id)"),
+    ("GR(Z3,C6)", "grp(id)"),
+    ("TP(Z2,10)", "tp(id)"),
+)
+
+
+@pytest.fixture(scope="module")
+def mask_rings(corpus):
+    """The corpus, the ladder, and Z2^8/id, where every element is a projection."""
+    ladder = [build_star_ring(ring, inv) for ring, inv in LADDER]
+    return [*corpus, *ladder, build_star_ring("x".join(["Z2"] * 8), "id")]
+
+
+def _same_row(got, want):
+    assert got == want, (got, want)
+    assert type(got.ok) is bool
+    # plain json refuses numpy scalars, so every detail value is a Python int or bool
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_mask_suites_match_their_loop_references(mask_rings):
+    group_rings = [S for S in mask_rings if isinstance(S.ring, GroupRing)]
+    for tag, reference in REFERENCE_SUITES.items():
+        members = mask_rings
+        if tag == "GROUPRING":
+            members = [*suites._INSTANCES[tag](mask_rings), *group_rings]
+        for S in members:
+            _same_row(suites.SUITES[tag](S), reference(S))
+    for S in mask_rings:
+        assert suites._src_c7(S) == reference_src_c7(S), S.label
+
+
+def test_mask_suites_report_the_planted_first_failure(monkeypatch):
+    # ELEM-EQUIV: C3 planted false on two units of M2(Z4), in blocks 2 and 3 of 60 rows
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 60 * 256)
+    S = build_star_ring("M2(Z4)", "tr(id)")
+    units = S.ring.unit_ids
+    planted = [int(units[units >= 120][0]), int(units[units >= 180][0])]
+    assert 120 <= planted[0] < 180 <= planted[1] < 240
+    c3 = S.arrays[elements._c3_blocks]
+    c3.take(S, slice(0, S.ring.size))
+    c3.values[planted] = -1
+    row = suites.SUITES["ELEM-EQUIV"](S)
+    assert row.detail == {"element": planted[0], "flags": [True, True, False, True]}
+    _same_row(row, reference_elem_equiv(S))
+
+    # CORNER: C2 planted false on two elements of a corner of Z2^8/id, in blocks 2
+    # and 5 of 20 rows, and on one element of a later corner
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 20 * 128)
+    S = build_star_ring("x".join(["Z2"] * 8), "id")
+    corners, real = {}, suites._corner
+
+    def corner(S, e):  # one corner ring per idempotent, so the planted entries stay
+        if e not in corners:
+            corners[e] = real(S, e)
+        return corners[e]
+
+    monkeypatch.setattr(suites, "_corner", corner)
+    first, later = [e for e in S.ring.idempotent_ids.tolist() if corner(S, e).ring.size == 128][:2]
+    assert len(rings._row_blocks(0, 128, 128)) == 7
+    for e, xs in ((first, [50, 100]), (later, [3])):
+        corner(S, e).arrays[elements.first_c2_witnesses][xs] = -1
+    row = suites.SUITES["CORNER"](S)
+    CS = corner(S, first)
+    assert row.note == f"corner at {S.ring.render(first)} fails on {CS.ring.render(50)}"
+    _same_row(row, reference_corner(S))
+
+    # PROPER-NIL: 8 and 12 of Z16 planted as not nilpotent, in blocks 4 and 6 of 2 rows
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 2 * 16)
+    S = build_star_ring("Z16", "id")
+    assert ring_property(S, "strongly-pi-star-regular").value
+    S.ring.nilpotent_mask[[8, 12]] = False
+    row = suites.SUITES["PROPER-NIL"](S)
+    assert row.note == f"x={S.ring.render(8)} breaks the rule"
+    _same_row(row, reference_proper_nil(S))
+
+
+def test_suites_build_no_verdict_certificate_or_power_walk(monkeypatch):
+    """Only RING-EQUIV's c3 and c4 sides still walk each element's powers."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a suite asked for a verdict, a certificate or a power walk")
+
+    monkeypatch.setattr(elements, "spsr_verdict_block", refused)
+    monkeypatch.setattr(elements, "clean_certificate_block", refused)
+    monkeypatch.setattr(FiniteRing, "distinct_powers", refused)
+    corpus = default_corpus()
+    tags = [tag for tag in SUITE_TAGS if tag != "RING-EQUIV"]
+    for result in run_suites(corpus, tags):
+        assert result.passed, result.tag
+    assert not any(elements._spsr_verdicts in S.arrays for S in corpus)
+    with pytest.raises(AssertionError, match="power walk"):
+        run_suite(corpus, "RING-EQUIV")
