@@ -22,11 +22,10 @@ same objects at every query. In the same way the verdicts of
 certificates from that condition's own array, and a query returns the same
 verdict every time. ``_SPSR_WITNESSES`` states once where each of C1 to C4
 keeps its witness rows; the verdict blocks and ``spsr_holds`` both read it.
-``spsr_c1``, the one lone-element condition, serves the checker of
-strong pi-star-regularity; it reads only C1's array and builds no verdict.
 The ``*_holds`` functions answer a whole block of elements from the same
 arrays as the queries, for the ring-level deciders of ``properties`` and for
-the suites; they and ``is_clean_elem`` build no certificate.
+the suites (and, on one element, for the checker of strong
+pi-star-regularity); they and ``is_clean_elem`` build no certificate.
 """
 
 from __future__ import annotations
@@ -215,11 +214,6 @@ def _pi_star_certificate(tag: str, a: int, witness: list) -> Optional[PiStarCert
     if witness[0] < 0:
         return None
     return PiStarCertificate(a, tag, MappingProxyType(dict(zip(_PI_STAR_FIELDS[tag], witness))))
-
-
-def spsr_c1(S: StarRing, a: int) -> Optional[PiStarCertificate]:
-    """Some power of a equals e*u with a, e, u pairwise commuting, e a projection."""
-    return _pi_star_certificate("C1", a, _SPSR_WITNESSES["C1"](S, slice(a, a + 1))[0].tolist())
 
 
 def spsr_holds(S: StarRing, rows: slice, tag: str) -> np.ndarray:

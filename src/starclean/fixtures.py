@@ -36,7 +36,7 @@ class FixtureCheck:
 
 def _projections_are(*matrices) -> Callable[[StarRing], bool]:
     """Whether the projections are exactly the listed matrices."""
-    return lambda S: set(S.projections()) == {S.ring.from_value(m) for m in matrices}
+    return lambda S: set(S.projection_ids.tolist()) == {S.ring.from_value(m) for m in matrices}
 
 
 def _2_is_strongly_star_regular(S: StarRing) -> bool:

@@ -86,7 +86,7 @@ def numerical_rank(A: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 def matrix_index(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(A^k) = rank(A^(k+1))."""
     M = A.data if isinstance(A, DenseMatrix) else np.asarray(A, dtype=complex)
-    return _index_and_power(M, tol)[0]
+    return _index_and_power(_unit_scaled(M), tol)[0]
 
 
 def _index_and_power(M: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
@@ -116,8 +116,14 @@ class DrazinResult:
 
 
 def drazin_inverse(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
-    """The unique B with AB = BA, BAB = B, and A - A^2 B nilpotent."""
+    """The unique B with AB = BA, BAB = B, and A - A^2 B nilpotent.
+
+    Found for the copy 2^-e·A of unit size (see ``_unit_scaled``), whose
+    powers stay finite: index, rank, bases and residuals are the copy's, and
+    B is the copy's times 2^-e."""
     M = A.data if isinstance(A, DenseMatrix) else np.asarray(A, dtype=complex)
+    e = _unit_exponent(M)
+    M = _times_pow2(M, -e)
     n = M.shape[0]
     k, power = _index_and_power(M, tol)
     if k == 0:
@@ -158,7 +164,21 @@ def drazin_inverse(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> Dra
         "inner": _norm(B @ M @ B - B) / scale_b,
         "nilpotent": _norm(nil_power) / scale_a**n,
     }
-    return DrazinResult(B, k, r, residuals, core, null)
+    return DrazinResult(_times_pow2(B, -e), k, r, residuals, core, null)
+
+
+def _unit_exponent(M: np.ndarray) -> int:
+    """The e with the largest |entry| of 2^-e·M in [1/2, 1), or 0 for M = 0."""
+    return math.frexp(np.maximum.reduce(np.abs(M), axis=None, initial=0.0))[1]
+
+
+def _times_pow2(M: np.ndarray, e: int) -> np.ndarray:
+    """M times 2^e, exact while no entry leaves the normal floats."""
+    while e:
+        step = max(-1000, min(1000, e))  # 2.0**step stays a normal float
+        M = M * 2.0**step
+        e -= step
+    return M
 
 
 def _unit_scaled(M: np.ndarray) -> np.ndarray:
@@ -168,12 +188,7 @@ def _unit_scaled(M: np.ndarray) -> np.ndarray:
     is exact, so deciding on the scaled matrix makes the verdict independent
     of the input's scale and keeps squares and powers of entries finite.
     """
-    e = math.frexp(np.maximum.reduce(np.abs(M), axis=None))[1]
-    while e:
-        step = max(-1000, min(1000, e))  # 2.0**-step stays a normal float
-        M = M * 2.0**-step
-        e -= step
-    return M
+    return _times_pow2(M, -_unit_exponent(M))
 
 
 def is_spsr_matrix(

@@ -34,7 +34,6 @@ from .elements import (
     clean_holds,
     is_clean_elem,
     regular_holds,
-    spsr_c1,
     spsr_holds,
     strongly_pi_regular_holds,
     strongly_pi_regular_witness,
@@ -105,7 +104,7 @@ def elem_strongly_pi_regular(S, a):
 
 
 def elem_spsr(S, a):
-    return spsr_c1(S, a) is not None
+    return bool(spsr_holds(S, slice(a, a + 1), "C1")[0])
 
 
 def elem_regular(S, a):

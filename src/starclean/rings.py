@@ -441,12 +441,6 @@ class FiniteRing:
         """Ids of the units, ascending."""
         return np.flatnonzero(self.units_mask)
 
-    def inverse(self, a: int) -> int:
-        b = int(self.inverse_ids[a])
-        if b < 0:
-            raise ValueError(f"{self.render(a)} is not a unit")
-        return b
-
     @cached_property
     def idempotent_mask(self) -> np.ndarray:
         return self.mul_table.diagonal() == np.arange(self.size)

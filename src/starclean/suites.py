@@ -12,11 +12,10 @@ unless ``_INSTANCES`` gives it its own ring list.
 A side quantified over the elements reads a mask of its own per-ring array,
 a row block of elements at a time (in one read where the array is built
 whole): ELEM-EQUIV reads four columns, one per condition's array, and
-reports the first element where they split.  Five sides still loop over the
-elements in Python: RING-EQUIV's c3 and c4, which walk each element's powers
+reports the first element where they split.  Three loops over the elements
+remain in Python: RING-EQUIV's c3 and c4, which walk each element's powers
 in milliseconds on the default corpus (a block power walk for both came to
-more code than the two loops), and RING-EQUIV's c5, SRC-EQUIV's c2 and
-QUOT's ideal search, which wait for their own rework.
+more code than the two loops), and QUOT's ideal search.
 """
 
 from __future__ import annotations
@@ -117,18 +116,19 @@ def _ring_equiv_c4(S: StarRing) -> bool:
 
 
 def _ring_equiv_c5(S: StarRing) -> bool:
+    """Every a has a projection p with a - p a unit and ap nilpotent, and
+    every v^-1 q v (v a unit, q a projection) is a projection."""
     R = S.ring
-    proj, units = S.projections(), R.units()
-    for a in R.elements():
-        if not any(
-            R.units_mask[R.sub(a, p)] and R.is_nilpotent(R.mul(a, p)) for p in proj
-        ):
+    add, mul, P = R.add_table, R.mul_table, S.projection_ids
+    neg_p = R.neg_table[P]
+    for rows in _row_blocks(0, R.size, len(P)):
+        if not (R.units_mask[add[rows, neg_p]] & R.nilpotent_mask[mul[rows, P]]).any(axis=1).all():
             return False
-    for q in proj:
-        for v in units:
-            conj = R.mul(R.mul(R.inverse(v), q), v)
-            if not S.projection_mask[conj]:
-                return False
+    units = R.unit_ids
+    for rows in _row_blocks(0, len(units), len(P)):
+        v = units[rows, None]
+        if not S.projection_mask[mul[mul[R.inverse_ids[v], P], v]].all():
+            return False
     return True
 
 
@@ -259,19 +259,12 @@ def _suite_groupring(SG: StarRing) -> SuiteRow:
 def _src_c2(S: StarRing) -> bool:
     """Comaximal pairs admit a commuting projection producing a unit."""
     R = S.ring
-    n = R.size
-    comax = R.comaximal_pairs
-    proj = np.flatnonzero(S.projection_mask)
-    for a in range(n):
-        pcomm = proj[R.mul_table[a, proj] == R.mul_table[proj, a]]
-        if pcomm.size == 0:
-            if comax[a].any():
-                return False
-            continue
-        bp = R.mul_table[:, pcomm]
-        vals = R.add_table[a, bp]
-        success = R.units_mask[vals].any(axis=1)
-        if (comax[a] & ~success).any():
+    add, mul, P = R.add_table, R.mul_table, S.projection_ids
+    bp = mul[:, P]
+    for rows in _row_blocks(0, R.size, R.size * len(P)):
+        commute = mul[rows, P] == mul[P, rows].T
+        success = (R.units_mask[add[rows][:, bp]] & commute[:, None, :]).any(axis=2)
+        if (R.comaximal_pairs[rows] & ~success).any():
             return False
     return True
 

@@ -21,10 +21,10 @@ where the package reads both from one scan for least right inverses.
 witness refutes a set-shaped or stable-range property, and
 ``reference_lifting_flags`` checks the lifting along R -> R/J(R) one coset
 at a time, where the package scatters the surjection once per flag.
-``REFERENCE_SUITES`` and ``reference_src_c7`` are the suites whose sides
-loop over the elements one at a time, asking each element's verdict,
-witness or right ideal, where the package reads a mask of the same array
-for a block of elements.
+``REFERENCE_SUITES`` and the ``reference_*`` suite sides loop over the
+elements one at a time, asking each element's verdict, witness or right
+ideal, or multiplying pairs of elements, where the package reads a mask of
+the same array, or gathers from the tables, for a block of elements.
 """
 
 import numpy as np
@@ -382,6 +382,41 @@ def reference_src_c7(S):
         in_caR = R.right_ideal(R.one_minus(a))
         cand = proj[in_aR[proj]]
         if not in_caR[R.one_minus_table[cand]].any():
+            return False
+    return True
+
+
+def reference_ring_equiv_c5(S):
+    """RING-EQUIV's c5: every a has a projection p with a - p a unit and ap
+    nilpotent, found by walking powers, and each v^-1 q v is a projection."""
+    R = S.ring
+    proj, units = S.projections(), R.units()
+    for a in R.elements():
+        if not any(
+            R.units_mask[R.sub(a, p)] and R.is_nilpotent(R.mul(a, p)) for p in proj
+        ):
+            return False
+    for q in proj:
+        for v in units:
+            conj = R.mul(R.mul(int(R.inverse_ids[v]), q), v)
+            if not S.projection_mask[conj]:
+                return False
+    return True
+
+
+def reference_src_c2(S):
+    """SRC-EQUIV's c2: comaximal pairs admit a commuting projection producing a unit."""
+    R = S.ring
+    comax = R.comaximal_pairs
+    proj = np.flatnonzero(S.projection_mask)
+    for a in R.elements():
+        pcomm = proj[R.mul_table[a, proj] == R.mul_table[proj, a]]
+        if pcomm.size == 0:
+            if comax[a].any():
+                return False
+            continue
+        success = R.units_mask[R.add_table[a, R.mul_table[:, pcomm]]].any(axis=1)
+        if (comax[a] & ~success).any():
             return False
     return True
 

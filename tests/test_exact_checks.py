@@ -79,7 +79,7 @@ def _altered_tables(S, rng):
         t[rest] = t[rng.permutation(rest)]
         tables.append(t)
     for u in rng.choice(R.unit_ids, size=min(3, R.unit_ids.size), replace=False):
-        v = R.inverse(int(u))
+        v = int(R.inverse_ids[u])
         tables.append(mul[u][mul[:, v][star]].astype(np.int64))  # x -> u x* u^-1
         tables.append(mul[u][star].astype(np.int64))  # x -> u x*
     return tables

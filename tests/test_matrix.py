@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -53,6 +54,20 @@ def test_drazin_of_idempotent_is_itself():
     A = dm([[1, 1], [0, 0]])
     res = drazin_inverse(A)
     assert np.allclose(res.drazin, A.data)
+
+
+@pytest.mark.filterwarnings("error")
+def test_drazin_of_a_huge_matrix_is_its_scaled_copys_scaled_back():
+    M = np.array([[1e300, 1e300], [0, 0]], dtype=complex)
+    e = math.frexp(1e300)[1]
+    copy = M * 2.0**-e
+    assert 0.5 <= abs(copy[0, 0]) < 1
+    big, unit = drazin_inverse(M), drazin_inverse(copy)
+    assert (big.index, big.rank) == (unit.index, unit.rank) == (1, 1)
+    assert matrix_index(M) == matrix_index(copy) == 1
+    assert np.array_equal(big.drazin, unit.drazin * 2.0**-e)
+    assert repr(big.residuals) == repr(unit.residuals)
+    assert np.allclose(M @ big.drazin, [[1, 1], [0, 0]])
 
 
 def test_spsr_examples():

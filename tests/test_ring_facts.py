@@ -44,11 +44,6 @@ def _assert_units_match(label, R):
     expected = reference_inverse_ids(R)
     assert R.inverse_ids.tolist() == expected.tolist(), label
     assert R.units() == tuple(np.flatnonzero(expected >= 0).tolist()), label
-    for a in np.flatnonzero(expected >= 0)[:64].tolist():
-        assert R.inverse(a) == expected[a], (label, a)
-    for a in np.flatnonzero(expected < 0)[:64].tolist():
-        with pytest.raises(ValueError):
-            R.inverse(a)
 
 
 def test_units_and_inverses_match_the_reference(corpus):

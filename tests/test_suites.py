@@ -11,6 +11,8 @@ from ringref import (
     reference_corner,
     reference_elem_equiv,
     reference_proper_nil,
+    reference_ring_equiv_c5,
+    reference_src_c2,
     reference_src_c7,
 )
 import starclean.elements as elements
@@ -209,6 +211,48 @@ def test_mask_suites_match_their_loop_references(mask_rings):
         assert suites._src_c7(S) == reference_src_c7(S), S.label
 
 
+def test_gathered_sides_match_their_loop_references(mask_rings, monkeypatch):
+    """RING-EQUIV's c5 and SRC-EQUIV's c2, each in at least 3 row blocks."""
+    extra = [build_star_ring("Z4xZ4", "swap"),
+             build_star_ring("M2(Z2)xM2(Z2)", "prod(tr(id),tr(id))")]
+    for S in [*mask_rings, *extra]:
+        n, p = S.ring.size, len(S.projection_ids)
+        sides = (
+            (suites._ring_equiv_c5, p, reference_ring_equiv_c5(S)),
+            (suites._src_c2, n * p, reference_src_c2(S)),
+        )
+        for side, row_len, want in sides:
+            monkeypatch.setattr(rings, "_BLOCK_ENTRIES", max(1, n // 4) * row_len)
+            assert len(rings._row_blocks(0, n, row_len)) >= min(3, n)
+            assert side(S) is want, (S.label, side.__name__)
+
+
+def test_gathered_sides_read_the_last_row_block(monkeypatch):
+    # Z16/id, P = {0, 1}: c5 holds through p = 0 on the units and p = 1 on the
+    # nilpotents, and c2 through a + b·0 or a + b·1 on every comaximal (a, b)
+    S = build_star_ring("Z16", "id")
+    R = S.ring
+    assert suites._ring_equiv_c5(S) and suites._src_c2(S)
+
+    # c5 in blocks of 2 elements and of 2 units: 14 planted as not nilpotent fails
+    # a = 14 alone, then 1 planted as the inverse of 15 makes 15^-1·1·15 = 15
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 2 * 2)
+    assert rings._row_blocks(0, 16, 2)[-1] == slice(14, 16)
+    assert rings._row_blocks(0, 8, 2)[-1] == slice(6, 8) and R.unit_ids[7] == 15
+    R.nilpotent_mask[14] = False
+    assert suites._ring_equiv_c5(S) is False
+    R.nilpotent_mask[14] = True
+    R.inverse_ids[15] = 1
+    assert suites._ring_equiv_c5(S) is reference_ring_equiv_c5(S) is False
+
+    # c2 in blocks of 2 elements: (14, 2) planted as comaximal, and neither 14 + 0
+    # nor 14 + 2 is a unit
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 2 * 16 * 2)
+    assert rings._row_blocks(0, 16, 16 * 2)[-1] == slice(14, 16)
+    R.comaximal_pairs[14, 2] = True
+    assert suites._src_c2(S) is reference_src_c2(S) is False
+
+
 def test_mask_suites_report_the_planted_first_failure(monkeypatch):
     # ELEM-EQUIV: C3 planted false on two units of M2(Z4), in blocks 2 and 3 of 60 rows
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 60 * 256)
@@ -255,12 +299,15 @@ def test_mask_suites_report_the_planted_first_failure(monkeypatch):
 
 
 def test_suites_build_no_verdict_certificate_or_power_walk(monkeypatch):
-    """Only RING-EQUIV's c3 and c4 sides still walk each element's powers."""
+    """No suite walks powers for nilpotency; only RING-EQUIV's c3 and c4
+    sides still walk each element's powers."""
     def refused(*args, **kwargs):
         raise AssertionError("a suite asked for a verdict, a certificate or a power walk")
 
     monkeypatch.setattr(elements, "spsr_verdict_block", refused)
     monkeypatch.setattr(elements, "clean_certificate_block", refused)
+    monkeypatch.setattr(FiniteRing, "is_nilpotent", refused)
+    walk = FiniteRing.distinct_powers
     monkeypatch.setattr(FiniteRing, "distinct_powers", refused)
     corpus = default_corpus()
     tags = [tag for tag in SUITE_TAGS if tag != "RING-EQUIV"]
@@ -269,3 +316,5 @@ def test_suites_build_no_verdict_certificate_or_power_walk(monkeypatch):
     assert not any(elements._spsr_verdicts in S.arrays for S in corpus)
     with pytest.raises(AssertionError, match="power walk"):
         run_suite(corpus, "RING-EQUIV")
+    monkeypatch.setattr(FiniteRing, "distinct_powers", walk)
+    assert run_suite(corpus, "RING-EQUIV").passed

@@ -86,11 +86,14 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
     z2_12 = ["--ring", BOOLEAN_CAP_RING[0], "--inv", BOOLEAN_CAP_RING[1]]
     table.append(("check star-regular Z2^12", ["check", *z2_12, "--prop", "star-regular"]))
     pair = ["--suites", "SRC-EQUIV,PSR-ONESIDED", "--corpus", one["M2(Z8)"]]
+    z2_12_corpus = _corpus_file(folder, "Z2^12", [BOOLEAN_CAP_RING])
     table += [
         ("suite SRC-EQUIV,PSR-ONESIDED M2(Z8)", ["suite", *pair]),
         ("suite TP(Z2,12)", ["suite", "--corpus", one["TP(Z2,12)"]]),
-        ("suite ELEM-EQUIV Z2^12", ["suite", "--suites", "ELEM-EQUIV", "--corpus",
-                                    _corpus_file(folder, "Z2^12", [BOOLEAN_CAP_RING])]),
+        ("suite ELEM-EQUIV Z2^12", ["suite", "--suites", "ELEM-EQUIV", "--corpus", z2_12_corpus]),
+        ("suite RING-EQUIV Z2^12", ["suite", "--suites", "RING-EQUIV", "--corpus", z2_12_corpus]),
+        *[(f"suite SRC-EQUIV {ring}", ["suite", "--suites", "SRC-EQUIV", "--corpus", one[ring]])
+          for ring in ("TP(Z2,12)", "GR(Z4,C6)")],
         ("suite Z2^11", ["suite", "--corpus", _corpus_file(folder, "Z2^11", [BOOLEAN_HALF_RING])]),
         ("suite default", ["suite"]),
         ("corpus-matrix ladder", ["corpus-matrix", "--corpus", _corpus_file(folder, "ladder", LADDER)]),
