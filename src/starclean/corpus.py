@@ -43,10 +43,9 @@ def warmup(corpus: list[StarRing]) -> None:
     """Populate the shared caches of each ring in the corpus that both
     ``suite`` and ``corpus-matrix`` read.
 
-    The rest are left to their first reader: the comaximal pairs to the
-    stable-range deciders or SRC-EQUIV (at the size cap they are the largest
-    cache), R/J(R) and the self-adjoint square roots of 1 to JAC-EQUIV,
-    ``lifting_checks`` and the sasr queries.
+    The rest are left to their first reader: the comaximal classes to the
+    stable-range deciders or SRC-EQUIV, R/J(R) and the self-adjoint square
+    roots of 1 to JAC-EQUIV, ``lifting_checks`` and the sasr queries.
     """
     for S in corpus:
         R = S.ring

@@ -613,17 +613,25 @@ def first_c4_witnesses(S: StarRing, rows: slice) -> np.ndarray:
     and a - a^2 b nilpotent.
 
     bab = b gives (ab)^2 = a(bab) = ab, so with (ab)* = ab, ab is a
-    projection: pairs whose ab is not one are skipped. That test and
-    bab = b, as b(ab) = b, run on every pair of the block; the other
-    conditions run on the pairs they keep.
+    projection: pairs whose ab is not one are skipped. That test, which
+    also covers (ab)* = ab, runs on every pair of the block; bab = b, as
+    b(ab) = b, and the other conditions run on the pairs it keeps, still
+    in order by a, then b. Listing a kept pair costs about 4.5 times
+    testing one pair of the block for bab = b (where every element is a
+    projection, as in Z2^12/id, a block took 80 ms against 18 ms). So a
+    block in which more than a quarter of the pairs are kept tests
+    bab = b on every pair first, as a mask.
     """
     R = S.ring
     mul = R.mul_table
     elems, b_all = np.arange(R.size)[rows], np.arange(R.size)
     ab = mul[rows]
-    i, b = np.nonzero(S.projection_mask[ab] & (mul[b_all, ab] == b_all))  # by a, then b
+    keep = S.projection_mask[ab]
+    if 4 * np.count_nonzero(keep) > keep.size:
+        keep &= mul[b_all, ab] == b_all
+    i, b = np.nonzero(keep)  # by a, then b
     a, ab = elems[i], ab[i, b]
-    ok = (ab == mul[b, a]) & (S.star_table[ab] == ab)
+    ok = (mul[b, ab] == b) & (ab == mul[b, a])
     ok &= R.nilpotent_mask[R.add_table[a, R.neg_table[mul[mul[a, a], b]]]]
     out = np.full(len(elems), -1, dtype=np.int64)
     i, first = np.unique(i[ok], return_index=True)  # the least b of each a

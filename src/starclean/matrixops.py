@@ -120,7 +120,8 @@ def drazin_inverse(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> Dra
 
     Found for the copy 2^-e·A of unit size (see ``_unit_scaled``), whose
     powers stay finite: index, rank, bases and residuals are the copy's, and
-    B is the copy's times 2^-e."""
+    B is the copy's times 2^-e. ``IllConditioned`` is raised when that B
+    does not fit the floats."""
     M = A.data if isinstance(A, DenseMatrix) else np.asarray(A, dtype=complex)
     e = _unit_exponent(M)
     M = _times_pow2(M, -e)
@@ -164,7 +165,12 @@ def drazin_inverse(A: DenseMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> Dra
         "inner": _norm(B @ M @ B - B) / scale_b,
         "nilpotent": _norm(nil_power) / scale_a**n,
     }
-    return DrazinResult(_times_pow2(B, -e), k, r, residuals, core, null)
+    if e:
+        with np.errstate(over="ignore"):
+            B = _times_pow2(B, -e)
+        if not np.isfinite(B).all():
+            raise IllConditioned("the Drazin inverse of A lies outside the float range")
+    return DrazinResult(B, k, r, residuals, core, null)
 
 
 def _unit_exponent(M: np.ndarray) -> int:

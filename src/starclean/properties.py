@@ -305,57 +305,63 @@ def _stable_pool(S: StarRing, prop: str) -> np.ndarray:
     raise UnknownProperty(prop)
 
 
-def _stable_success(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) -> np.ndarray:
-    """success[a, b] iff ok_mask[a + b*y] for some y in the pool of distinct ids.
+def _stable_range_verdict(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) -> Verdict:
+    """First comaximal pair (a, b), row-major, with no y in the pool of
+    distinct ids making a + b*y land in ok_mask.
 
-    Both paths read shifted[v, a] = ok_mask[v + a]. Addition commutes, so
-    shifted is symmetric and its row v marks, for every a, whether
-    ok_mask[a + v]: column b of success is the OR of the rows b*y over the
-    pool. For the full pool (sr1) those rows are bR, so one column is
-    computed per principal right ideal and copied to every b sharing it.
-    A subpool (isr1, psr1) takes one row gather per pool element y, the
-    rows mul_table[:, y], and ORs them into the transpose of success.
-    Every gather runs in row blocks, so no temporary exceeds one block.
+    Every pool holds 0 (0 is in R, 0^2 = 0 and 0* = 0), so a row a in
+    ok_mask succeeds with y = 0: only the rows N outside it are decided.
+    shifted[v, j] = ok_mask[v + N[j]], and whether a = N[j] succeeds
+    against b is the OR of shifted over the rows v = b*y of the pool.
+    Comaximality depends only on the classes of aR and bR, and is read
+    from ``comaximal_classes``. For the full pool (sr1) the rows b*y are
+    bR, so success is held per class of b, and the least violating b is
+    the first element of the least violating class, as classes are numbered
+    by their first element. A subpool (isr1, psr1) takes one row gather per
+    pool element y, the rows mul_table[:, y], into success[b, j]. Every
+    gather runs in row blocks of at most _BLOCK_ENTRIES // n rows.
     """
     R = S.ring
     n = R.size
+    cls, reps = R.principal_right_ideal_classes
+    comax = R.comaximal_classes
+    N = np.flatnonzero(~ok_mask)
+    cls_n = cls[N]
     blocks = _row_blocks(0, n, n)
-    shifted = np.empty((n, n), dtype=bool)
+    shifted = np.empty((n, len(N)), dtype=bool)
     for rows in blocks:
-        shifted[rows] = ok_mask[R.add_table[rows]]
+        shifted[rows] = ok_mask[R.add_table[rows][:, N]]
     if len(pool) == n:
-        cls, reps = R.principal_right_ideal_classes
-        success_t = np.zeros((len(reps), n), dtype=bool)
+        success = np.zeros((len(reps), len(N)), dtype=bool)
         for k, b in enumerate(reps):
             bR = np.flatnonzero(R.right_ideal_masks[b])
             for part in _row_blocks(0, len(bR), n):
-                success_t[k] |= shifted[bR[part]].any(axis=0)
-        return success_t[cls].T
-    success_t = np.zeros((n, n), dtype=bool)
-    for y in pool.tolist():
-        by = R.mul_table[:, y]
+                success[k] |= shifted[bR[part]].any(axis=0)
+        viol = ~success & comax[:, cls_n]  # [class of b, j]
+        b_of = reps
+    else:
+        success = np.zeros((n, len(N)), dtype=bool)
+        for y in pool.tolist():
+            by = R.mul_table[:, y]
+            for rows in blocks:
+                success[rows] |= shifted[by[rows]]
+        del shifted
+        viol = np.logical_not(success, out=success)  # [b, j]
         for rows in blocks:
-            success_t[rows] |= shifted[by[rows]]
-    return success_t.T
-
-
-def _stable_range_verdict(S: StarRing, pool: np.ndarray, ok_mask: np.ndarray) -> Verdict:
-    """First comaximal pair (a, b), row-major, with no y in the pool making
-    a + b*y land in ok_mask."""
-    viol = _stable_success(S, pool, ok_mask)  # a fresh array, reused in place
-    np.logical_not(viol, out=viol)
-    viol &= S.ring.comaximal_pairs
-    hit = viol.any(axis=1)
+            viol[rows] &= comax[cls[rows]][:, cls_n]
+        b_of = np.arange(n)
+    hit = viol.any(axis=0)
     if not hit.any():
         return Verdict(True)
-    a = int(hit.argmax())
-    return Verdict(False, _pair_witness(S, a, int(viol[a].argmax())))
+    j = int(hit.argmax())
+    return Verdict(False, _pair_witness(S, int(N[j]), int(b_of[viol[:, j].argmax()])))
 
 
 def check_stable_range_pair(S: StarRing, prop: str, a: int, b: int) -> bool:
     """True iff (a, b) really is a counterexample for the given stable-range flavor."""
     R = S.ring
-    if not R.comaximal_pairs[a, b]:
+    cls, _ = R.principal_right_ideal_classes
+    if not R.comaximal_classes[cls[a], cls[b]]:
         return False
     for y in _stable_pool(S, prop).tolist():
         if R.units_mask[R.add(a, R.mul(b, y))]:

@@ -501,19 +501,32 @@ class FiniteRing:
         return group_rows(self.right_ideal_masks)
 
     @cached_property
-    def comaximal_pairs(self) -> np.ndarray:
-        """Boolean matrix: entry (a, b) iff aR + bR = R.
+    def comaximal_classes(self) -> np.ndarray:
+        """Symmetric boolean matrix over ``principal_right_ideal_classes``:
+        entry (i, j) iff aR + bR = R for a of class i and b of class j, which
+        holds iff some u in aR has 1 - u in bR.
 
-        The entry depends only on (aR, bR), so it is decided once per pair of
-        distinct principal right ideals and copied to every pair of elements.
+        The counts of such u are products of 0/1 rows, taken in float32 for
+        BLAS one block of class rows at a time; each count is at most
+        n < 2^24, so float32 holds it exactly.
         """
-        cls, reps = self.principal_right_ideal_classes
-        ar = self.right_ideal_masks[reps]
-        flipped = np.zeros_like(ar)
-        flipped[:, self.one_minus_table] = ar  # row b marks {1 - v : v in bR}
-        # counts of 0/1 terms: float32 is exact for deciding > 0 and uses BLAS
-        counts = ar.astype(np.float32) @ flipped.T.astype(np.float32)
-        return (counts > 0)[np.ix_(cls, cls)]
+        _, reps = self.principal_right_ideal_classes
+        masks, n = self.right_ideal_masks, self.size
+        flipped = np.empty((n, len(reps)), dtype=np.float32)  # [u, j]: 1 - u in b_j R
+        for part in _row_blocks(0, n, len(reps)):
+            flipped[part] = masks[np.ix_(reps, self.one_minus_table[part])].T
+        out = np.empty((len(reps), len(reps)), dtype=bool)
+        for rows in _row_blocks(0, len(reps), n):
+            out[rows] = masks[reps[rows]].astype(np.float32) @ flipped > 0
+        return out
+
+    @property
+    def comaximal_pairs(self) -> np.ndarray:
+        """Boolean matrix: entry (a, b) iff aR + bR = R, expanded from
+        ``comaximal_classes`` on each read and not kept. The package reads
+        the class matrix a row block at a time instead."""
+        cls, _ = self.principal_right_ideal_classes
+        return self.comaximal_classes[np.ix_(cls, cls)]
 
     def directly_finite_witness(self) -> tuple[int, int] | None:
         """The row-major first pair (a, b) with ab = 1 but ba != 1, or None:

@@ -260,11 +260,12 @@ def _src_c2(S: StarRing) -> bool:
     """Comaximal pairs admit a commuting projection producing a unit."""
     R = S.ring
     add, mul, P = R.add_table, R.mul_table, S.projection_ids
+    cls, comax = R.principal_right_ideal_classes[0], R.comaximal_classes
     bp = mul[:, P]
     for rows in _row_blocks(0, R.size, R.size * len(P)):
         commute = mul[rows, P] == mul[P, rows].T
         success = (R.units_mask[add[rows][:, bp]] & commute[:, None, :]).any(axis=2)
-        if (R.comaximal_pairs[rows] & ~success).any():
+        if (comax[cls[rows]][:, cls] & ~success).any():
             return False
     return True
 

@@ -289,6 +289,40 @@ def reference_lifting_flags(S) -> dict[str, bool]:
     }
 
 
+def reference_stable_success(S, pool, ok_mask):
+    """success[a, b] iff ok_mask[a + b*y] for some y in the pool, whole n × n.
+
+    shifted[v, a] = ok_mask[v + a] is symmetric, and column b of success is
+    the OR of its rows b*y over the pool. For the full pool those rows are
+    bR, so one column is computed per principal right ideal and copied to
+    every b sharing it; a subpool ORs the rows mul_table[:, y] per y.
+    """
+    R = S.ring
+    n = R.size
+    shifted = ok_mask[R.add_table]
+    if len(pool) == n:
+        cls, reps = R.principal_right_ideal_classes
+        success_t = np.zeros((len(reps), n), dtype=bool)
+        for k, b in enumerate(reps):
+            success_t[k] = shifted[R.right_ideal_masks[b]].any(axis=0)
+        return success_t[cls].T
+    success_t = np.zeros((n, n), dtype=bool)
+    for y in pool.tolist():
+        success_t |= shifted[R.mul_table[:, y]]
+    return success_t.T
+
+
+def reference_stable_range_witness(S, pool, ok_mask):
+    """The row-major first comaximal pair (a, b) with no y in the pool making
+    a + b*y land in ok_mask, from the whole n × n arrays; None if none."""
+    viol = ~reference_stable_success(S, pool, ok_mask) & S.ring.comaximal_pairs
+    hit = viol.any(axis=1)
+    if not hit.any():
+        return None
+    a = int(hit.argmax())
+    return a, int(viol[a].argmax())
+
+
 # -- the suites one element at a time ---------------------------------------------
 
 

@@ -70,6 +70,17 @@ def test_drazin_of_a_huge_matrix_is_its_scaled_copys_scaled_back():
     assert np.allclose(M @ big.drazin, [[1, 1], [0, 0]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_drazin_inverse_beyond_the_float_range_is_ill_conditioned():
+    # index 1, rank 1, and B[0, 0] = 1e310 does not fit a float
+    tiny = np.array([[1e-310, 0], [0, 0]], dtype=complex)
+    with pytest.raises(IllConditioned, match="outside the float range"):
+        drazin_inverse(tiny)
+    # the verdict is taken on the unit-scaled copy, whose inverse fits
+    ok, diag = is_spsr_matrix(DenseMatrix(tiny))
+    assert ok and diag["index"] == 1 and diag["rank"] == 1
+
+
 def test_spsr_examples():
     ok, diag = is_spsr_matrix(dm([[2, 1], [1, 2]]))
     assert ok and diag["gram_verdict"]

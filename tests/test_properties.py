@@ -3,7 +3,12 @@ import itertools
 import numpy as np
 import pytest
 from idealref import fixpoint_ideal_mask
-from ringref import reference_lifting_flags, reference_refutations
+from ringref import (
+    reference_lifting_flags,
+    reference_refutations,
+    reference_stable_range_witness,
+    reference_stable_success,
+)
 
 import starclean.elements as elements
 import starclean.properties as properties
@@ -25,7 +30,6 @@ from starclean.properties import (
     Witness,
     _elem_witness,
     _forall_elements,
-    _stable_success,
     check_stable_range_pair,
     check_witness,
     elem_star_regular,
@@ -167,6 +171,16 @@ def _reference_success(R, pool):
     return out
 
 
+def _pairwise_witness(comax, success):
+    """The row-major first pair (a, b) with comax[a, b] and not success[a, b]."""
+    violations = np.argwhere(comax & ~success)
+    return None if violations.size == 0 else tuple(violations[0].tolist())
+
+
+def _witness_ids(verdict):
+    return None if verdict.value else verdict.witness.ids
+
+
 def test_stable_range_matches_pairwise_reference():
     pools = {
         "sr1": lambda S: np.arange(S.ring.size),
@@ -176,32 +190,70 @@ def test_stable_range_matches_pairwise_reference():
     for S in default_corpus() + [m2(4)]:
         R = S.ring
         comax = _reference_comaximal(R)
-        assert (R.comaximal_pairs == comax).all(), S.label
+        cls, _ = R.principal_right_ideal_classes
+        assert (R.comaximal_classes[cls][:, cls] == comax).all(), S.label
+        assert (R.comaximal_classes == R.comaximal_classes.T).all(), S.label
+        assert "comaximal_pairs" not in vars(R), S.label
         for prop, pool in pools.items():
             success = _reference_success(R, pool(S))
-            assert (_stable_success(S, pool(S), R.units_mask) == success).all(), (S.label, prop)
-            violations = [
-                (a, b) for a in R.elements() for b in R.elements()
-                if comax[a, b] and not success[a, b]
-            ]
-            verdict = ring_property(S, prop)
-            assert verdict.value == (not violations), (S.label, prop)
-            if violations:
-                assert verdict.witness.ids == violations[0], (S.label, prop)
+            got = reference_stable_success(S, pool(S), R.units_mask)
+            assert (got == success).all(), (S.label, prop)
+            want = _pairwise_witness(comax, success)
+            assert _witness_ids(ring_property(S, prop)) == want, (S.label, prop)
 
 
 def test_blocked_stable_success_matches_pairwise_reference(monkeypatch):
-    import starclean.rings as rings
-
+    # the decider and the class matrix in blocks of 1 and 3 rows
     for S in (m2(2), m2(3), m2(4)):
         R = S.ring
-        for pool in (np.arange(R.size), R.idempotent_ids, S.projection_ids):
-            want = _reference_success(R, pool)
-            for rows in (1, 3):
+        comax = _reference_comaximal(R)
+        cls, _ = R.principal_right_ideal_classes
+        pools = (np.arange(R.size), R.idempotent_ids, S.projection_ids)
+        want = [_pairwise_witness(comax, _reference_success(R, pool)) for pool in pools]
+        for rows in (1, 3):
+            monkeypatch.setattr(rings, "_BLOCK_ENTRIES", rows * R.size)
+            assert len(rings._row_blocks(0, R.size, R.size)) == -(-R.size // rows)
+            vars(R).pop("comaximal_classes", None)
+            assert (R.comaximal_classes[cls][:, cls] == comax).all(), (S.label, rows)
+            for pool, w in zip(pools, want):
+                got = properties._stable_range_verdict(S, pool, R.units_mask)
+                assert _witness_ids(got) == w, (S.label, rows, len(pool))
+
+
+def _stable_range_cases(S):
+    """(pool, ok mask) pairs: the three flavors over the units, PSR-ONESIDED's
+    right- and left-invertible masks, and a seeded mask of no meaning, which
+    leaves rows in ok_mask and outside it in every ring."""
+    R = S.ring
+    n = R.size
+    full, idem, proj = np.arange(n), R.idempotent_ids, S.projection_ids
+    rinv = R.right_inverse_ids >= 0
+    linv = (R.mul_table == R.one).any(axis=0)
+    noise = np.random.default_rng(n).random(n) < 0.5
+    return [(full, R.units_mask), (idem, R.units_mask), (proj, R.units_mask),
+            (proj, rinv), (proj, linv), (full, noise), (idem, noise), (proj, noise)]
+
+
+def test_stable_range_verdicts_match_the_whole_array_reference(monkeypatch):
+    extra = (("Z4xZ4", "swap"), ("M2(Z2)xM2(Z2)", "prod(tr(id),tr(id))"))
+    stars = default_corpus() + [build_star_ring(r, i) for r, i in _LADDER + extra]
+    want = {
+        S.label: [reference_stable_range_witness(S, pool, ok) for pool, ok in _stable_range_cases(S)]
+        for S in stars
+    }
+    assert sum(w is not None for ws in want.values() for w in ws) >= 40
+    for rows in (None, 1, 3):
+        for S in stars:
+            R = S.ring
+            vars(R).pop("comaximal_classes", None)
+            if rows is not None:
                 monkeypatch.setattr(rings, "_BLOCK_ENTRIES", rows * R.size)
-                assert len(rings._row_blocks(0, R.size, R.size)) == -(-R.size // rows)
-                got = _stable_success(S, pool, R.units_mask)
-                assert (got == want).all(), (S.label, rows, len(pool))
+            for case, (pool, ok) in enumerate(_stable_range_cases(S)):
+                got = properties._stable_range_verdict(S, pool, ok)
+                assert _witness_ids(got) == want[S.label][case], (S.label, rows, case)
+                if not got.value:
+                    a, b = got.witness.ids
+                    assert not ok[a] and R.comaximal_pairs[a, b], (S.label, rows, case)
 
 
 def test_psr_onesided(monkeypatch):

@@ -246,10 +246,23 @@ def test_gathered_sides_read_the_last_row_block(monkeypatch):
     assert suites._ring_equiv_c5(S) is reference_ring_equiv_c5(S) is False
 
     # c2 in blocks of 2 elements: (14, 2) planted as comaximal, and neither 14 + 0
-    # nor 14 + 2 is a unit
+    # nor 14 + 2 is a unit. 2R = 6R = 10R = 14R, so 2 and 14 each move to a class
+    # of their own, copies of that class, and only the class of 14 is comaximal
+    # with the class of 2
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 2 * 16 * 2)
     assert rings._row_blocks(0, 16, 16 * 2)[-1] == slice(14, 16)
-    R.comaximal_pairs[14, 2] = True
+    before = R.comaximal_pairs
+    cls, reps = R.principal_right_ideal_classes
+    assert np.flatnonzero(cls == cls[14]).tolist() == [2, 6, 10, 14]
+    k = len(reps)
+    copied = np.append(np.arange(k), [cls[14], cls[2]])
+    planted = R.comaximal_classes[np.ix_(copied, copied)]
+    planted[k, k + 1] = True
+    moved = cls.copy()
+    moved[[14, 2]] = k, k + 1
+    vars(R)["comaximal_classes"] = planted
+    vars(R)["principal_right_ideal_classes"] = moved, np.append(reps, [14, 2])
+    assert np.argwhere(R.comaximal_pairs != before).tolist() == [[14, 2]]
     assert suites._src_c2(S) is reference_src_c2(S) is False
 
 

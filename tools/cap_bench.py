@@ -52,6 +52,9 @@ CAP_RINGS = (
 # the one of half that size, the largest on which every suite runs in minutes
 BOOLEAN_CAP_RING = ("x".join(["Z2"] * 12), "id")
 BOOLEAN_HALF_RING = ("x".join(["Z2"] * 11), "id")
+# a ring of the cap size with two units, so that stable range decides nearly
+# every row, over a pool of 2048 projections
+TWO_UNIT_CAP_RING = ("x".join(["Z2"] * 10 + ["Z4"]), "id")
 LADDER = (
     ("M2(Z4)", "tr(id)"),
     ("M3(Z2)", "tr(id)"),
@@ -85,6 +88,9 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
     ]
     z2_12 = ["--ring", BOOLEAN_CAP_RING[0], "--inv", BOOLEAN_CAP_RING[1]]
     table.append(("check star-regular Z2^12", ["check", *z2_12, "--prop", "star-regular"]))
+    table.append(("check sr1 Z2^12", ["check", *z2_12, "--prop", "sr1"]))
+    two_unit = ["--ring", TWO_UNIT_CAP_RING[0], "--inv", TWO_UNIT_CAP_RING[1]]
+    table.append(("check psr1 Z2^10xZ4", ["check", *two_unit, "--prop", "psr1"]))
     pair = ["--suites", "SRC-EQUIV,PSR-ONESIDED", "--corpus", one["M2(Z8)"]]
     z2_12_corpus = _corpus_file(folder, "Z2^12", [BOOLEAN_CAP_RING])
     table += [
