@@ -27,7 +27,6 @@ from .errors import (
     IllConditioned,
     InputError,
     MalformedSpec,
-    NotAnIdeal,
     NotAProjection,
     NotIdempotent,
     NotStarInvariant,
@@ -47,7 +46,6 @@ from .involutions import (
     group_ring_involution,
     identity_involution,
     induce_quotient_involution,
-    is_proper,
     product_involution,
     swap_involution,
     table_involution,
@@ -90,7 +88,6 @@ from .rings import (
     FiniteRing,
     GroupProduct,
     GroupRingSpec,
-    Ideal,
     MatrixSpec,
     ProductSpec,
     QuotientSpec,

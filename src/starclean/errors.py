@@ -71,10 +71,6 @@ class ValidationError(InputError):
     """A parsed spec is well-formed but incompatible with its target."""
 
 
-class NotAnIdeal(InputError):
-    """A subset fails one of the two-sided ideal closure conditions."""
-
-
 class NotIdempotent(InputError):
     """A corner was requested at an element with e*e != e."""
 

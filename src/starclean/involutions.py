@@ -32,7 +32,6 @@ from .rings import (
     CornerRing,
     FiniteRing,
     GroupRing,
-    Ideal,
     MatrixRing,
     ProductRing,
     QuotientRing,
@@ -105,9 +104,6 @@ class Involution:
         self.table = np.ascontiguousarray(table, dtype=np.int64)
         self.kind = kind
         self.label = label
-
-    def __call__(self, a: int) -> int:
-        return int(self.table[a])
 
     def __repr__(self):
         return f"<Involution {self.label} on {self.ring.describe()}>"
@@ -250,8 +246,8 @@ class StarRing:
     @cached_property
     def _mod_jacobson(self) -> tuple[StarRing | None, np.ndarray]:
         # None for R/0 = R: a cached reference to self would be a cycle
-        J = self.ring.jacobson_radical()
-        if J.size == 1:
+        J = self.ring.jacobson_mask
+        if np.count_nonzero(J) == 1:
             return None, np.arange(self.ring.size)
         return induce_quotient_involution(self, J)
 
@@ -269,8 +265,8 @@ def quotient_involution(Q: QuotientRing, base_inv: Involution, label: str) -> In
     """The involution that base_inv, on Q.base, induces on Q; the ideal must
     be star-invariant."""
     star, ideal = base_inv.table, Q.ideal
-    members = ideal.elements_array
-    bad = ~ideal.mask[star[members]]
+    members = np.flatnonzero(ideal)
+    bad = ~ideal[star[members]]
     if bad.any():
         x = int(members[np.flatnonzero(bad)[0]])
         raise NotStarInvariant(
@@ -281,11 +277,13 @@ def quotient_involution(Q: QuotientRing, base_inv: Involution, label: str) -> In
     return Involution(Q, Q.surjection[star[Q.reps]], "induced-quotient", label)
 
 
-def induce_quotient_involution(S: StarRing, ideal: Ideal) -> tuple[StarRing, np.ndarray]:
-    """Quotient star ring for a star-invariant ideal, plus the surjection."""
+def induce_quotient_involution(S: StarRing, ideal: np.ndarray) -> tuple[StarRing, np.ndarray]:
+    """Quotient star ring for a star-invariant ideal, a bool mask over S's
+    ring, plus the surjection."""
     Q = QuotientRing(S.ring, ideal)
     inv = quotient_involution(Q, S.involution, f"{S.involution.label}~mod-ideal")
-    return StarRing(Q, inv, label=f"{S.label} mod ideal({ideal.size})"), Q.surjection
+    label = f"{S.label} mod ideal({np.count_nonzero(ideal)})"
+    return StarRing(Q, inv, label=label), Q.surjection
 
 
 def corner_star_ring(S: StarRing, e: int) -> StarRing:
@@ -299,14 +297,3 @@ def corner_star_ring(S: StarRing, e: int) -> StarRing:
     inv = Involution(C, cstar, "corner-restriction", f"{S.involution.label}|corner")
     return StarRing(C, inv, label=f"corner({S.label},{S.ring.render(e)})")
 
-
-# -- star diagnostics -----------------------------------------------------------
-
-
-def is_proper(S: StarRing) -> tuple[bool, int | None]:
-    """True iff x*x = 0 forces x = 0; witness element on failure."""
-    R = S.ring
-    idx = np.arange(R.size)
-    vals = R.mul_table[S.star_table[idx], idx]
-    bad = np.flatnonzero((vals == R.zero) & (idx != R.zero))
-    return (True, None) if bad.size == 0 else (False, int(bad[0]))

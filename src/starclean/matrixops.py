@@ -292,7 +292,7 @@ def load_matrix_json(text: str, involution: str = "transpose") -> DenseMatrix:
         for cell in row:
             if isinstance(cell, str):
                 parsed.append(parse_complex(cell))
-            elif isinstance(cell, (int, float)):
+            elif type(cell) in (int, float):  # not bool, which JSON keeps apart
                 try:
                     parsed.append(complex(cell))
                 except OverflowError as exc:

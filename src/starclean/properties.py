@@ -81,8 +81,8 @@ def _pair_witness(S: StarRing, a: int, b: int) -> Witness:
 def elem_exchange(S, a):
     """Some idempotent e in aR with 1-e in (1-a)R."""
     R = S.ring
-    in_aR = R.right_ideal(a)
-    in_caR = R.right_ideal(R.one_minus(a))
+    in_aR = R.right_ideal_masks[a]
+    in_caR = R.right_ideal_masks[R.one_minus(a)]
     for e in np.flatnonzero(R.idempotent_mask & in_aR).tolist():
         if in_caR[R.one_minus(e)]:
             return True
@@ -115,7 +115,7 @@ def elem_regular(S, a):
 def elem_strongly_regular(S, a):
     R = S.ring
     asq = R.mul(a, a)
-    return bool(R.right_ideal(asq)[a])
+    return bool(R.right_ideal_masks[asq][a])
 
 
 def elem_unit_regular(S, a):

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import MalformedSpec, NotAnIdeal, NotIdempotent, SpecTooLarge
+from .errors import MalformedSpec, NotIdempotent, SpecTooLarge
 
 DEFAULT_SIZE_CAP = 4096
 SIZE_CAP_ENV = "STARCLEAN_CAP"
@@ -259,6 +259,12 @@ def spec_size_bound(spec: RingSpec) -> int:
     return min(n, SIZE_BOUND_CEILING)
 
 
+def _check_generators(spec: QuotientSpec, size: int) -> None:
+    for g in spec.generators:
+        if not 0 <= g < size:
+            raise MalformedSpec(f"quotient generator {g} out of range 0..{size - 1}")
+
+
 def validate_spec(spec: RingSpec, cap: int) -> None:
     if isinstance(spec, Zmod):
         if spec.n < 2:
@@ -279,10 +285,7 @@ def validate_spec(spec: RingSpec, cap: int) -> None:
         validate_spec(spec.base, cap)
     elif isinstance(spec, QuotientSpec):
         validate_spec(spec.base, cap)
-        base_size = spec_size_bound(spec.base)
-        for g in spec.generators:
-            if not 0 <= g < base_size:
-                raise MalformedSpec(f"quotient generator {g} out of range 0..{base_size - 1}")
+        _check_generators(spec, spec_size_bound(spec.base))
     else:
         raise MalformedSpec(f"not a ring spec: {spec!r}")
     size = spec_size_bound(spec)
@@ -310,8 +313,8 @@ class FiniteRing:
     cached, once per ring fact: the deciders and suites that need centrality,
     aR = bR or J(R) read these caches. Units, inverses and direct finiteness
     read one scan, ``right_inverse_ids``; a tuple such as ``units()`` is made
-    from its id array on each call. J(R) is kept as a mask; it is an ideal
-    by the quasi-regularity theorem, so it is never validated (see ``Ideal``).
+    from its id array on each call. An ideal is a bool mask over the ring:
+    J(R) is ``jacobson_mask``, an ideal by the quasi-regularity theorem.
     """
 
     spec: RingSpec | None = None
@@ -479,10 +482,10 @@ class FiniteRing:
         # finite ring (direct finiteness).
         return self.units_mask[self.one_minus_table[self.mul_table]].all(axis=0)
 
-    def jacobson_radical(self) -> "Ideal":
-        """J(R), an ideal by the quasi-regularity theorem, so not validated;
-        a fresh view of ``jacobson_mask``, which the ring does not refer to."""
-        return Ideal(self, self.jacobson_mask, check=False)
+    def jacobson_radical(self) -> np.ndarray:
+        """J(R) as a mask: ``jacobson_mask`` itself, kept for perfbench's
+        traced cache steps."""
+        return self.jacobson_mask
 
     @cached_property
     def right_ideal_masks(self) -> np.ndarray:
@@ -490,9 +493,6 @@ class FiniteRing:
         masks = np.zeros((self.size, self.size), dtype=bool)
         masks[np.arange(self.size)[:, None], self.mul_table] = True
         return masks
-
-    def right_ideal(self, a: int) -> np.ndarray:
-        return self.right_ideal_masks[a]
 
     @cached_property
     def principal_right_ideal_classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -792,15 +792,14 @@ class TruncatedPolyRing(_CoefficientRing):
 
 
 class QuotientRing(FiniteRing):
-    """Ring of cosets of a two-sided ideal, enumerated by minimal representatives."""
+    """Ring of cosets of a two-sided ideal, a bool mask over base that the
+    caller builds as an ideal; enumerated by minimal representatives."""
 
-    def __init__(self, base: FiniteRing, ideal: "Ideal", spec: QuotientSpec | None = None):
-        if ideal.owner is not base:
-            raise NotAnIdeal("ideal belongs to a different ring")
+    def __init__(self, base: FiniteRing, ideal: np.ndarray, spec: QuotientSpec | None = None):
         self.spec = spec
         self.base = base
         self.ideal = ideal
-        members = ideal.elements_array
+        members = np.flatnonzero(ideal)
         rep_of = np.concatenate(
             [
                 base.add_table[rows][:, members].min(axis=1)
@@ -825,7 +824,7 @@ class QuotientRing(FiniteRing):
     def describe(self) -> str:
         if self.spec is not None:
             return spec_string(self.spec)
-        gens = ",".join(str(int(g)) for g in self.ideal.elements_array[:4])
+        gens = ",".join(str(int(g)) for g in np.flatnonzero(self.ideal)[:4])
         return f"Q({self.base.describe()},[{gens}...])"
 
 
@@ -872,50 +871,6 @@ class CornerRing(FiniteRing):
 # ideals
 
 
-class Ideal:
-    """A two-sided ideal, stored as a boolean mask over the owner.
-
-    A mask from outside (``Ideal(...)``, ``Ideal.from_elements``) is validated
-    once, here. The ideals starclean builds are ideals by construction and are
-    not: ``generated_ideal`` by its closure argument, and J(R) by the
-    quasi-regularity theorem. So a ``QuotientRing`` trusts its ideal.
-    """
-
-    def __init__(self, owner: FiniteRing, mask: np.ndarray, check: bool = True):
-        self.owner = owner
-        self.mask = np.asarray(mask, dtype=bool)
-        if self.mask.shape != (owner.size,):
-            raise NotAnIdeal("mask shape does not match the ring")
-        self.elements_array = np.flatnonzero(self.mask).astype(np.int64)
-        self.size = int(self.mask.sum())
-        if check:
-            self.validate()
-
-    @classmethod
-    def from_elements(cls, owner: FiniteRing, elems: Iterable[int]) -> "Ideal":
-        mask = np.zeros(owner.size, dtype=bool)
-        mask[list(elems)] = True
-        return cls(owner, mask)
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.elements_array)
-
-    def validate(self) -> None:
-        R = self.owner
-        if not self.mask[R.zero]:
-            raise NotAnIdeal("0 is missing")
-        idx = self.elements_array
-        if not self.mask[R.add_table[np.ix_(idx, idx)]].all():
-            raise NotAnIdeal("not closed under addition")
-        if not self.mask[R.mul_table[:, idx]].all():
-            raise NotAnIdeal("not closed under left multiplication")
-        if not self.mask[R.mul_table[idx, :]].all():
-            raise NotAnIdeal("not closed under right multiplication")
-
-    def __repr__(self):
-        return f"<Ideal size={self.size} of {self.owner.describe()}>"
-
-
 def _additive_span(R: FiniteRing, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mask of the additive span of the ids in the mask within, and its
     generators: each the least id of within outside the span of those
@@ -938,24 +893,23 @@ def _additive_span(R: FiniteRing, within: np.ndarray) -> tuple[np.ndarray, np.nd
     return span, np.array(gens, dtype=np.intp)
 
 
-def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> Ideal:
-    """Two-sided ideal generated by the given elements.
+def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> np.ndarray:
+    """The mask of the two-sided ideal generated by the given elements.
 
     The ideal is the additive closure of R·G·R, which holds G because 1 is
     in R. R·G·R is closed under left and right multiplication, and sums of
     such a set stay closed under both, so after the one multiplication
     gather only the additive span remains, which ``_additive_span`` walks.
-    The result is an ideal by this argument, so it is not validated.
     """
     mul = R.mul_table
     gens = np.asarray(list(generators), dtype=np.int64)
     if (mul[gens] == R.one).any():
         # if uv = 1 for a generator u, as for a unit (u·u⁻¹ = 1), then 1 is
         # in the ideal and so is all of R: no table needs gathering
-        return Ideal(R, np.ones(R.size, dtype=bool), check=False)
+        return np.ones(R.size, dtype=bool)
     rgr = np.zeros(R.size, dtype=bool)
     rgr[mul[np.unique(mul[:, gens]), :]] = True
-    return Ideal(R, _additive_span(R, rgr)[0], check=False)
+    return _additive_span(R, rgr)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -982,6 +936,9 @@ def _build(spec: RingSpec) -> FiniteRing:
         return TruncatedPolyRing(spec, _build(spec.base))
     if isinstance(spec, QuotientSpec):
         base = _build(spec.base)
+        # validate_spec bounds the generators by the base's size bound, which
+        # a base with a quotient inside it does not reach
+        _check_generators(spec, base.size)
         ideal = generated_ideal(base, spec.generators)
         return QuotientRing(base, ideal, spec=spec)
     raise MalformedSpec(f"not a ring spec: {spec!r}")

@@ -372,8 +372,8 @@ def _suite_bool(S: StarRing) -> SuiteRow:
 # -- quotients of star-clean rings --------------------------------------------------------------
 
 
-def _quotient_ideals(R) -> list:
-    """The distinct principal ideals of R, then J(R) if it is new.
+def _quotient_ideals(R) -> list[np.ndarray]:
+    """The masks of the distinct principal ideals of R, then J(R) if it is new.
 
     Each ideal comes once, in the order of its least generator.  (u·g·v) =
     (g) for units u, v, so one closure per two-sided unit orbit finds them
@@ -388,15 +388,14 @@ def _quotient_ideals(R) -> list:
             continue
         covered[mul[np.ix_(mul[unit_ids, g], unit_ids)]] = True
         ideal = generated_ideal(R, [g])
-        seen.setdefault(ideal.mask.tobytes(), ideal)
-    J = R.jacobson_radical()
-    seen.setdefault(J.mask.tobytes(), J)
+        seen.setdefault(ideal.tobytes(), ideal)
+    seen.setdefault(R.jacobson_mask.tobytes(), R.jacobson_mask)
     return list(seen.values())
 
 
-def _quotient(S: StarRing, ideal) -> StarRing:
+def _quotient(S: StarRing, ideal: np.ndarray) -> StarRing:
     """R/I with the induced involution; R/0 = R, so for I = {0} it is S."""
-    return S if ideal.size == 1 else induce_quotient_involution(S, ideal)[0]
+    return S if np.count_nonzero(ideal) == 1 else induce_quotient_involution(S, ideal)[0]
 
 
 def _suite_quot(S: StarRing) -> SuiteRow:
@@ -405,13 +404,15 @@ def _suite_quot(S: StarRing) -> SuiteRow:
     star = S.star_table
     tested = 0
     for ideal in _quotient_ideals(S.ring):
-        if not ideal.mask[star[ideal.elements_array]].all():
+        if not ideal[star[ideal]].all():
             continue  # not star-invariant; the induced involution does not exist
         QS = _quotient(S, ideal)
         tested += 1
         if not ring_property(QS, "star-clean").value:
             return SuiteRow(
-                S.label, False, f"quotient by ideal of size {ideal.size} not star-clean"
+                S.label,
+                False,
+                f"quotient by ideal of size {np.count_nonzero(ideal)} not star-clean",
             )
     return SuiteRow(S.label, True, f"{tested} star-invariant quotients verified")
 

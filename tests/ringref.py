@@ -412,8 +412,8 @@ def reference_src_c7(S):
     R = S.ring
     proj = np.flatnonzero(S.projection_mask)
     for a in R.elements():
-        in_aR = R.right_ideal(a)
-        in_caR = R.right_ideal(R.one_minus(a))
+        in_aR = R.right_ideal_masks[a]
+        in_caR = R.right_ideal_masks[R.one_minus(a)]
         cand = proj[in_aR[proj]]
         if not in_caR[R.one_minus_table[cand]].any():
             return False

@@ -587,6 +587,36 @@ def test_nul_in_a_table_path_is_a_read_error(capsys, tmp_path):
     assert captured.err == f"error: involution table {bad} is not valid JSON\n"
 
 
+def test_nested_quotient_generator_out_of_range_exits_2(capsys, tmp_path):
+    # the size bound of a base with a quotient inside it exceeds its size
+    for ring, inv, message in (
+        ("Q(Q(Z8,[4]),[7])", "id", "quotient generator 7 out of range 0..3"),
+        ("Q(M2(Q(Z4,[2])),[20])", "tr(id)", "quotient generator 20 out of range 0..15"),
+    ):
+        code = main(["check", "--ring", ring, "--inv", inv, "--prop", "clean"])
+        captured = capsys.readouterr()
+        assert code == 2, ring
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text('[{"ring": "Q(Q(Z8,[4]),[7])", "inv": "id"}]')
+    code = main(["suite", "--corpus", str(corpus), "--suites", "BOOL"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: corpus entry 0: quotient generator 7 out of range 0..3\n"
+
+
+def test_json_matrix_booleans_are_refused(capsys, tmp_path):
+    matrix = tmp_path / "bool.json"
+    matrix.write_text("[[true,0],[0,1]]")
+    code = main(["numeric", str(matrix)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: unsupported matrix entry True\n"
+
+
 def test_parse_error_quotes_a_window_of_a_long_recipe(capsys):
     code = main(["check", "--ring", "Z" + "7" * 5000, "--inv", "id", "--prop", "clean"])
     captured = capsys.readouterr()
@@ -608,7 +638,7 @@ def test_every_package_error_but_two_is_an_input_error():
         c for c in vars(errors).values()
         if isinstance(c, type) and issubclass(c, errors.StarCleanError)
     ]
-    assert len(classes) == 17
+    assert len(classes) == 16
     for c in classes:
         if c not in (errors.StarCleanError, errors.SpecTooLarge, errors.IllConditioned):
             assert issubclass(c, errors.InputError), c.__name__

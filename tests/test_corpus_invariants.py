@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from idealref import ideal_violation
 from ringref import check_ring_axioms
 
 from starclean.corpus import default_corpus
@@ -58,11 +59,11 @@ def test_radical_is_nil_and_factor_is_semisimple(corpus):
     for S in corpus:
         assert ring_property(S, "J-nil").value, S.label
         R = S.ring
-        J = R.jacobson_radical()
-        J.validate()  # J(R) is not validated where it is built
+        J = R.jacobson_mask
+        assert ideal_violation(R, J) is None, S.label  # J(R) is never checked where it is built
         Q = QuotientRing(R, J)
-        assert Q.jacobson_radical().size == 1, S.label
-        assert Q.size * J.size == R.size, S.label
+        assert Q.jacobson_mask.sum() == 1, S.label
+        assert Q.size * J.sum() == R.size, S.label
 
 
 def test_star_fixes_units_and_commutes_with_inversion(corpus):

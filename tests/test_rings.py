@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 import starclean.rings as rings
-from idealref import fixpoint_ideal_mask
+from idealref import fixpoint_ideal_mask, ideal_violation, mask_of
 from ringref import check_ring_axioms, scalar_add, scalar_mul, scalar_neg
 from starclean.corpus import default_corpus
-from starclean.errors import MalformedSpec, NotAnIdeal, NotIdempotent, SpecTooLarge
+from starclean.errors import MalformedSpec, NotIdempotent, SpecTooLarge
 from starclean.rings import (
     ID_DTYPE,
     CornerRing,
     Cyclic,
     GroupProduct,
     GroupRingSpec,
-    Ideal,
     MatrixSpec,
     ProductSpec,
     QuotientRing,
@@ -125,7 +124,7 @@ def test_zmod_basics():
 def test_zmod_jacobson_matches_oracle():
     for n in (4, 6, 8, 9, 12):
         R = build_ring(Zmod(n))
-        assert set(R.jacobson_radical().elements()) == oracle_jacobson_zmod(n)
+        assert set(np.flatnonzero(R.jacobson_mask).tolist()) == oracle_jacobson_zmod(n)
 
 
 def test_matrix_ring_m2z2():
@@ -151,12 +150,12 @@ def test_matrix_ring_m2z3_idempotents():
 def test_jacobson_m2z2_is_zero():
     R = build_ring(MatrixSpec(2, Zmod(2)))
     assert oracle_jacobson_m2(2) == [((0, 0), (0, 0))]
-    assert R.jacobson_radical().elements() == (0,)
+    assert np.flatnonzero(R.jacobson_mask).tolist() == [0]
 
 
 def test_jacobson_product_is_zero():
     R = build_ring(ProductSpec(Zmod(2), Zmod(2)))
-    assert R.jacobson_radical().elements() == (R.zero,)
+    assert np.flatnonzero(R.jacobson_mask).tolist() == [R.zero]
     assert set(R.units()) == {R.from_value((1, 1))}
     assert len(R.idempotent_ids) == 4
 
@@ -186,17 +185,18 @@ def test_nilpotents_squarefree_modulus():
 
 def test_quotient_z4():
     R = build_ring(Zmod(4))
-    I = Ideal.from_elements(R, [0, 2])
+    I = mask_of(R, [0, 2])
+    assert ideal_violation(R, I) is None
     Q = QuotientRing(R, I)
     assert Q.size == 2
     assert Q.add(1, 1) == 0
     assert Q.mul(1, 1) == 1
-    assert Q.size * I.size == R.size
+    assert Q.size * I.sum() == R.size
 
 
 def test_quotient_by_zero_is_identity():
     R = build_ring(Zmod(6))
-    Q = QuotientRing(R, Ideal.from_elements(R, [0]))
+    Q = QuotientRing(R, mask_of(R, [0]))
     assert Q.size == R.size
     assert all(Q.add(a, b) == R.add(a, b) for a in range(6) for b in range(6))
 
@@ -205,28 +205,34 @@ def test_quotient_m2z4_by_two_eye():
     R = build_ring(MatrixSpec(2, Zmod(4)))
     two_eye = R.from_value([[2, 0], [0, 2]])
     I = generated_ideal(R, [two_eye])
+    assert ideal_violation(R, I) is None
     # oracle: the ideal generated by 2*I consists of the matrices with all
     # entries even, 2^4 of them
-    assert I.size == 16
+    assert I.sum() == 16
     Q = QuotientRing(R, I)
     assert Q.size == 16
-    assert Q.size * I.size == R.size
+    assert Q.size * I.sum() == R.size
     # surjection maps each element onto its coset id
     for x in (0, 5, R.one, two_eye):
         assert 0 <= Q.surjection[x] < Q.size
     assert Q.surjection[two_eye] == Q.zero
 
 
-def test_quotient_rejects_non_ideal():
+def test_ideal_reference_flags_non_ideal():
     R = build_ring(Zmod(4))
-    with pytest.raises(NotAnIdeal):
-        Ideal.from_elements(R, [0, 1])
+    assert ideal_violation(R, mask_of(R, [0, 1])) == "not closed under addition"
+    assert ideal_violation(R, mask_of(R, [2])) == "0 is missing"
+    assert ideal_violation(R, mask_of(R, [0, 2])) is None
 
 
 def test_quotient_spec_in_tree():
     Q = build_ring(QuotientSpec(Zmod(4), (2,)))
     assert Q.size == 2
     assert spec_string(Q.spec) == "Q(Z4,[2])"
+    assert ideal_violation(Q.base, Q.ideal) is None
+    nested = build_ring(QuotientSpec(QuotientSpec(Zmod(8), (4,)), (2,)))
+    assert nested.size == 2
+    assert ideal_violation(nested.base, nested.ideal) is None
 
 
 def test_corner_identity_and_zero():
@@ -317,8 +323,12 @@ def test_scalar_matches_tables():
         )
     ]
     rings.append(CornerRing(M2, M2.from_value([[1, 0], [0, 0]])))
-    rings.append(QuotientRing(M2, generated_ideal(M2, [M2.from_value([[0, 1], [0, 0]])])))
+    ideal = generated_ideal(M2, [M2.from_value([[0, 1], [0, 0]])])
+    assert ideal_violation(M2, ideal) is None
+    rings.append(QuotientRing(M2, ideal))
     for R in rings:
+        if isinstance(R, QuotientRing):
+            assert ideal_violation(R.base, R.ideal) is None, R.describe()
         for a in range(R.size):
             assert scalar_neg(R, a) == int(R.neg_table[a]), (R, a)
             for b in range(R.size):
@@ -335,9 +345,10 @@ def test_every_table_is_uint16():
     for S in default_corpus():
         R = S.ring
         e = int(R.idempotent_ids[len(R.idempotent_ids) // 2])
-        J = R.jacobson_radical()
-        g = J.elements()[-1] if J.size > 1 else R.zero
-        for ring in (R, CornerRing(R, e), QuotientRing(R, generated_ideal(R, [g]))):
+        g = int(np.flatnonzero(R.jacobson_mask)[-1])
+        ideal = generated_ideal(R, [g])
+        assert ideal_violation(R, ideal) is None, S.label
+        for ring in (R, CornerRing(R, e), QuotientRing(R, ideal)):
             assert [t.dtype for t in _tables(ring)] == [np.uint16] * 3, (S.label, ring)
             assert all(t.flags.c_contiguous for t in _tables(ring)), (S.label, ring)
 
@@ -364,6 +375,9 @@ def test_spec_validation():
         build_ring(MatrixSpec(3, Zmod(4)))  # 4^9 far beyond the default cap
     with pytest.raises(MalformedSpec):
         build_ring(QuotientSpec(Zmod(4), (9,)))
+    # Q(Z8,[4]) has 4 elements, under its size bound of 8
+    with pytest.raises(MalformedSpec, match=r"quotient generator 7 out of range 0\.\.3"):
+        build_ring(QuotientSpec(QuotientSpec(Zmod(8), (4,)), (7,)))
     assert build_ring(Zmod(5000), cap=10000).size == 5000
 
 
@@ -388,9 +402,9 @@ def test_power_sequence():
 def test_quotient_mod_radical_is_semisimple():
     for spec in (Zmod(8), Zmod(9), GroupRingSpec(Zmod(2), Cyclic(2))):
         R = build_ring(spec)
-        J = R.jacobson_radical()
-        Q = QuotientRing(R, J)
-        assert Q.jacobson_radical().elements() == (Q.zero,)
+        assert ideal_violation(R, R.jacobson_mask) is None
+        Q = QuotientRing(R, R.jacobson_mask)
+        assert np.flatnonzero(Q.jacobson_mask).tolist() == [Q.zero]
 
 
 def test_generated_ideal_matches_fixpoint_reference():
@@ -398,9 +412,9 @@ def test_generated_ideal_matches_fixpoint_reference():
         R = S.ring
         for g in R.elements():
             ideal = generated_ideal(R, [g])
-            assert (ideal.mask == fixpoint_ideal_mask(R, [g])).all(), (S.label, g)
+            assert (ideal == fixpoint_ideal_mask(R, [g])).all(), (S.label, g)
     R = build_ring(MatrixSpec(2, Zmod(2)))
     for pair in itertools.product(R.elements(), repeat=2):
         ideal = generated_ideal(R, pair)
-        assert (ideal.mask == fixpoint_ideal_mask(R, pair)).all(), pair
-        ideal.validate()
+        assert (ideal == fixpoint_ideal_mask(R, pair)).all(), pair
+        assert ideal_violation(R, ideal) is None, pair

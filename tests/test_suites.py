@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idealref import fixpoint_ideal_mask
+from idealref import fixpoint_ideal_mask, ideal_violation, mask_of
 from ringref import (
     REFERENCE_SUITES,
     reference_corner,
@@ -22,7 +22,7 @@ from starclean.corpus import default_corpus
 from starclean.errors import UnknownProperty
 from starclean.properties import lifting_checks, ring_property
 from starclean.report import json_dumps, suites_to_dict
-from starclean.rings import FiniteRing, GroupRing, Ideal
+from starclean.rings import FiniteRing, GroupRing
 from starclean.specparse import build_star_ring
 from starclean.suites import SUITE_TAGS, run_suite, run_suites
 
@@ -94,8 +94,7 @@ def _reference_quotient_ideals(R):
     for g in R.elements():
         mask = fixpoint_ideal_mask(R, [g])
         seen.setdefault(tuple(np.flatnonzero(mask)), mask)
-    J = R.jacobson_radical()
-    seen.setdefault(J.elements(), J.mask)
+    seen.setdefault(tuple(np.flatnonzero(R.jacobson_mask)), R.jacobson_mask)
     return list(seen.values())
 
 
@@ -106,7 +105,7 @@ def quot_corpus(corpus):
 
 def test_quot_ideals_match_per_element_reference(quot_corpus, monkeypatch):
     for S in quot_corpus:
-        got = [ideal.mask for ideal in suites._quotient_ideals(S.ring)]
+        got = suites._quotient_ideals(S.ring)
         want = _reference_quotient_ideals(S.ring)
         assert len(got) == len(want), S.label
         for a, b in zip(got, want):
@@ -115,11 +114,20 @@ def test_quot_ideals_match_per_element_reference(quot_corpus, monkeypatch):
     monkeypatch.setattr(
         suites,
         "_quotient_ideals",
-        lambda R: [Ideal(R, m, check=False) for m in _reference_quotient_ideals(R)],
+        _reference_quotient_ideals,
     )
     reference = run_suite(quot_corpus, "QUOT").rows
     assert reference == rows
     assert [r.to_dict() for r in reference] == [r.to_dict() for r in rows]
+
+
+def test_quot_ideals_and_radical_are_ideals(quot_corpus):
+    # neither generated_ideal nor jacobson_mask checks closure where it builds
+    for S in quot_corpus:
+        R = S.ring
+        for mask in suites._quotient_ideals(R):
+            assert ideal_violation(R, mask) is None, (S.label, np.flatnonzero(mask))
+        assert ideal_violation(R, R.jacobson_mask) is None, S.label
 
 
 @pytest.mark.parametrize(
@@ -155,7 +163,7 @@ def _corner_quot_jac(corpus):
 def test_corner_and_quot_rows_match_full_copies(quot_corpus, monkeypatch):
     S = quot_corpus[0]
     assert suites._corner(S, S.ring.one) is S
-    assert suites._quotient(S, Ideal.from_elements(S.ring, [S.ring.zero])) is S
+    assert suites._quotient(S, mask_of(S.ring, [S.ring.zero])) is S
     # R/J(R) is R itself on the members with J(R) = 0
     assert any(S.mod_jacobson()[0] is S for S in quot_corpus)
     rows = _corner_quot_jac(quot_corpus)
@@ -164,7 +172,7 @@ def test_corner_and_quot_rows_match_full_copies(quot_corpus, monkeypatch):
         suites, "_quotient", lambda S, ideal: suites.induce_quotient_involution(S, ideal)[0]
     )
     for S in quot_corpus:
-        full = suites.induce_quotient_involution(S, S.ring.jacobson_radical())
+        full = suites.induce_quotient_involution(S, S.ring.jacobson_mask)
         monkeypatch.setitem(S.__dict__, "_mod_jacobson", full)
     copies = _corner_quot_jac(quot_corpus)
     for tag in rows:
