@@ -5,27 +5,29 @@ returns witnesses that can be re-validated independently: clean and star-clean
 decompositions, strong pi-regularity with its invertibility witnesses, the
 projection-times-unit factorization, the four equivalent power/decomposition
 conditions bundled in ``spsr_conditions``, and the unit plus self-adjoint
-square root of 1 decomposition. Every query reads its element's entry in a
-per-ring array, which its own builder (see the end of this module) fills for
-many elements at once; the entry is the whole witness (or -1), so a query
-does no ring arithmetic. Each array is kept in the ``arrays`` store of its
-owner, the star ring (the ring for strong pi-regularity and regularity),
-under a key of this module: the table of every decomposition of each clean
-mode, the factorization, C2 and the unit plus root sum are built whole on
-first use, and C1, C3, C4, strong pi-regularity and regularity one row
-block of elements at a time, the block of the element asked about. The
-certificates of a clean mode are built from that mode's table in the same
-row blocks, once per block, and kept in the same store under a second key
-per mode; a query returns a fresh list of its element's certificates, the
-same objects at every query. In the same way the verdicts of
-``spsr_conditions`` are built once per row block, each condition's
-certificates from that condition's own array, and a query returns the same
-verdict every time. ``_SPSR_WITNESSES`` states once where each of C1 to C4
-keeps its witness rows; the verdict blocks and ``spsr_holds`` both read it.
-The ``*_holds`` functions answer a whole block of elements from the same
-arrays as the queries, for the ring-level deciders of ``properties`` and for
-the suites (and, on one element, for the checker of strong
-pi-star-regularity); they and ``is_clean_elem`` build no certificate.
+square root of 1 decomposition. Every query for a witness or certificate
+is one lookup in a per-ring store and one list index: it reads its
+element's finished answer from the Python list of its row block of
+elements, which a builder (see the end of this module) fills once per
+block, so a query does no ring arithmetic and no numpy indexing. The answers are made from per-ring witness arrays, whose
+entry per element is the whole first witness (or -1). Arrays and answer
+lists are kept in the ``arrays`` store of their owner, the star ring (the
+ring for strong pi-regularity and regularity), under a key of this module:
+the table of every decomposition of each clean mode, the factorization, C2
+and the unit plus root sum are built whole on first use, and C1, C3, C4,
+strong pi-regularity and regularity one row block of elements at a time,
+the block of the element asked about. The answer lists of a block are built
+from the rows of that block: the certificates of a clean mode from that
+mode's table, the verdicts of ``spsr_conditions`` from each condition's own
+array, and the witness tuples of strong pi-regularity, the factorization
+and the unit plus root sum from their arrays, with None for a -1 row. A
+query returns the same object at every call; a certificate query returns a
+fresh list of the same certificates. ``_SPSR_WITNESSES`` states once where
+each of C1 to C4 keeps its witness rows; the verdict blocks and
+``spsr_holds`` both read it. The ``*_holds`` functions answer a whole block
+of elements from the witness arrays, for the ring-level deciders of
+``properties`` and for the suites (and, on one element, for the checker of
+strong pi-star-regularity); they and ``is_clean_elem`` build no answer list.
 """
 
 from __future__ import annotations
@@ -116,8 +118,7 @@ def strongly_pi_regular_witness(
 ) -> Optional[tuple[int, int, int]]:
     """First (n, x, y) with a^n = a^(n+1) x = y a^(n+1): least n, then least x
     and least y."""
-    n, x, y = R.arrays[_spr_blocks].lookup(R, a).tolist()
-    return None if n < 0 else (n, x, y)
+    return R.arrays[_spr_answers].lookup(R, a)
 
 
 def strongly_pi_regular_holds(R: FiniteRing, rows: slice) -> np.ndarray:
@@ -131,8 +132,7 @@ def regular_holds(R: FiniteRing, ids) -> np.ndarray:
 
 def strongly_star_regular_witness(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (p, u) with a = p u = u p, p a projection and u a unit."""
-    p, u = S.arrays[first_ssr_witnesses][a].tolist()
-    return None if p < 0 else (p, u)
+    return S.arrays[_ssr_answers].lookup(S, a)
 
 
 def strongly_star_regular_holds(S: StarRing, rows: slice) -> np.ndarray:
@@ -251,8 +251,7 @@ def spsr_conditions(S: StarRing, a: int) -> SpsrVerdict:
 
 def unit_sasr_decomposition(S: StarRing, a: int) -> Optional[tuple[int, int]]:
     """First (t, u) with a = t + u, t a self-adjoint square root of 1, u a unit."""
-    t, u = S.arrays[first_sasr_witnesses][a].tolist()
-    return None if t < 0 else (t, u)
+    return S.arrays[_sasr_answers].lookup(S, a)
 
 
 def unit_sasr_holds(S: StarRing, rows: slice) -> np.ndarray:
@@ -275,15 +274,18 @@ def unit_sasr_holds(S: StarRing, rows: slice) -> np.ndarray:
 # - C1, C3, C4, strong pi-regularity and regularity are indexed by element:
 #   each answers one row block of elements, the rows of
 #   ``_row_blocks(0, n, n)``, and the store holds its ``WitnessBlocks``,
-#   which fill a block when one of its elements is first looked up. No
+#   which fill a block when one of its elements is first taken. No
 #   temporary holds more than _BLOCK_ENTRIES entries, so a lone query at the
 #   size cap pays for one block, not for the whole ring.
 #
 # The certificates of each clean mode are built from that mode's table in
 # the same row blocks, and the store holds their ``CertificateBlocks``
 # under a second key per mode; the verdicts of ``spsr_conditions`` are
-# built from the C1 to C4 arrays in the same row blocks too, and the store
-# holds their ``ListBlocks``.
+# built from the C1 to C4 arrays in the same row blocks too, and so are the
+# witness tuples of strong pi-regularity, ssr and the unit plus root sum,
+# from their own arrays: the store holds each one's ``ListBlocks``. Every
+# query reads only these lists; a lone query at the size cap builds one
+# block of them.
 #
 # Builders read only ring-level caches and share no condition: the sides of
 # a suite that compare these kernels keep their own code.
@@ -298,23 +300,14 @@ class _ModeKeys(dict):
 
 class RowBlocks:
     """The answers of one row-block builder, filled one block of
-    ``_row_blocks(0, size, size)`` at a time with ``fill(owner, rows)``:
-    looking an element up fills its block. The owner is passed at each
-    lookup, so the blocks keep no reference to it.
+    ``_row_blocks(0, size, size)`` at a time with ``fill(owner, rows)``.
+    The owner is passed at each fill, so the blocks keep no reference to it.
     """
 
     def __init__(self, size: int, fill):
         self.blocks = _row_blocks(0, size, size)
         self.rows = self.blocks[0].stop  # rows per block
-        self.filled = np.zeros(len(self.blocks), dtype=bool)
         self._fill = fill
-
-    def _block(self, owner, a: int) -> int:
-        """The index of a's block, filled."""
-        k = a // self.rows
-        if not self.filled[k]:
-            self._fill_block(owner, k)
-        return k
 
 
 class WitnessBlocks(RowBlocks):
@@ -324,16 +317,13 @@ class WitnessBlocks(RowBlocks):
 
     def __init__(self, size: int, tail: tuple[int, ...], fill):
         super().__init__(size, fill)
+        self.filled = np.zeros(len(self.blocks), dtype=bool)
         self.values = np.full((size, *tail), -1, dtype=np.int32)
 
     def _fill_block(self, owner, k: int) -> None:
         rows = self.blocks[k]
         self.values[rows] = self._fill(owner, rows)
         self.filled[k] = True
-
-    def lookup(self, owner, a: int) -> np.ndarray:
-        self._block(owner, a)
-        return self.values[a]
 
     def take(self, owner, ids) -> np.ndarray:
         """The witnesses of ids, a slice of elements or an array of ids,
@@ -347,18 +337,23 @@ class WitnessBlocks(RowBlocks):
 
 class ListBlocks(RowBlocks):
     """The answers of one row-block builder, one Python list per block, as
-    ``fill`` gives it: looking an element up gives its item of the list."""
+    ``fill`` gives it, or None until it is filled: looking an element up
+    fills its block if need be and gives its item of the list."""
 
     def __init__(self, size: int, fill):
         super().__init__(size, fill)
         self.lists = [None] * len(self.blocks)
 
-    def _fill_block(self, owner, k: int) -> None:
-        self.lists[k] = self._fill(owner, self.blocks[k])
-        self.filled[k] = True
+    def _fill_block(self, owner, k: int) -> list:
+        block = self.lists[k] = self._fill(owner, self.blocks[k])
+        return block
 
     def lookup(self, owner, a: int):
-        return self.lists[self._block(owner, a)][a % self.rows]
+        k = a // self.rows
+        block = self.lists[k]
+        if block is None:
+            block = self._fill_block(owner, k)
+        return block[a - k * self.rows]
 
 
 class CertificateBlocks(ListBlocks):
@@ -368,8 +363,12 @@ class CertificateBlocks(ListBlocks):
     a fresh list, a slice of its block's."""
 
     def lookup(self, owner, a: int) -> list:
-        starts, certs = self.lists[self._block(owner, a)]
-        i = a % self.rows
+        k = a // self.rows
+        block = self.lists[k]
+        if block is None:
+            block = self._fill_block(owner, k)
+        starts, certs = block
+        i = a - k * self.rows
         return certs[starts[i] : starts[i + 1]]
 
 
@@ -410,6 +409,18 @@ def _regular_blocks(R: FiniteRing) -> WitnessBlocks:
 
 def _spsr_verdicts(S: StarRing) -> ListBlocks:
     return ListBlocks(S.ring.size, spsr_verdict_block)
+
+
+def _spr_answers(R: FiniteRing) -> ListBlocks:
+    return ListBlocks(R.size, spr_answer_block)
+
+
+def _ssr_answers(S: StarRing) -> ListBlocks:
+    return ListBlocks(S.ring.size, ssr_answer_block)
+
+
+def _sasr_answers(S: StarRing) -> ListBlocks:
+    return ListBlocks(S.ring.size, sasr_answer_block)
 
 
 # where each of C1 to C4 keeps its witness rows: per condition, the rows of
@@ -496,6 +507,26 @@ def spsr_verdict_block(S: StarRing, rows: slice) -> list[SpsrVerdict]:
         for tag, witnesses in _SPSR_WITNESSES.items()
     ]
     return list(map(SpsrVerdict, elems, *columns))
+
+
+def _answers(witnesses: np.ndarray) -> list[Optional[tuple]]:
+    """Per witness row, None where it holds -1s, else the row as a tuple."""
+    return [None if row[0] < 0 else tuple(row) for row in witnesses.tolist()]
+
+
+def spr_answer_block(R: FiniteRing, rows: slice) -> list[Optional[tuple[int, int, int]]]:
+    """The answers of ``strongly_pi_regular_witness`` on the elements of rows."""
+    return _answers(R.arrays[_spr_blocks].take(R, rows))
+
+
+def ssr_answer_block(S: StarRing, rows: slice) -> list[Optional[tuple[int, int]]]:
+    """The answers of ``strongly_star_regular_witness`` on the elements of rows."""
+    return _answers(S.arrays[first_ssr_witnesses][rows])
+
+
+def sasr_answer_block(S: StarRing, rows: slice) -> list[Optional[tuple[int, int]]]:
+    """The answers of ``unit_sasr_decomposition`` on the elements of rows."""
+    return _answers(S.arrays[first_sasr_witnesses][rows])
 
 
 def first_ssr_witnesses(S: StarRing) -> np.ndarray:

@@ -240,8 +240,10 @@ def spec_string(spec: RingSpec) -> str:
 
 def spec_size_bound(spec: RingSpec) -> int:
     """Element count of the spec, or SIZE_BOUND_CEILING if it is at least
-    that; for quotients, the pre-quotient bound.  An exponent of 64 already
-    reaches the ceiling from any base >= 2, so no larger one is used."""
+    that.  An exponent of 64 already reaches the ceiling from any base >= 2,
+    so no larger one is used. A quotient's count is |base| / |I|, which
+    builds its base and ideal: call this on a quotient only once
+    ``validate_spec`` has passed it."""
     if isinstance(spec, Zmod):
         n = spec.n
     elif isinstance(spec, MatrixSpec):
@@ -253,7 +255,8 @@ def spec_size_bound(spec: RingSpec) -> int:
     elif isinstance(spec, TruncatedPolySpec):
         n = spec_size_bound(spec.base) ** min(spec.bound, 64)
     elif isinstance(spec, QuotientSpec):
-        n = spec_size_bound(spec.base)
+        base = _build(spec.base)
+        n = base.size // int(np.count_nonzero(generated_ideal(base, spec.generators)))
     else:
         raise MalformedSpec(f"not a ring spec: {spec!r}")
     return min(n, SIZE_BOUND_CEILING)
@@ -286,6 +289,8 @@ def validate_spec(spec: RingSpec, cap: int) -> None:
     elif isinstance(spec, QuotientSpec):
         validate_spec(spec.base, cap)
         _check_generators(spec, spec_size_bound(spec.base))
+        # a quotient is no larger than its base, which passed the size checks
+        return
     else:
         raise MalformedSpec(f"not a ring spec: {spec!r}")
     size = spec_size_bound(spec)
@@ -412,7 +417,8 @@ class FiniteRing:
     @cached_property
     def additive_generators(self) -> np.ndarray:
         """Ids generating (R, +), each the least id outside the additive span
-        of those before it; ``verify_involution`` decides on them."""
+        of those before it; ``verify_involution`` decides on them. Quotients
+        and corners map their parent's instead, with no walk."""
         return _additive_span(self, np.ones(self.size, dtype=bool))[1]
 
     @cached_property
@@ -812,6 +818,13 @@ class QuotientRing(FiniteRing):
         self.size = len(reps)
         self.one = int(self.surjection[base.one])
 
+    @cached_property
+    def additive_generators(self) -> np.ndarray:
+        """The distinct nonzero images of the base's generators: the
+        surjection is additive and onto, so they generate (R/I, +)."""
+        g = np.unique(self.surjection[self.base.additive_generators])
+        return g[g != self.zero]
+
     def _tables(self):
         return _induced_tables(self.base, self.surjection, self.reps)
 
@@ -853,6 +866,15 @@ class CornerRing(FiniteRing):
         if p < 0:
             raise ValueError(f"{self.parent.render(parent_id)} is not in the corner")
         return p
+
+    @cached_property
+    def additive_generators(self) -> np.ndarray:
+        """The distinct nonzero ege for the parent's generators g, as corner
+        positions: x -> exe is additive and maps R onto eRe, so they
+        generate (eRe, +)."""
+        mul = self.parent.mul_table
+        g = self._pos[np.unique(mul[mul[self.e, self.parent.additive_generators], self.e])]
+        return g[g != self.zero]
 
     def _tables(self):
         return _induced_tables(self.parent, self._pos, self.parent_elements)
@@ -936,9 +958,6 @@ def _build(spec: RingSpec) -> FiniteRing:
         return TruncatedPolyRing(spec, _build(spec.base))
     if isinstance(spec, QuotientSpec):
         base = _build(spec.base)
-        # validate_spec bounds the generators by the base's size bound, which
-        # a base with a quotient inside it does not reach
-        _check_generators(spec, base.size)
         ideal = generated_ideal(base, spec.generators)
         return QuotientRing(base, ideal, spec=spec)
     raise MalformedSpec(f"not a ring spec: {spec!r}")

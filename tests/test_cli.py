@@ -5,7 +5,7 @@ import time
 import tracemalloc
 import warnings
 
-from starclean import cli, errors
+from starclean import cli, errors, rings
 from starclean.cli import main
 from starclean.rings import TABLE_BYTES_PER_PAIR
 from starclean.suites import SUITE_TAGS, SuiteRow
@@ -588,7 +588,7 @@ def test_nul_in_a_table_path_is_a_read_error(capsys, tmp_path):
 
 
 def test_nested_quotient_generator_out_of_range_exits_2(capsys, tmp_path):
-    # the size bound of a base with a quotient inside it exceeds its size
+    # the generators are bounded by the coset count of a quotient base
     for ring, inv, message in (
         ("Q(Q(Z8,[4]),[7])", "id", "quotient generator 7 out of range 0..3"),
         ("Q(M2(Q(Z4,[2])),[20])", "tr(id)", "quotient generator 20 out of range 0..15"),
@@ -605,6 +605,30 @@ def test_nested_quotient_generator_out_of_range_exits_2(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: corpus entry 0: quotient generator 7 out of range 0..3\n"
+
+
+def test_quotient_is_bounded_by_its_coset_count(capsys):
+    # M2(Z64 / 2 Z64) is M2(Z2), 16 elements, not the 64^4 of M2(Z64)
+    code, out = run_cli(capsys, "check", "--ring", "M2(Q(Z64,[2]))", "--inv", "tr(id)",
+                        "--prop", "clean")
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+    code, out = run_cli(capsys, "element", "--ring", "M2(Q(Z64,[2]))", "--inv", "tr(id)",
+                        "--elem", "0")
+    assert code == 0
+
+
+def test_oversized_quotient_base_is_refused_before_building(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(rings, "_build", build)
+    for ring in ("Q(Z8192,[2])", "M2(Q(Z8192,[2]))", "Q(M2(Q(Z8192,[2])),[1])"):
+        code = main(["check", "--ring", ring, "--inv", "tr(id)", "--prop", "clean"])
+        captured = capsys.readouterr()
+        assert code == 3, ring
+        assert captured.out == ""
+        assert captured.err == "error: ring would have 8192 elements, exceeding the cap of 4096\n"
 
 
 def test_json_matrix_booleans_are_refused(capsys, tmp_path):

@@ -382,6 +382,11 @@ def test_clean_tables_over_many_pool_blocks_match_loop_reference(monkeypatch):
     assert sorted(built) == sorted((S.label, mode) for S in cases for mode in CLEAN_MODES)
 
 
+def filled(blocks):
+    """Per block of a ``ListBlocks``, whether it is filled."""
+    return [x is not None for x in blocks.lists]
+
+
 def certificate_blocks(S):
     """The certificate blocks of each mode that S's store holds."""
     keys = elements._CLEAN_CERTIFICATES
@@ -404,14 +409,14 @@ def test_certificate_blocks_match_loop_reference_and_are_shared(monkeypatch):
             flags = (mode in ("star-clean", "strongly-star-clean"),
                      mode in ("strongly-clean", "strongly-star-clean"))
             assert all((c.subject, c.projection, c.commuting) == (a, *flags) for c in certs)
-    assert all(blocks.filled.all() for blocks in certificate_blocks(S).values())
+    assert all(None not in blocks.lists for blocks in certificate_blocks(S).values())
 
     # a lone query builds one block of its own mode, and no other mode's table
     S = fresh()
     clean_certificates(S, 130, "star-clean")
     blocks = certificate_blocks(S)
     assert list(blocks) == ["star-clean"]
-    assert blocks["star-clean"].filled.tolist() == [False, False, True, False, False]
+    assert filled(blocks["star-clean"]) == [False, False, True, False, False]
     assert [elements._CLEAN_TABLES[m] in S.arrays for m in CLEAN_MODES] == [False, False, True, False]
 
     # every call returns a fresh list of the same certificate objects
@@ -449,7 +454,7 @@ def test_spsr_verdict_blocks_match_each_condition_and_are_shared(monkeypatch):
     S = fresh()
     want = [each_condition(S, a) for a in S.ring.elements()]
     verdicts = [spsr_conditions(S, a) for a in S.ring.elements()]
-    assert S.arrays[elements._spsr_verdicts].filled.all()
+    assert None not in S.arrays[elements._spsr_verdicts].lists
     for a, v in enumerate(verdicts):
         assert v == want[a], a
         assert type(v.subject) is int and all(c.subject is v.subject for c in v[1:] if c), a
@@ -470,10 +475,9 @@ def test_spsr_verdict_blocks_match_each_condition_and_are_shared(monkeypatch):
     S = fresh()
     spsr_conditions(S, 130)
     blocks = S.arrays[elements._spsr_verdicts]
-    assert blocks.filled.tolist() == [False, False, True, False, False]
-    assert [x is not None for x in blocks.lists] == blocks.filled.tolist()
+    assert filled(blocks) == [False, False, True, False, False]
     for key in (elements._c1_blocks, elements._c3_blocks, elements._c4_blocks):
-        assert S.arrays[key].filled.tolist() == blocks.filled.tolist(), key.__name__
+        assert S.arrays[key].filled.tolist() == filled(blocks), key.__name__
 
     # the ring-level decider and the block masks, of a block or of one element (as
     # the checker reads C1), build no verdict block
@@ -570,6 +574,9 @@ LAZY_BUILDERS = (
     (elements, "first_c4_witnesses", lambda S: S),
     (elements, "first_spr_witnesses", lambda S: S.ring),
     (elements, "spsr_verdict_block", lambda S: S),
+    (elements, "spr_answer_block", lambda S: S.ring),
+    (elements, "ssr_answer_block", lambda S: S),
+    (elements, "sasr_answer_block", lambda S: S),
 )
 
 
@@ -625,6 +632,33 @@ def test_element_queries_fill_only_their_own_row_block(monkeypatch):
         assert blocks.filled.all(), name
         assert len(arrays(whole)[name].blocks) == 1, name
         assert blocks.values.tolist() == arrays(whole)[name].values.tolist(), name
+
+
+def test_answer_lists_fill_their_own_block_and_hold_the_witness_rows(monkeypatch):
+    # (query, owner of its answers, answer key, the witness rows it answers from)
+    queries = (
+        (strongly_pi_regular_witness, lambda S: S.ring, elements._spr_answers,
+         lambda S: S.ring.arrays[elements._spr_blocks].values),
+        (strongly_star_regular_witness, lambda S: S, elements._ssr_answers,
+         lambda S: S.arrays[first_ssr_witnesses]),
+        (unit_sasr_decomposition, lambda S: S, elements._sasr_answers,
+         lambda S: S.arrays[first_sasr_witnesses]),
+    )
+    S = build_star_ring("M2(Z4)", "tr(id)")
+    n = S.ring.size
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 60 * n)  # blocks of 60, 60, 60, 60, 16 rows
+    assert len(rings._row_blocks(0, n, n)) == 5
+    for query, owner, key, witnesses in queries:
+        name = query.__name__
+        answer = query(owner(S), 130)
+        blocks = owner(S).arrays[key]
+        assert filled(blocks) == [False, False, True, False, False], name
+        assert query(owner(S), 130) is answer, name
+        got = [query(owner(S), a) for a in S.ring.elements()]
+        assert all(x is y for x, y in zip(got, (query(owner(S), a) for a in S.ring.elements())))
+        rows = witnesses(S).tolist()
+        assert got == [None if r[0] < 0 else tuple(r) for r in rows], name
+        assert all(type(v) is int for x in got if x is not None for v in x), name
 
 
 def test_star_ring_is_freed_without_the_cycle_collector():

@@ -98,6 +98,7 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
         ("suite TP(Z2,12)", ["suite", "--corpus", one["TP(Z2,12)"]]),
         ("suite ELEM-EQUIV Z2^12", ["suite", "--suites", "ELEM-EQUIV", "--corpus", z2_12_corpus]),
         ("suite RING-EQUIV Z2^12", ["suite", "--suites", "RING-EQUIV", "--corpus", z2_12_corpus]),
+        ("suite CORNER,QUOT Z2^12", ["suite", "--suites", "CORNER,QUOT", "--corpus", z2_12_corpus]),
         *[(f"suite SRC-EQUIV {ring}", ["suite", "--suites", "SRC-EQUIV", "--corpus", one[ring]])
           for ring in ("TP(Z2,12)", "GR(Z4,C6)")],
         ("suite Z2^11", ["suite", "--corpus", _corpus_file(folder, "Z2^11", [BOOLEAN_HALF_RING])]),
