@@ -38,7 +38,6 @@ from .errors import (
     InputError,
     MalformedSpec,
     OutputError,
-    ParseError,
     SpecTooLarge,
     ValidationError,
 )
@@ -54,8 +53,8 @@ from .report import (
     suites_to_dict,
     suites_to_text,
 )
-from .rings import current_size_cap, validate_spec
-from .specparse import build_star_ring, parse_involution_spec, parse_ring_spec
+from .rings import build_ring, current_size_cap
+from .specparse import build_star_ring, make_star_ring, parse_involution_spec, parse_ring_spec
 from .suites import SUITE_TAGS, run_suites
 
 def _emit(text: str, out: str | None) -> None:
@@ -86,27 +85,30 @@ def _load_corpus(path: str, cap: int | None) -> list[StarRing]:
     if not isinstance(payload, list) or not payload:
         raise MalformedSpec("corpus file must be a non-empty JSON array of entries")
     resolved_cap = current_size_cap(cap)
-    parsed = []
+    built = []
     for i, entry in enumerate(payload):
         try:
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("ring"), str)
+                and isinstance(entry.get("inv"), str)
+            ):
+                raise MalformedSpec('an entry must be an object with string "ring" and "inv"')
             rspec = parse_ring_spec(entry["ring"])
             ispec = parse_involution_spec(entry["inv"])
-            validate_spec(rspec, resolved_cap)
+            ring = build_ring(rspec, resolved_cap)
             label = entry.get("label")
             if label is not None and not isinstance(label, str):
                 raise MalformedSpec(f"label must be a string, got {label!r}")
-        except SpecTooLarge:
-            raise
-        except (TypeError, KeyError, ParseError, MalformedSpec) as exc:
+        except InputError as exc:
             raise CorpusError(i, str(exc)) from exc
-        parsed.append((entry["ring"], entry["inv"], label))
+        built.append((ring, ispec, label))
+    # every entry is built and checked before any involution is made
     base_dir = Path(path).parent
     members = []
-    for i, (ring_text, inv_text, label) in enumerate(parsed):
+    for i, (ring, ispec, label) in enumerate(built):
         try:
-            members.append(build_star_ring(ring_text, inv_text, cap, base_dir, label))
-        except SpecTooLarge:
-            raise
+            members.append(make_star_ring(ring, ispec, base_dir, label))
         except InputError as exc:
             raise CorpusError(i, str(exc)) from exc
     return members

@@ -27,7 +27,7 @@ class SpecTooLarge(StarCleanError):
         memory: int | None = None,
         id_limit: int | None = None,
     ):
-        # rings.spec_size_bound counts no further than 2^64
+        # rings._build counts no further than 2^64 (SIZE_BOUND_CEILING)
         count = f"{size}" if size < 1 << 64 else "2^64 or more"
         if id_limit is not None:
             msg = (

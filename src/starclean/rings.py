@@ -50,17 +50,17 @@ _BLOCK_ENTRIES = 1 << 20
 
 def current_size_cap(override: int | None = None) -> int:
     """Resolve the ring-size cap: explicit argument beats env beats default."""
-    if override is not None:
-        if override < 1:
-            raise MalformedSpec(f"size cap must be positive, got {override}")
-        return int(override)
-    raw = os.environ.get(SIZE_CAP_ENV, "").strip()
-    if raw:
+    if override is None:
+        raw = os.environ.get(SIZE_CAP_ENV, "").strip()
+        if not raw:
+            return DEFAULT_SIZE_CAP
         try:
-            return int(raw)
+            override = int(raw)
         except ValueError as exc:
             raise MalformedSpec(f"invalid {SIZE_CAP_ENV}={raw!r}") from exc
-    return DEFAULT_SIZE_CAP
+    if override < 1:
+        raise MalformedSpec(f"size cap must be positive, got {override}")
+    return int(override)
 
 
 # ---------------------------------------------------------------------------
@@ -236,72 +236,6 @@ def spec_string(spec: RingSpec) -> str:
         gens = ",".join(str(g) for g in spec.generators)
         return f"Q({spec_string(spec.base)},[{gens}])"
     raise MalformedSpec(f"not a ring spec: {spec!r}")
-
-
-def spec_size_bound(spec: RingSpec) -> int:
-    """Element count of the spec, or SIZE_BOUND_CEILING if it is at least
-    that.  An exponent of 64 already reaches the ceiling from any base >= 2,
-    so no larger one is used. A quotient's count is |base| / |I|, which
-    builds its base and ideal: call this on a quotient only once
-    ``validate_spec`` has passed it."""
-    if isinstance(spec, Zmod):
-        n = spec.n
-    elif isinstance(spec, MatrixSpec):
-        n = spec_size_bound(spec.base) ** min(spec.k * spec.k, 64)
-    elif isinstance(spec, ProductSpec):
-        n = spec_size_bound(spec.left) * spec_size_bound(spec.right)
-    elif isinstance(spec, GroupRingSpec):
-        n = spec_size_bound(spec.base) ** min(_validate_group_spec(spec.group), 64)
-    elif isinstance(spec, TruncatedPolySpec):
-        n = spec_size_bound(spec.base) ** min(spec.bound, 64)
-    elif isinstance(spec, QuotientSpec):
-        base = _build(spec.base)
-        n = base.size // int(np.count_nonzero(generated_ideal(base, spec.generators)))
-    else:
-        raise MalformedSpec(f"not a ring spec: {spec!r}")
-    return min(n, SIZE_BOUND_CEILING)
-
-
-def _check_generators(spec: QuotientSpec, size: int) -> None:
-    for g in spec.generators:
-        if not 0 <= g < size:
-            raise MalformedSpec(f"quotient generator {g} out of range 0..{size - 1}")
-
-
-def validate_spec(spec: RingSpec, cap: int) -> None:
-    if isinstance(spec, Zmod):
-        if spec.n < 2:
-            raise MalformedSpec(f"Zmod modulus must be >= 2, got {spec.n}")
-    elif isinstance(spec, MatrixSpec):
-        if spec.k < 1:
-            raise MalformedSpec(f"matrix size must be >= 1, got {spec.k}")
-        validate_spec(spec.base, cap)
-    elif isinstance(spec, ProductSpec):
-        validate_spec(spec.left, cap)
-        validate_spec(spec.right, cap)
-    elif isinstance(spec, GroupRingSpec):
-        validate_spec(spec.base, cap)
-        _validate_group_spec(spec.group)
-    elif isinstance(spec, TruncatedPolySpec):
-        if spec.bound < 1:
-            raise MalformedSpec(f"truncation bound must be >= 1, got {spec.bound}")
-        validate_spec(spec.base, cap)
-    elif isinstance(spec, QuotientSpec):
-        validate_spec(spec.base, cap)
-        _check_generators(spec, spec_size_bound(spec.base))
-        # a quotient is no larger than its base, which passed the size checks
-        return
-    else:
-        raise MalformedSpec(f"not a ring spec: {spec!r}")
-    size = spec_size_bound(spec)
-    if size > cap:
-        raise SpecTooLarge(size, cap)
-    if size > MAX_RING_SIZE:
-        raise SpecTooLarge(size, cap, id_limit=MAX_RING_SIZE)
-    table_bytes = TABLE_BYTES_PER_PAIR * size * size
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if table_bytes > memory:
-        raise SpecTooLarge(size, cap, table_bytes, memory)
 
 
 # ---------------------------------------------------------------------------
@@ -939,25 +873,61 @@ def generated_ideal(R: FiniteRing, generators: Iterable[int]) -> np.ndarray:
 
 
 def build_ring(spec: RingSpec, cap: int | None = None) -> FiniteRing:
-    """Construct and enumerate the ring described by the spec."""
-    resolved = current_size_cap(cap)
-    validate_spec(spec, resolved)
-    return _build(spec)
+    """Construct and enumerate the ring described by the spec, refusing it
+    with SpecTooLarge before any ring over the size cap is built."""
+    return _build(spec, current_size_cap(cap))
 
 
-def _build(spec: RingSpec) -> FiniteRing:
+def _check_size(size: int, cap: int) -> None:
+    """Refuse a ring of size elements that is over the cap, too large for an
+    element id, or whose tables need more than physical memory. Sizes are
+    counted up to SIZE_BOUND_CEILING, which an exponent of 64 reaches from
+    any base of 2 or more elements, so no larger exponent is taken."""
+    size = min(size, SIZE_BOUND_CEILING)
+    if size > cap:
+        raise SpecTooLarge(size, cap)
+    if size > MAX_RING_SIZE:
+        raise SpecTooLarge(size, cap, id_limit=MAX_RING_SIZE)
+    table_bytes = TABLE_BYTES_PER_PAIR * size * size
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if table_bytes > memory:
+        raise SpecTooLarge(size, cap, table_bytes, memory)
+
+
+def _build(spec: RingSpec, cap: int) -> FiniteRing:
+    """Check the node's own fields, build its children, which checks them,
+    and check its size from theirs before constructing it. A quotient is no
+    larger than its base, which passed the size checks, so it takes none."""
     if isinstance(spec, Zmod):
+        if spec.n < 2:
+            raise MalformedSpec(f"Zmod modulus must be >= 2, got {spec.n}")
+        _check_size(spec.n, cap)
         return ZmodRing(spec)
     if isinstance(spec, MatrixSpec):
-        return MatrixRing(spec, _build(spec.base))
+        if spec.k < 1:
+            raise MalformedSpec(f"matrix size must be >= 1, got {spec.k}")
+        base = _build(spec.base, cap)
+        _check_size(base.size ** min(spec.k * spec.k, 64), cap)
+        return MatrixRing(spec, base)
     if isinstance(spec, ProductSpec):
-        return ProductRing(spec, _build(spec.left), _build(spec.right))
+        left, right = _build(spec.left, cap), _build(spec.right, cap)
+        _check_size(left.size * right.size, cap)
+        return ProductRing(spec, left, right)
     if isinstance(spec, GroupRingSpec):
-        return GroupRing(spec, _build(spec.base))
+        order = _validate_group_spec(spec.group)
+        base = _build(spec.base, cap)
+        _check_size(base.size ** min(order, 64), cap)
+        return GroupRing(spec, base)
     if isinstance(spec, TruncatedPolySpec):
-        return TruncatedPolyRing(spec, _build(spec.base))
+        if spec.bound < 1:
+            raise MalformedSpec(f"truncation bound must be >= 1, got {spec.bound}")
+        base = _build(spec.base, cap)
+        _check_size(base.size ** min(spec.bound, 64), cap)
+        return TruncatedPolyRing(spec, base)
     if isinstance(spec, QuotientSpec):
-        base = _build(spec.base)
-        ideal = generated_ideal(base, spec.generators)
-        return QuotientRing(base, ideal, spec=spec)
+        base = _build(spec.base, cap)
+        for g in spec.generators:
+            if not 0 <= g < base.size:
+                raise MalformedSpec(f"quotient generator {g} out of range 0..{base.size - 1}")
+        return QuotientRing(base, generated_ideal(base, spec.generators), spec=spec)
     raise MalformedSpec(f"not a ring spec: {spec!r}")

@@ -60,7 +60,6 @@ from .rings import (
     TruncatedPolySpec,
     Zmod,
     build_ring,
-    spec_string,
 )
 
 
@@ -313,10 +312,17 @@ def build_star_ring(
     """Parse, build, and validate a star ring from its two textual recipes."""
     rspec = parse_ring_spec(ring_text)
     ispec = parse_involution_spec(inv_text)
-    ring = build_ring(rspec, cap)
+    return make_star_ring(build_ring(rspec, cap), ispec, base_dir, label)
+
+
+def make_star_ring(
+    ring: FiniteRing, ispec: InvSpec, base_dir: Path | None = None, label: str | None = None
+) -> StarRing:
+    """Put the involution recipe on a ring built from a recipe; the label
+    defaults to the two canonical recipes."""
     if ring.one == ring.zero:
         # a quotient by an ideal holding 1; QUOT still builds R/R internally
-        raise ValidationError(f"{spec_string(rspec)} is the zero ring, where 1 = 0")
+        raise ValidationError(f"{ring.describe()} is the zero ring, where 1 = 0")
     inv = make_involution(ring, ispec, base_dir)
-    canonical = f"{spec_string(rspec)}/{involution_spec_string(ispec)}"
+    canonical = f"{ring.describe()}/{involution_spec_string(ispec)}"
     return StarRing(ring, inv, label=label or canonical)

@@ -304,6 +304,15 @@ def test_corpus_file_entry_error(capsys, tmp_path):
     corpus.write_text("[]")
     code, _ = run_cli(capsys, "suite", "--corpus", str(corpus))
     assert code == 2
+    for body in ('[{"ring": 5, "inv": "id"}]', '[{"ring": "Z4"}]', '["Z4"]'):
+        corpus.write_text(body)
+        code = main(["suite", "--corpus", str(corpus), "--suites", "BOOL"])
+        captured = capsys.readouterr()
+        assert code == 2, body
+        assert captured.out == ""
+        assert captured.err == (
+            'error: corpus entry 0: an entry must be an object with string "ring" and "inv"\n'
+        )
 
 
 def test_unknown_property_exit(capsys):
@@ -401,6 +410,13 @@ def test_cap_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("STARCLEAN_CAP", "4096")
     code, _ = run_cli(capsys, "check", "--ring", "Z9", "--inv", "id", "--prop", "boolean")
     assert code == 0
+    for value in ("0", "-5"):
+        monkeypatch.setenv("STARCLEAN_CAP", value)
+        code = main(["check", "--ring", "Z4", "--inv", "id", "--prop", "boolean"])
+        captured = capsys.readouterr()
+        assert code == 2, value
+        assert captured.out == ""
+        assert captured.err == f"error: size cap must be positive, got {value}\n"
 
 
 def test_fixture_command(capsys):
@@ -619,16 +635,44 @@ def test_quotient_is_bounded_by_its_coset_count(capsys):
 
 
 def test_oversized_quotient_base_is_refused_before_building(capsys, monkeypatch):
-    def build(*args):
-        raise AssertionError("a ring was built")
+    def tables(self):
+        raise AssertionError("a table was built")
 
-    monkeypatch.setattr(rings, "_build", build)
-    for ring in ("Q(Z8192,[2])", "M2(Q(Z8192,[2]))", "Q(M2(Q(Z8192,[2])),[1])"):
+    monkeypatch.setattr(rings.FiniteRing, "_table_cache", property(tables))
+    for ring, count in (
+        ("Q(Z8192,[2])", "8192"),
+        ("M2(Q(Z8192,[2]))", "8192"),
+        ("Q(M2(Q(Z8192,[2])),[1])", "8192"),
+        ("M100000(Z2)", "2^64 or more"),
+    ):
         code = main(["check", "--ring", ring, "--inv", "tr(id)", "--prop", "clean"])
         captured = capsys.readouterr()
         assert code == 3, ring
         assert captured.out == ""
-        assert captured.err == "error: ring would have 8192 elements, exceeding the cap of 4096\n"
+        assert captured.err == (
+            f"error: ring would have {count} elements, exceeding the cap of 4096\n"
+        )
+
+
+def test_each_quotient_base_is_built_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    zmod_tables = rings.ZmodRing._tables
+
+    def tables(self):
+        calls.append(self.size)
+        return zmod_tables(self)
+
+    monkeypatch.setattr(rings.ZmodRing, "_tables", tables)
+    code, _ = run_cli(capsys, "check", "--ring", "M2(Q(Z8,[4]))", "--inv", "tr(id)",
+                      "--prop", "boolean")
+    assert code == 0
+    assert calls == [8]
+    calls.clear()
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text('[{"ring": "M2(Q(Z8,[4]))", "inv": "tr(id)"}]')
+    code, _ = run_cli(capsys, "corpus-matrix", "--corpus", str(corpus))
+    assert code == 0
+    assert calls == [8]
 
 
 def test_json_matrix_booleans_are_refused(capsys, tmp_path):

@@ -55,6 +55,8 @@ BOOLEAN_HALF_RING = ("x".join(["Z2"] * 11), "id")
 # a ring of the cap size with two units, so that stable range decides nearly
 # every row, over a pool of 2048 projections
 TWO_UNIT_CAP_RING = ("x".join(["Z2"] * 10 + ["Z4"]), "id")
+# a 256-element group ring over a quotient of a cap-size base
+NESTED_QUOTIENT_RING = ("GR(Q(M2(Z8),[2]),C2)", "grp(tr(id))")
 LADDER = (
     ("M2(Z4)", "tr(id)"),
     ("M3(Z2)", "tr(id)"),
@@ -91,6 +93,8 @@ def cap_table(folder: Path) -> list[tuple[str, list[str]]]:
     table.append(("check sr1 Z2^12", ["check", *z2_12, "--prop", "sr1"]))
     two_unit = ["--ring", TWO_UNIT_CAP_RING[0], "--inv", TWO_UNIT_CAP_RING[1]]
     table.append(("check psr1 Z2^10xZ4", ["check", *two_unit, "--prop", "psr1"]))
+    nested = ["--ring", NESTED_QUOTIENT_RING[0], "--inv", NESTED_QUOTIENT_RING[1]]
+    table.append(("check boolean GR(Q(M2(Z8),[2]),C2)", ["check", *nested, "--prop", "boolean"]))
     pair = ["--suites", "SRC-EQUIV,PSR-ONESIDED", "--corpus", one["M2(Z8)"]]
     z2_12_corpus = _corpus_file(folder, "Z2^12", [BOOLEAN_CAP_RING])
     table += [
